@@ -90,7 +90,7 @@ def cmd_compress(args) -> int:
         "nullify_threshold": cfg.compress.nullify_threshold,
         "regularizer": cfg.compress.regularizer.kind,
         "lambda": cfg.compress.regularizer.lam,
-        "compression_phase": {"epochs": state.epoch + 1,
+        "compression_phase": {"epochs": len(state.gamma_history),
                               "converged": state.converged,
                               "gamma_final": state.gamma_c},
         "gamma_floor": floor,
@@ -241,7 +241,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (ConfigError, checkpoint.CheckpointError, FileNotFoundError, KeyError) as exc:
+    except (ConfigError, checkpoint.CheckpointError, FileNotFoundError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     except NumericError as exc:

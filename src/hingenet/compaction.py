@@ -207,18 +207,23 @@ def network_from_compact_checkpoint(arch: ArchSpec, tensors) -> Network:
     from the stored tensor shapes."""
     metas = _meta_chain(arch)
 
+    def tensor(key):
+        if key not in tensors:
+            raise checkpoint.CheckpointError(f"checkpoint missing tensor {key!r}")
+        return tensors[key]
+
     def rebuild(name):
         kh_kw = metas[name].kernel_h * metas[name].kernel_w
         if f"{name}/A" in tensors:
-            w_r = tensors[f"{name}/W"]
-            a_r = tensors[f"{name}/A"]
+            w_r = tensor(f"{name}/W")
+            a_r = tensor(f"{name}/A")
             meta = metas[name].with_channels(in_channels=w_r.shape[0] // kh_kw,
                                              out_channels=a_r.shape[1])
-            return HingedConv2d(meta, w_r, a_r, b=tensors[f"{name}/b"], scheme=None)
-        w = tensors[f"{name}/W"]
+            return HingedConv2d(meta, w_r, a_r, b=tensor(f"{name}/b"), scheme=None)
+        w = tensor(f"{name}/W")
         meta = metas[name].with_channels(in_channels=w.shape[0] // kh_kw,
                                          out_channels=w.shape[1])
-        return Conv2d(meta, w=w, b=tensors[f"{name}/b"])
+        return Conv2d(meta, w=w, b=tensor(f"{name}/b"))
 
     stem = rebuild("stem")
     stem.needs_input_grad = False
@@ -230,6 +235,6 @@ def network_from_compact_checkpoint(arch: ArchSpec, tensors) -> Network:
             down = rebuild(f"block{i}.down") if f"block{i}.down/W" in tensors else None
             blocks.append(BasicBlock(rebuild(f"block{i}.conv1"),
                                      rebuild(f"block{i}.conv2"), down))
-    head_w = tensors["head/W"]
-    head = Linear(head_w.shape[0], head_w.shape[1], w=head_w, b=tensors["head/b"])
+    head_w = tensor("head/W")
+    head = Linear(head_w.shape[0], head_w.shape[1], w=head_w, b=tensor("head/b"))
     return Network(arch, stem, blocks, head)

@@ -1,6 +1,6 @@
 """Dense linear algebra on float64 matrices, plus entry-group bookkeeping.
 
-Matrices are 2-D C-contiguous float64 numpy arrays throughout the package.
+Matrices are 2-D float64 numpy arrays throughout the package.
 Group schemes describe disjoint sets of matrix entries (columns, rows, or
 concatenated channel groups) whose joint L2 norms drive sparsification.
 """
@@ -34,10 +34,14 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     Delegates to the BLAS behind numpy; for a fixed environment the
     reduction order (and hence the bit pattern of the result) is stable
-    across runs.
+    across runs. Strided operands such as `col.T` go to BLAS as they are,
+    without a contiguous copy.
     """
-    a = as_matrix(a)
-    b = as_matrix(b)
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.ndim != 2 or b.ndim != 2:
+        raise DimensionError(
+            f"matmul: expected 2-D matrices, got ndim={a.ndim} and ndim={b.ndim}")
     if a.shape[1] != b.shape[0]:
         raise DimensionError(f"matmul: inner dims differ, {a.shape} x {b.shape}")
     with np.errstate(over="ignore", invalid="ignore"):

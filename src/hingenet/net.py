@@ -6,6 +6,16 @@ the network math share the same code path. Blocks are either a plain
 conv+relu or a residual pair of 3x3 convs with an optional projection on
 the skip path. All parameters are float64 numpy arrays; every layer caches
 what its backward pass needs during forward.
+
+Memory layout: activations are logically (B, C, H, W) but physically
+channels-last, because a conv output is the (B*H*W, C) product reshaped
+and viewed as NCHW. `im2col` reads its input through the free
+`transpose(0, 2, 3, 1)` view and emits patch features in (kh, kw, c)
+order; `col2im` returns an NCHW view of channels-last memory, so neither
+direction makes a layout copy. Stored `W` rows keep the (c, kh, kw) order
+that the checkpoints, the SVD in `hinge.attach` and compaction's row
+restriction use; `_patch_rows` is the one place that permutes them, so the
+checkpoint format and its meaning are unchanged.
 """
 
 from collections import OrderedDict
@@ -13,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import hinge, linalg
+from . import checkpoint, hinge, linalg
 from .hinge import ConvMeta
 from .linalg import matmul
 
@@ -23,33 +33,49 @@ HINGE = "hinge"     # the sparsity-inducing matrices, updated by prox steps
 
 
 def im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int) -> np.ndarray:
-    """Unfold (B, C, H, W) into (B*out_h*out_w, C*kh*kw) patch rows with
-    feature order (channel, kernel row, kernel col)."""
+    """Unfold (B, C, H, W) into (B*out_h*out_w, kh*kw*C) patch rows with
+    feature order (kernel row, kernel col, channel)."""
     b, c, h, w = x.shape
     out_h = (h + 2 * pad - kh) // stride + 1
     out_w = (w + 2 * pad - kw) // stride + 1
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
-    # (b, c, oh', ow', kh, kw) strided view, no copy until the final reshape
-    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    windows = windows[:, :, ::stride, ::stride]
-    return windows.transpose(0, 2, 3, 1, 4, 5).reshape(b * out_h * out_w, c * kh * kw)
+    xs = x.transpose(0, 2, 3, 1)  # free when x is physically channels-last
+    if pad:
+        xp = np.zeros((b, h + 2 * pad, w + 2 * pad, c), dtype=np.float64)
+        xp[:, pad:pad + h, pad:pad + w] = xs
+    else:
+        xp = xs
+    # (b, oh', ow', c, kh, kw) strided view; the reshape gathers the patches
+    # in one copy that reads runs of kw*c contiguous values
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
+    windows = windows[:, ::stride, ::stride]
+    return windows.transpose(0, 1, 2, 4, 5, 3).reshape(b * out_h * out_w, kh * kw * c)
 
 
 def col2im(dcol: np.ndarray, x_shape, kh: int, kw: int, stride: int, pad: int) -> np.ndarray:
-    """Adjoint of im2col: scatter patch-row gradients back onto the image."""
+    """Adjoint of im2col: scatter patch-row gradients back onto the image.
+    The result is a (B, C, H, W) view of channels-last memory."""
     b, c, h, w = x_shape
     out_h = (h + 2 * pad - kh) // stride + 1
     out_w = (w + 2 * pad - kw) // stride + 1
-    dcol = dcol.reshape(b, out_h, out_w, c, kh, kw).transpose(0, 3, 4, 5, 1, 2)
-    dxp = np.zeros((b, c, h + 2 * pad, w + 2 * pad), dtype=np.float64)
+    dcol = dcol.reshape(b, out_h, out_w, kh, kw, c)
+    dxp = np.zeros((b, h + 2 * pad, w + 2 * pad, c), dtype=np.float64)
     for i in range(kh):
         i_end = i + stride * out_h
         for j in range(kw):
             j_end = j + stride * out_w
-            dxp[:, :, i:i_end:stride, j:j_end:stride] += dcol[:, :, i, j]
-    if pad:
-        return dxp[:, :, pad:-pad, pad:-pad]
-    return dxp
+            dxp[:, i:i_end:stride, j:j_end:stride] += dcol[:, :, :, i, j]
+    return dxp[:, pad:pad + h, pad:pad + w].transpose(0, 3, 1, 2)
+
+
+def _patch_rows(w: np.ndarray, meta: ConvMeta, inverse: bool = False) -> np.ndarray:
+    """Permute the rows of a (patch_size x k) matrix from the stored
+    (c, kh, kw) order to im2col's (kh, kw, c) order, or back."""
+    c, kh, kw = meta.in_channels, meta.kernel_h, meta.kernel_w
+    if inverse:
+        w4 = w.reshape(kh, kw, c, -1).transpose(2, 0, 1, 3)
+    else:
+        w4 = w.reshape(c, kh, kw, -1).transpose(1, 2, 0, 3)
+    return w4.reshape(meta.patch_size, -1)
 
 
 class Conv2d:
@@ -72,8 +98,9 @@ class Conv2d:
     def forward(self, x: np.ndarray) -> np.ndarray:
         m = self.meta
         col = im2col(x, m.kernel_h, m.kernel_w, m.stride, m.padding)
-        z = matmul(col, self.w) + self.b
-        self._cache = (x.shape, col)
+        w = _patch_rows(self.w, m)
+        z = matmul(col, w) + self.b
+        self._cache = (x.shape, col, w)
         b = x.shape[0]
         return z.reshape(b, m.out_h, m.out_w, m.out_channels).transpose(0, 3, 1, 2)
 
@@ -81,13 +108,13 @@ class Conv2d:
         if self._cache is None:
             raise RuntimeError("backward called before forward")
         m = self.meta
-        x_shape, col = self._cache
+        x_shape, col, w = self._cache
         dz = dy.transpose(0, 2, 3, 1).reshape(-1, m.out_channels)
-        self.grad_w += matmul(col.T, dz)
+        self.grad_w += _patch_rows(matmul(col.T, dz), m, inverse=True)
         self.grad_b += dz.sum(axis=0)
         if not self.needs_input_grad:
             return None
-        dcol = matmul(dz, self.w.T)
+        dcol = matmul(dz, w.T)
         return col2im(dcol, x_shape, m.kernel_h, m.kernel_w, m.stride, m.padding)
 
     def params(self, prefix: str):
@@ -153,9 +180,10 @@ class HingedConv2d:
     def forward(self, x: np.ndarray) -> np.ndarray:
         m = self.meta
         col = im2col(x, m.kernel_h, m.kernel_w, m.stride, m.padding)
-        pre = matmul(col, self.w)
+        w = _patch_rows(self.w, m)
+        pre = matmul(col, w)
         z = matmul(pre, self.a) + self.b
-        self._cache = (x.shape, col, pre)
+        self._cache = (x.shape, col, w, pre)
         b = x.shape[0]
         return z.reshape(b, m.out_h, m.out_w, m.out_channels).transpose(0, 3, 1, 2)
 
@@ -163,13 +191,13 @@ class HingedConv2d:
         if self._cache is None:
             raise RuntimeError("backward called before forward")
         m = self.meta
-        x_shape, col, pre = self._cache
+        x_shape, col, w, pre = self._cache
         dz = dy.transpose(0, 2, 3, 1).reshape(-1, m.out_channels)
         self.grad_a += matmul(pre.T, dz)
         self.grad_b += dz.sum(axis=0)
         dpre = matmul(dz, self.a.T)
-        self.grad_w += matmul(col.T, dpre)
-        dcol = matmul(dpre, self.w.T)
+        self.grad_w += _patch_rows(matmul(col.T, dpre), m, inverse=True)
+        dcol = matmul(dpre, w.T)
         return col2im(dcol, x_shape, m.kernel_h, m.kernel_w, m.stride, m.padding)
 
     def params(self, prefix: str):
@@ -207,7 +235,8 @@ class GlobalAvgPool:
 
     def backward(self, dy):
         b, c, h, w = self._shape
-        return np.broadcast_to(dy[:, :, None, None], self._shape) / (h * w)
+        # channels-last like the activations, so no conv backward copies it
+        return np.broadcast_to(dy[:, None, None, :] / (h * w), (b, h, w, c)).transpose(0, 3, 1, 2)
 
 
 class Linear:
@@ -384,18 +413,18 @@ class Network:
         for name, layer in self.named_layers():
             for key in layer.state_tensors(name):
                 if key not in tensors:
-                    raise KeyError(f"checkpoint missing tensor {key!r}")
+                    raise checkpoint.CheckpointError(f"checkpoint missing tensor {key!r}")
                 value = tensors[key]
                 attr = key.rsplit("/", 1)[1]
                 if attr == "mask":
                     if layer.mask is None or value.shape != layer.mask.shape:
-                        raise ValueError(f"mask shape mismatch for {name}")
+                        raise checkpoint.CheckpointError(f"mask shape mismatch for {name}")
                     layer.mask = value.astype(bool)
                     continue
                 attr = {"W": "w", "A": "a", "b": "b"}[attr]
                 current = getattr(layer, attr)
                 if value.shape != current.shape:
-                    raise ValueError(
+                    raise checkpoint.CheckpointError(
                         f"tensor {key!r}: shape {value.shape} != expected {current.shape}")
                 setattr(layer, attr, np.ascontiguousarray(value, dtype=np.float64))
                 setattr(layer, f"grad_{attr}", np.zeros_like(value, dtype=np.float64))

@@ -154,6 +154,20 @@ class TestCliCompress:
         report = json.loads(Path(pipeline["report"]).read_text())
         jsonschema.validate(report, schema)
 
+    def test_phase_free_report_counts_zero_epochs(self, pipeline):
+        import jsonschema
+        doc = dict(TINY_CONFIG, compress=dict(TINY_CONFIG["compress"], max_epochs=0))
+        cfg = write_config(pipeline["tmp"], doc, name="phase_free_cfg.json")
+        rep = pipeline["tmp"] / "phase_free_report.json"
+        rc = cli.main(["compress", "--config", cfg, "--ckpt", str(pipeline["base"]),
+                       "--out", str(pipeline["tmp"] / "phase_free.hngw"),
+                       "--report", str(rep)])
+        assert rc == 0
+        report = json.loads(rep.read_text())
+        assert report["compression_phase"]["epochs"] == 0
+        schema_path = Path(cli.__file__).parent / "schemas" / "report.schema.json"
+        jsonschema.validate(report, json.loads(schema_path.read_text()))
+
     def test_report_content(self, pipeline):
         report = json.loads(Path(pipeline["report"]).read_text())
         assert report["infeasible"] is False
@@ -227,6 +241,23 @@ class TestCliFinetune:
                        "--teacher", str(pipeline["base"]),
                        "--distill", "--out", str(out)])
         assert rc == 0
+
+    @pytest.mark.parametrize("arch_change,ckpt", [
+        ({"stem_channels": 5}, "base"),                       # shape mismatch
+        ({"blocks": TINY_CONFIG["arch"]["blocks"]
+          + [{"kind": "basic", "channels": 6}]}, "base"),     # missing tensor
+        ({"blocks": TINY_CONFIG["arch"]["blocks"]
+          + [{"kind": "basic", "channels": 6}]}, "compact"),
+    ])
+    def test_evaluate_other_arch_is_usage_error(self, pipeline, capsys, arch_change, ckpt):
+        doc = dict(TINY_CONFIG, arch=dict(TINY_CONFIG["arch"], **arch_change))
+        cfg = write_config(pipeline["tmp"], doc, name="other_arch.json")
+        capsys.readouterr()
+        rc = cli.main(["evaluate", "--config", cfg, "--ckpt", str(pipeline[ckpt])])
+        assert rc == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+        assert "Traceback" not in err
 
     def test_evaluate_compact(self, pipeline, capsys):
         rc = cli.main(["evaluate", "--config", pipeline["cfg"],

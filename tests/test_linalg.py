@@ -37,6 +37,21 @@ class TestMatmul:
         with pytest.raises(DimensionError):
             matmul(np.zeros((2, 3)), np.zeros((2, 3)))
 
+    def test_transposed_operands_match_naive(self, rng):
+        # strided views go to BLAS uncopied; the product must not change
+        a = rng.normal(size=(5, 7))
+        b = rng.normal(size=(3, 5))
+        assert not a.T.flags.c_contiguous
+        assert np.abs(matmul(a.T, b.T) - naive_matmul(a.T, b.T)).max() <= 1e-12
+        assert np.abs(matmul(a.T[::2], b.T) - naive_matmul(a.T[::2], b.T)).max() <= 1e-12
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3, 3)])
+    def test_non_matrix_operand_rejected(self, shape):
+        with pytest.raises(DimensionError):
+            matmul(np.zeros(shape), np.zeros((3, 2)))
+        with pytest.raises(DimensionError):
+            matmul(np.zeros((2, 3)), np.zeros(shape))
+
     def test_associativity(self, rng):
         for _ in range(10):
             dims = rng.integers(2, 65, size=4)

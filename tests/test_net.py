@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -37,14 +39,63 @@ class TestConv:
         want = naive_conv(x, conv.w, conv.b, meta)
         assert np.abs(got - want).max() <= 1e-12
 
-    def test_im2col_col2im_adjoint(self, rng):
+    @pytest.mark.parametrize("stride,pad,channels",
+                             list(itertools.product((1, 2), (0, 1), (1, 3))))
+    def test_im2col_col2im_adjoint(self, rng, stride, pad, channels):
         # <im2col(x), y> == <x, col2im(y)> pins col2im as the exact adjoint
-        x = rng.normal(size=(2, 3, 6, 6))
-        col = im2col(x, 3, 3, 2, 1)
+        x = rng.normal(size=(2, channels, 6, 6))
+        col = im2col(x, 3, 3, stride, pad)
         y = rng.normal(size=col.shape)
         lhs = np.sum(col * y)
-        rhs = np.sum(x * col2im(y, x.shape, 3, 3, 2, 1))
+        rhs = np.sum(x * col2im(y, x.shape, 3, 3, stride, pad))
         assert abs(lhs - rhs) <= 1e-10
+
+    def test_im2col_feature_order_is_kernel_then_channel(self, rng):
+        x = rng.normal(size=(2, 3, 5, 5))
+        col = im2col(x, 3, 3, 2, 1).reshape(2, 3, 3, 27)
+        xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+        for n, i, j in itertools.product(range(2), range(3), range(3)):
+            patch = xp[n, :, 2 * i:2 * i + 3, 2 * j:2 * j + 3]
+            assert np.array_equal(col[n, i, j], patch.transpose(1, 2, 0).ravel())
+
+    @pytest.mark.parametrize("stride,pad", [(1, 1), (2, 1), (2, 0)])
+    def test_layout_of_input_does_not_change_result(self, rng, stride, pad):
+        x = rng.normal(size=(2, 3, 7, 7))
+        x_cl = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+        assert x_cl.shape == x.shape and not x_cl.flags.c_contiguous
+        col = im2col(x, 3, 3, stride, pad)
+        assert np.array_equal(col, im2col(x_cl, 3, 3, stride, pad))
+        y = rng.normal(size=col.shape)
+        dx = col2im(y, x.shape, 3, 3, stride, pad)
+        assert np.array_equal(dx, col2im(np.asfortranarray(y), x.shape, 3, 3, stride, pad))
+        # the gradient comes back channels-last: channels are the unit stride
+        assert dx.strides[1] == dx.itemsize
+
+    @pytest.mark.parametrize("hinged", [False, True])
+    def test_grad_w_rows_in_stored_order(self, rng, hinged):
+        # finite differences through the (c, kh, kw) naive oracle: grad_w must
+        # come back in the stored row order whatever order im2col uses inside
+        meta = ConvMeta(2, 3, 3, 3, 2, 1, 3, 3)
+        x = rng.normal(size=(2, 2, 5, 5))
+        g = rng.normal(size=(2, 3, 3, 3))
+        a = rng.normal(size=(3, 3))
+        b = rng.normal(size=3)
+        w = rng.normal(size=(18, 3))
+        layer = (HingedConv2d(meta, w, a, b=b) if hinged
+                 else Conv2d(meta, w=w, b=b))
+        layer.forward(x)
+        layer.backward(g)
+
+        def loss(w_mat):
+            return np.sum(g * naive_conv(x, w_mat @ a if hinged else w_mat, b, meta))
+
+        h = 1e-6
+        fd = np.zeros_like(w)
+        for r, c in itertools.product(range(18), range(3)):
+            step = np.zeros_like(w)
+            step[r, c] = h
+            fd[r, c] = (loss(w + step) - loss(w - step)) / (2 * h)
+        assert np.abs(layer.grad_w - fd).max() <= 1e-6 * max(1.0, np.abs(fd).max())
 
     def test_hinged_equals_conv_then_1x1(self, rng):
         meta = ConvMeta(2, 5, 3, 3, 1, 1, 8, 8)
