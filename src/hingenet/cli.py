@@ -43,11 +43,20 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
-def _load_baseline(cfg, ckpt_path) -> net.Network:
-    tensors = checkpoint.load(ckpt_path)
+def _load_baseline(cfg, tensors) -> net.Network:
     model = net.build_network(cfg.arch, seed=cfg.seed)
     model.load_state_tensors(tensors)
     return model
+
+
+def _load_any(cfg, ckpt_path):
+    """The network in a baseline or a compact checkpoint, and the compact
+    layer modes (None for a baseline)."""
+    tensors = checkpoint.load(ckpt_path)
+    if not any(k.endswith("/mode") for k in tensors):
+        return _load_baseline(cfg, tensors), None
+    modes = {k[:-5]: int(v[0]) for k, v in tensors.items() if k.endswith("/mode")}
+    return compaction.network_from_compact_checkpoint(cfg.arch, tensors), modes
 
 
 def cmd_train(args) -> int:
@@ -76,7 +85,7 @@ def cmd_compress(args) -> int:
         cfg.compress.target_ratio = args.target_ratio
     target = cfg.compress.target_ratio
     dataset = cfg.make_dataset()
-    model = _load_baseline(cfg, args.ckpt)
+    model = _load_baseline(cfg, checkpoint.load(args.ckpt))
     net.attach_hinges(model, init=cfg.hinge_init,
                       first_kind=cfg.first_hinge_groups,
                       plain_kind=cfg.plain_hinge_groups)
@@ -128,22 +137,14 @@ def cmd_compress(args) -> int:
 def cmd_finetune(args) -> int:
     cfg = load_config(args.config)
     dataset = cfg.make_dataset()
-    tensors = checkpoint.load(args.ckpt)
-    if any(k.endswith("/mode") for k in tensors):
-        model = compaction.network_from_compact_checkpoint(cfg.arch, tensors)
-        modes = {k[:-5]: int(v[0]) for k, v in tensors.items() if k.endswith("/mode")}
-    else:
-        model = _load_baseline(cfg, args.ckpt)
-        modes = None
+    model, modes = _load_any(cfg, args.ckpt)
 
     teacher = None
     distill_cfg = None
     if args.distill:
         if args.teacher is None:
             raise ConfigError("--distill requires --teacher")
-        teacher = _load_baseline(cfg, args.teacher)
-        if teacher.head.w.shape[1] != model.head.w.shape[1]:
-            raise ConfigError("teacher and student class counts differ")
+        teacher = _load_baseline(cfg, checkpoint.load(args.teacher))
         distill_cfg = cfg.distill
 
     tc = cfg.train
@@ -167,11 +168,7 @@ def cmd_finetune(args) -> int:
 def cmd_evaluate(args) -> int:
     cfg = load_config(args.config)
     dataset = cfg.make_dataset()
-    tensors = checkpoint.load(args.ckpt)
-    if any(k.endswith("/mode") for k in tensors):
-        model = compaction.network_from_compact_checkpoint(cfg.arch, tensors)
-    else:
-        model = _load_baseline(cfg, args.ckpt)
+    model, _ = _load_any(cfg, args.ckpt)
     acc, loss = training.evaluate(model, dataset.x_test, dataset.y_test)
     print(json.dumps({"test_accuracy": acc, "test_loss": loss}, sort_keys=True))
     return EXIT_OK

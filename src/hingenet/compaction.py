@@ -9,7 +9,7 @@ computes the same function as the masked one up to float roundoff.
 """
 
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -17,7 +17,7 @@ from . import checkpoint, cost, hinge
 from .cost import build_plan, report_from_plan
 from .hinge import DECOMPOSE, PRUNE, UNTOUCHED
 from .linalg import COLUMNS, ROWS, matmul
-from .net import ArchSpec, BasicBlock, Conv2d, HingedConv2d, Linear, Network, PlainBlock
+from .net import ArchSpec, Conv2d, HingedConv2d, Linear, Network
 
 MODE_BYTES = {UNTOUCHED: 0, PRUNE: 1, DECOMPOSE: 2}
 MODE_NAMES = {v: k for k, v in MODE_BYTES.items()}
@@ -70,41 +70,22 @@ def propagate(net: Network, plans: list) -> CompactModel:
     """Assemble the compacted network from per-layer plans, removing dead
     channels end to end (including the classifier's input features)."""
     by_name = {p.name: p for p in plans}
-    in_idx = np.arange(net.arch.input_channels)
-
-    stem_plan = by_name["stem"]
-    new_stem = _compact_conv(net.stem, in_idx)
-    in_idx = stem_plan.alive_out_idx
-
-    new_blocks = []
-    for i, blk in enumerate(net.blocks):
-        if blk.kind == "plain":
-            plan = by_name[f"block{i}.conv"]
-            new_blocks.append(PlainBlock(_compact_layer(blk.conv, plan, in_idx)))
-            in_idx = plan.alive_out_idx
-        else:
-            block_in = in_idx
-            p1 = by_name[f"block{i}.conv1"]
-            p2 = by_name[f"block{i}.conv2"]
-            if p2.mode == PRUNE:
-                raise StructuralError(
-                    f"block{i}.conv2: output of a skip-connected block was pruned")
-            c1 = _compact_layer(blk.conv1, p1, block_in)
-            c2 = _compact_layer(blk.conv2, p2, p1.alive_out_idx)
-            down = (_compact_conv(blk.downsample, block_in)
-                    if blk.downsample is not None else None)
-            new_blocks.append(BasicBlock(c1, c2, down))
-            in_idx = p2.alive_out_idx
-
+    layers = {}
+    for entry in net.arch.table:
+        in_idx = (by_name[entry.source].alive_out_idx if entry.source is not None
+                  else np.arange(net.arch.input_channels))
+        layers[entry.name] = _compact_layer(net.layers[entry.name], by_name[entry.name],
+                                            in_idx)
+    in_idx = by_name[net.arch.output].alive_out_idx
     new_head = Linear(len(in_idx), net.head.w.shape[1],
                       w=net.head.w[in_idx, :].copy(), b=net.head.b.copy())
-    compact_net = Network(net.arch, new_stem, new_blocks, new_head)
+    compact_net = Network(net.arch, layers, new_head)
     report = report_from_plan(plans, net)
     return CompactModel(network=compact_net, report=report, plans=plans)
 
 
 def _compact_conv(conv: Conv2d, in_idx: np.ndarray) -> Conv2d:
-    meta = conv.meta.with_channels(in_channels=len(in_idx))
+    meta = replace(conv.meta, in_channels=len(in_idx))
     w = _restrict_input_rows(conv.w, meta.kernel_h, meta.kernel_w, in_idx)
     out = Conv2d(meta, w=w, b=conv.b.copy())
     out.needs_input_grad = conv.needs_input_grad
@@ -118,11 +99,11 @@ def _compact_layer(layer, plan, in_idx: np.ndarray):
     if plan.mode == PRUNE:
         merged, alive_idx = compact_prune(layer)
         merged = _restrict_input_rows(merged, meta.kernel_h, meta.kernel_w, in_idx)
-        new_meta = meta.with_channels(in_channels=len(in_idx), out_channels=len(alive_idx))
+        new_meta = replace(meta, in_channels=len(in_idx), out_channels=len(alive_idx))
         return Conv2d(new_meta, w=merged, b=layer.b[alive_idx].copy())
     w_r, a_r, _ = compact_decompose(layer)
     w_r = _restrict_input_rows(w_r, meta.kernel_h, meta.kernel_w, in_idx)
-    new_meta = meta.with_channels(in_channels=len(in_idx))
+    new_meta = replace(meta, in_channels=len(in_idx))
     if plan.kept_pair:
         return HingedConv2d(new_meta, w_r, a_r, b=layer.b.copy(), scheme=None)
     return Conv2d(new_meta, w=matmul(w_r, a_r), b=layer.b.copy())
@@ -170,71 +151,58 @@ def tensors_with_modes(network: Network, modes: dict) -> OrderedDict:
     return out
 
 
-def compact_state_tensors(model: CompactModel) -> OrderedDict:
-    return tensors_with_modes(model.network, model.modes)
-
-
 def save_compact(path, model: CompactModel) -> None:
-    checkpoint.save(path, compact_state_tensors(model))
+    checkpoint.save(path, tensors_with_modes(model.network, model.modes))
 
 
-def _meta_chain(arch: ArchSpec):
-    """Nominal conv metas per layer name, following the architecture."""
-    from .net import _conv_meta
-    metas = {}
-    h, w = arch.input_h, arch.input_w
-    metas["stem"] = _conv_meta(arch.input_channels, arch.stem_channels, 3, 1, 1, h, w)
-    in_ch = arch.stem_channels
-    for i, bd in enumerate(arch.blocks):
-        if bd.kind == "plain":
-            metas[f"block{i}.conv"] = _conv_meta(in_ch, bd.channels, 3, bd.stride, 1, h, w)
-            last = metas[f"block{i}.conv"]
-        else:
-            m1 = _conv_meta(in_ch, bd.channels, 3, bd.stride, 1, h, w)
-            m2 = _conv_meta(bd.channels, bd.channels, 3, 1, 1, m1.out_h, m1.out_w)
-            metas[f"block{i}.conv1"] = m1
-            metas[f"block{i}.conv2"] = m2
-            if bd.stride != 1 or in_ch != bd.channels:
-                metas[f"block{i}.down"] = _conv_meta(in_ch, bd.channels, 1, bd.stride, 0, h, w)
-            last = m2
-        h, w = last.out_h, last.out_w
-        in_ch = bd.channels
-    return metas
+def _tensor(tensors, key):
+    if key not in tensors:
+        raise checkpoint.CheckpointError(f"checkpoint missing tensor {key!r}")
+    return tensors[key]
+
+
+def _checked_layer(entry, tensors, layers):
+    """Rebuild one compacted conv from its tensors, checked against its
+    table entry and against the layer it reads."""
+    name, nominal = entry.name, entry.meta
+    mode_t = _tensor(tensors, f"{name}/mode")
+    mode = MODE_NAMES.get(int(mode_t.flat[0])) if mode_t.size == 1 else None
+    w, b = _tensor(tensors, f"{name}/W"), _tensor(tensors, f"{name}/b")
+    a = tensors.get(f"{name}/A")
+    out_ch = b.shape[0] if b.ndim == 1 else 0
+    full = mode != PRUNE or entry.protected
+    if (mode is None or not 0 < out_ch <= nominal.out_channels
+            or (full and out_ch != nominal.out_channels)):
+        raise checkpoint.CheckpointError(
+            f"{name}: bias {b.shape} in mode {mode}, the architecture has "
+            f"{nominal.out_channels} output channels")
+    in_ch = (layers[entry.source].meta.out_channels if entry.source is not None
+             else nominal.in_channels)
+    meta = replace(nominal, in_channels=in_ch, out_channels=out_ch)
+    rank = a.shape[0] if a is not None and a.ndim == 2 else out_ch
+    if w.shape != (meta.patch_size, rank) or (a is not None and a.shape != (rank, out_ch)):
+        raise checkpoint.CheckpointError(
+            f"{name}: filter {w.shape} and hinge {None if a is None else a.shape} do not map "
+            f"{in_ch} input channels x {meta.kernel_h * meta.kernel_w} taps to {out_ch} outputs")
+    if a is not None:
+        return HingedConv2d(meta, w, a, b=b, scheme=None)
+    return Conv2d(meta, w=w, b=b)
 
 
 def network_from_compact_checkpoint(arch: ArchSpec, tensors) -> Network:
-    """Rebuild a compacted network from its checkpoint; channel counts come
-    from the stored tensor shapes."""
-    metas = _meta_chain(arch)
-
-    def tensor(key):
-        if key not in tensors:
-            raise checkpoint.CheckpointError(f"checkpoint missing tensor {key!r}")
-        return tensors[key]
-
-    def rebuild(name):
-        kh_kw = metas[name].kernel_h * metas[name].kernel_w
-        if f"{name}/A" in tensors:
-            w_r = tensor(f"{name}/W")
-            a_r = tensor(f"{name}/A")
-            meta = metas[name].with_channels(in_channels=w_r.shape[0] // kh_kw,
-                                             out_channels=a_r.shape[1])
-            return HingedConv2d(meta, w_r, a_r, b=tensor(f"{name}/b"), scheme=None)
-        w = tensor(f"{name}/W")
-        meta = metas[name].with_channels(in_channels=w.shape[0] // kh_kw,
-                                         out_channels=w.shape[1])
-        return Conv2d(meta, w=w, b=tensor(f"{name}/b"))
-
-    stem = rebuild("stem")
-    stem.needs_input_grad = False
-    blocks = []
-    for i, bd in enumerate(arch.blocks):
-        if bd.kind == "plain":
-            blocks.append(PlainBlock(rebuild(f"block{i}.conv")))
-        else:
-            down = rebuild(f"block{i}.down") if f"block{i}.down/W" in tensors else None
-            blocks.append(BasicBlock(rebuild(f"block{i}.conv1"),
-                                     rebuild(f"block{i}.conv2"), down))
-    head_w = tensor("head/W")
-    head = Linear(head_w.shape[0], head_w.shape[1], w=head_w, b=tensor("head/b"))
-    return Network(arch, stem, blocks, head)
+    """Rebuild a compacted network from its checkpoint. Channel counts come
+    from the stored tensor shapes and must fit the architecture: whole
+    kernels per input channel, as many inputs as the source layer
+    produces, and no more outputs than nominal (exactly nominal unless the
+    layer was pruned, and always for a protected layer)."""
+    layers = {}
+    for entry in arch.table:
+        layers[entry.name] = _checked_layer(entry, tensors, layers)
+    layers["stem"].needs_input_grad = False
+    head_in = layers[arch.output].meta.out_channels
+    head_w, head_b = _tensor(tensors, "head/W"), _tensor(tensors, "head/b")
+    if head_w.shape != (head_in, arch.classes) or head_b.shape != (arch.classes,):
+        raise checkpoint.CheckpointError(
+            f"head: shapes {head_w.shape} and {head_b.shape}, expected "
+            f"({head_in}, {arch.classes}) and ({arch.classes},)")
+    return Network(arch, layers, Linear(head_in, arch.classes, w=head_w, b=head_b))

@@ -3,6 +3,7 @@ train, compress, distill, and a global seed. Unknown keys anywhere are
 rejected so typos fail loudly."""
 
 import json
+import math
 from dataclasses import dataclass
 
 from . import hinge
@@ -17,10 +18,34 @@ class ConfigError(ValueError):
     """Malformed run configuration."""
 
 
-def _check_keys(section: dict, allowed: set, where: str):
+def _check_keys(section, allowed: set, where: str):
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {section!r}")
     unknown = set(section) - allowed
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
+
+
+def _number(value, where: str, integer: bool = False, low: float | None = 0,
+            strict: bool = False):
+    """Type and range check of one config number; returns it unchanged.
+    `low` is the smallest allowed value (excluded when `strict`); None
+    leaves the range to the code that uses the value."""
+    if (isinstance(value, bool) or not isinstance(value, int if integer else (int, float))
+            or not (integer or math.isfinite(value))):
+        kind = "an integer" if integer else "a finite number"
+        raise ConfigError(f"{where} must be {kind}, got {value!r}")
+    if low is not None and (value < low or (strict and value == low)):
+        raise ConfigError(f"{where} must be {'>' if strict else '>='} {low}, got {value!r}")
+    return value
+
+
+def _checked(section, rules: dict, where: str, other_keys=()) -> dict:
+    """Reject unknown keys, then return the keys of `section` that have a
+    rule, each checked by `_number`; a null value means the default."""
+    _check_keys(section, set(rules) | set(other_keys), where)
+    return {key: _number(section[key], f"{where}.{key}", **rules[key])
+            for key in rules if section.get(key) is not None}
 
 
 @dataclass
@@ -61,6 +86,18 @@ class RunConfig:
                                 height=self.arch.input_h, width=self.arch.input_w)
 
 
+# Rules for `_number`. Architecture sizes are only type-checked here;
+# building the layer table checks their range.
+_SIZE, _INT, _COUNT = {"integer": True, "low": None}, {"integer": True}, {"integer": True, "low": 1}
+_ANY, _POSITIVE = {"low": None}, {"strict": True}
+_TRAIN_RULES = {"epochs": _INT, "batch_size": _COUNT, "lr": _POSITIVE, "momentum": {},
+                "weight_decay": {}, "lr_drop_factor": _POSITIVE, "finetune_epochs": _INT,
+                "finetune_lr": _POSITIVE}
+_COMPRESS_RULES = {"target_ratio": _ANY, "stop_margin": _ANY, "nullify_threshold": {},
+                   "eta": _POSITIVE, "lr_ratio": {}, "m": _ANY, "weight_decay": {},
+                   "anneal_decay": _POSITIVE, "anneal_trigger": {}, "max_epochs": _INT,
+                   "seed": _INT, "batch_size": _COUNT}
+
 _DEFAULT_ARCH = {
     "input": {"channels": 1, "height": 16, "width": 16},
     "classes": 4,
@@ -71,28 +108,42 @@ _DEFAULT_ARCH = {
 
 
 def _parse_arch(section: dict):
-    _check_keys(section, {"input", "classes", "stem_channels", "blocks",
-                          "hinge_init", "first_hinge_groups", "plain_hinge_groups"},
-                "arch")
-    inp = section.get("input", _DEFAULT_ARCH["input"])
-    _check_keys(inp, {"channels", "height", "width"}, "arch.input")
-    blocks = []
-    for i, bd in enumerate(section.get("blocks", _DEFAULT_ARCH["blocks"])):
-        _check_keys(bd, {"kind", "channels", "stride"}, f"arch.blocks[{i}]")
-        blocks.append(BlockDef(kind=bd["kind"], channels=int(bd["channels"]),
-                               stride=int(bd.get("stride", 1))))
+    sizes = _checked(section, {"classes": _SIZE, "stem_channels": _SIZE}, "arch",
+                     other_keys={"input", "blocks", "hinge_init", "first_hinge_groups",
+                                 "plain_hinge_groups"})
+    inp = _checked(section.get("input", _DEFAULT_ARCH["input"]),
+                   {"channels": _SIZE, "height": _SIZE, "width": _SIZE}, "arch.input")
+    blocks = section.get("blocks", _DEFAULT_ARCH["blocks"])
+    if not isinstance(blocks, list):
+        raise ConfigError(f"arch.blocks must be a list, got {blocks!r}")
+    block_defs = []
+    for i, bd in enumerate(blocks):
+        bd_sizes = _checked(bd, {"channels": _SIZE, "stride": _SIZE}, f"arch.blocks[{i}]",
+                            other_keys={"kind"})
+        if "kind" not in bd or "channels" not in bd_sizes:
+            raise ConfigError(f"arch.blocks[{i}] needs a kind and a channel count")
+        block_defs.append(BlockDef(kind=bd["kind"], channels=bd_sizes["channels"],
+                                   stride=bd_sizes.get("stride", 1)))
     try:
-        arch = ArchSpec(input_channels=int(inp.get("channels", 1)),
-                        input_h=int(inp.get("height", 16)),
-                        input_w=int(inp.get("width", 16)),
-                        classes=int(section.get("classes", 4)),
-                        stem_channels=int(section.get("stem_channels", 16)),
-                        blocks=tuple(blocks))
+        arch = ArchSpec(input_channels=inp.get("channels", 1),
+                        input_h=inp.get("height", 16),
+                        input_w=inp.get("width", 16),
+                        classes=sizes.get("classes", 4),
+                        stem_channels=sizes.get("stem_channels", 16),
+                        blocks=tuple(block_defs))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     init = section.get("hinge_init", hinge.SVD_INIT)
     if init not in (hinge.SVD_INIT, hinge.IDENTITY_INIT):
         raise ConfigError(f"arch.hinge_init must be svd or identity, got {init!r}")
+    if init == hinge.SVD_INIT:
+        for entry in arch.table:
+            m = entry.meta
+            if entry.position is not None and m.patch_size < m.out_channels:
+                raise ConfigError(
+                    f"arch.hinge_init svd needs patch_size >= out_channels, but "
+                    f"{entry.name} has {m.patch_size} < {m.out_channels}; "
+                    "use identity init for this architecture")
     first = section.get("first_hinge_groups")
     plain = section.get("plain_hinge_groups")
     for key, val in (("first_hinge_groups", first), ("plain_hinge_groups", plain)):
@@ -102,26 +153,21 @@ def _parse_arch(section: dict):
 
 
 def _parse_regularizer(section: dict) -> RegularizerSpec:
-    _check_keys(section, {"kind", "lambda", "epsilon"}, "compress.regularizer")
+    values = _checked(section, {"lambda": {}, "epsilon": _POSITIVE}, "compress.regularizer",
+                      other_keys={"kind"})
     kind = section.get("kind", "l1")
     if kind not in DEFAULT_LAMBDA:
         raise ConfigError(f"unknown regularizer kind {kind!r}")
     try:
-        return RegularizerSpec(kind=kind,
-                               lam=float(section.get("lambda", DEFAULT_LAMBDA[kind])),
-                               epsilon=section.get("epsilon"))
+        return RegularizerSpec(kind=kind, lam=float(values.get("lambda", DEFAULT_LAMBDA[kind])),
+                               epsilon=values.get("epsilon"))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
 def _parse_compress(section: dict, seed: int) -> CompressionConfig:
-    allowed = {"target_ratio", "stop_margin", "nullify_threshold", "regularizer",
-               "eta", "lr_ratio", "m", "weight_decay", "anneal_decay",
-               "anneal_trigger", "max_epochs", "seed", "batch_size"}
-    _check_keys(section, allowed, "compress")
+    kwargs = _checked(section, _COMPRESS_RULES, "compress", other_keys={"regularizer"})
     reg = _parse_regularizer(section.get("regularizer", {}))
-    kwargs = {k: section[k] for k in allowed
-              if k in section and k not in ("regularizer",)}
     kwargs.setdefault("seed", seed)
     try:
         return CompressionConfig(regularizer=reg, **kwargs)
@@ -133,30 +179,28 @@ def parse_config(doc: dict) -> RunConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
     _check_keys(doc, {"arch", "data", "train", "compress", "distill", "seed"}, "config")
-    seed = int(doc.get("seed", 0))
+    seed = _number(doc.get("seed", 0), "seed", integer=True)
 
     arch, init, first, plain = _parse_arch(doc.get("arch", {}))
 
-    data_sec = doc.get("data", {})
-    _check_keys(data_sec, {"n_train", "n_test"}, "data")
-    data_cfg = DataConfig(n_train=int(data_sec.get("n_train", 256)),
-                          n_test=int(data_sec.get("n_test", 256)))
+    data_cfg = DataConfig(**_checked(doc.get("data", {}),
+                                     {"n_train": _COUNT, "n_test": _COUNT}, "data"))
 
-    train_sec = dict(doc.get("train", {}))
-    _check_keys(train_sec, {"epochs", "batch_size", "lr", "momentum", "weight_decay",
-                            "lr_drops", "lr_drop_factor", "finetune_epochs",
-                            "finetune_lr"}, "train")
+    train_sec = doc.get("train", {})
+    train_kwargs = _checked(train_sec, _TRAIN_RULES, "train", other_keys={"lr_drops"})
     if "lr_drops" in train_sec:
-        train_sec["lr_drops"] = tuple(train_sec["lr_drops"])
-    train_cfg = TrainConfig(**train_sec)
+        drops = train_sec["lr_drops"]
+        if not isinstance(drops, list):
+            raise ConfigError(f"train.lr_drops must be a list of epochs, got {drops!r}")
+        train_kwargs["lr_drops"] = tuple(_number(d, f"train.lr_drops[{i}]", integer=True)
+                                         for i, d in enumerate(drops))
+    train_cfg = TrainConfig(**train_kwargs)
 
     compress_cfg = _parse_compress(doc.get("compress", {}), seed)
 
-    distill_sec = doc.get("distill", {})
-    _check_keys(distill_sec, {"balance", "temperature"}, "distill")
     try:
-        distill_cfg = DistillConfig(balance=float(distill_sec.get("balance", 0.4)),
-                                    temperature=float(distill_sec.get("temperature", 4.0)))
+        distill_cfg = DistillConfig(**_checked(
+            doc.get("distill", {}), {"balance": {}, "temperature": _POSITIVE}, "distill"))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 

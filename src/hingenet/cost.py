@@ -15,7 +15,7 @@ import numpy as np
 
 from . import hinge
 from .hinge import DECOMPOSE, PRUNE, UNTOUCHED, ConvMeta
-from .net import Conv2d, HingedConv2d, Network
+from .net import HingedConv2d, Network
 
 
 def conv_flops(meta: ConvMeta, in_alive: int, out_alive: int) -> int:
@@ -71,7 +71,6 @@ class LayerPlan:
     params: int
     flops_original: int
     alive_out_idx: np.ndarray | None = field(default=None, repr=False)
-    alive_rank_idx: np.ndarray | None = field(default=None, repr=False)
 
 
 @dataclass
@@ -136,78 +135,48 @@ def _plan_hinged(name, layer, in_idx, threshold, mode_map):
         params = conv_params(meta, len(in_idx), meta.out_channels)
     return LayerPlan(name, DECOMPOSE, len(in_idx), meta.out_channels, rank, kept,
                      flops, params, orig,
-                     alive_out_idx=np.arange(meta.out_channels), alive_rank_idx=alive_idx)
+                     alive_out_idx=np.arange(meta.out_channels))
 
 
 def build_plan(net: Network, threshold: float | None = None,
                mode_map: dict | None = None) -> list:
     """Per-layer cost plan of the network after (hypothetically) nullifying
     every group with norm below `threshold` on top of the current masks.
-    Channel removal propagates: a pruned output shrinks the next layer's
-    input. Read-only."""
-    plans = []
-    in_idx = np.arange(net.arch.input_channels)
-    plans.append(_plan_conv("stem", net.stem.meta, in_idx))
-    in_idx = plans[-1].alive_out_idx
-    for i, blk in enumerate(net.blocks):
-        if blk.kind == "plain":
-            name = f"block{i}.conv"
-            if isinstance(blk.conv, HingedConv2d) and blk.conv.scheme is not None:
-                plans.append(_plan_hinged(name, blk.conv, in_idx, threshold, mode_map))
-            else:
-                plans.append(_plan_conv(name, blk.conv.meta, in_idx))
-            in_idx = plans[-1].alive_out_idx
+    Channel removal propagates: a pruned output shrinks the input of every
+    layer that reads it. A protected layer (its output joins a residual
+    sum or an identity skip) may not be pruned. Read-only."""
+    plans = {}
+    for entry in net.arch.table:
+        in_idx = (plans[entry.source].alive_out_idx if entry.source is not None
+                  else np.arange(net.arch.input_channels))
+        layer = net.layers[entry.name]
+        if isinstance(layer, HingedConv2d) and layer.scheme is not None:
+            plan = _plan_hinged(entry.name, layer, in_idx, threshold, mode_map)
         else:
-            block_in = in_idx
-            if blk.downsample is None and len(block_in) != blk.conv1.meta.in_channels:
-                raise ValueError(
-                    f"block{i}: identity skip consumes pruned input channels; "
-                    "the producing layer must use row groups")
-            name1, name2 = f"block{i}.conv1", f"block{i}.conv2"
-            if isinstance(blk.conv1, HingedConv2d) and blk.conv1.scheme is not None:
-                p1 = _plan_hinged(name1, blk.conv1, block_in, threshold, mode_map)
-            else:
-                p1 = _plan_conv(name1, blk.conv1.meta, block_in)
-            plans.append(p1)
-            if isinstance(blk.conv2, HingedConv2d) and blk.conv2.scheme is not None:
-                p2 = _plan_hinged(name2, blk.conv2, p1.alive_out_idx, threshold, mode_map)
-                if p2.mode == PRUNE:
-                    raise ValueError(
-                        f"{name2}: pruning the output of a skip-connected block")
-            else:
-                p2 = _plan_conv(name2, blk.conv2.meta, p1.alive_out_idx)
-            plans.append(p2)
-            if blk.downsample is not None:
-                plans.append(_plan_conv(f"block{i}.down", blk.downsample.meta, block_in))
-            in_idx = p2.alive_out_idx
-    head_in = len(in_idx)
+            plan = _plan_conv(entry.name, layer.meta, in_idx)
+        if entry.protected and plan.mode == PRUNE:
+            raise ValueError(f"{entry.name}: its output joins a skip connection, so it "
+                             "may not be pruned; it must use row groups")
+        plans[entry.name] = plan
+    head_in = len(plans[net.arch.output].alive_out_idx)
     head_full = net.head.w.shape[0]
     classes = net.head.w.shape[1]
-    plans.append(LayerPlan("head", UNTOUCHED, head_in, classes, None, False,
-                           2 * head_in * classes, head_in * classes + classes,
-                           2 * head_full * classes, alive_out_idx=None))
-    return plans
+    head = LayerPlan("head", UNTOUCHED, head_in, classes, None, False,
+                     2 * head_in * classes, head_in * classes + classes,
+                     2 * head_full * classes, alive_out_idx=None)
+    return list(plans.values()) + [head]
 
 
 def report_from_plan(plans: list, net: Network) -> CostReport:
     flops_orig = sum(p.flops_original for p in plans)
     flops_comp = sum(p.flops for p in plans)
-    params_orig = _original_params(net)
+    params_orig = (net.head.w.size + net.head.b.size
+                   + sum(conv_params(e.meta, e.meta.in_channels, e.meta.out_channels)
+                         for e in net.arch.table))
     params_comp = sum(p.params for p in plans)
     return CostReport(flops_original=flops_orig, flops_compressed=flops_comp,
                       params_original=params_orig, params_compressed=params_comp,
                       gamma=flops_comp / flops_orig, per_layer=plans)
-
-
-def _original_params(net: Network) -> int:
-    total = 0
-    for _, layer in net.named_layers():
-        if isinstance(layer, (Conv2d, HingedConv2d)):
-            total += conv_params(layer.meta, layer.meta.in_channels,
-                                 layer.meta.out_channels)
-        else:
-            total += layer.w.shape[0] * layer.w.shape[1] + layer.w.shape[1]
-    return total
 
 
 def compression_ratio(net: Network, threshold: float | None,

@@ -3,15 +3,12 @@
 Each class is a Gaussian blob at its own position; samples are the class
 template plus per-sample Gaussian noise. Everything is regenerated
 bit-identically from (seed, classes, counts, resolution), so no files are
-involved. External data can be ingested instead from checkpoint files
-carrying `images` and `labels` tensors.
+involved; this synthetic task is the only data source.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from . import checkpoint
 
 NOISE_SIGMA = 0.3
 BLOB_SIGMA_FRACTION = 0.15  # blob width relative to image height
@@ -70,34 +67,3 @@ class SyntheticDataset:
         noise = rng.normal(0.0, NOISE_SIGMA,
                            size=(n, self.channels, self.height, self.width))
         return templates[labels] + noise, labels.astype(np.int64)
-
-
-@dataclass
-class ExternalDataset:
-    """Image/label splits ingested from checkpoint files instead of being
-    synthesized; duck-type compatible with SyntheticDataset."""
-    x_train: np.ndarray
-    y_train: np.ndarray
-    x_test: np.ndarray
-    y_test: np.ndarray
-
-
-def _read_split(path):
-    tensors = checkpoint.load(path)
-    for key in ("images", "labels"):
-        if key not in tensors:
-            raise checkpoint.CheckpointError(f"{path}: missing tensor {key!r}")
-    images = tensors["images"]
-    labels = tensors["labels"].astype(np.int64)
-    if images.ndim != 4 or labels.ndim != 1 or len(images) != len(labels):
-        raise checkpoint.CheckpointError(
-            f"{path}: images must be (N,C,H,W) with matching labels (N,)")
-    return images, labels
-
-
-def load_external(train_path, test_path) -> ExternalDataset:
-    """Load train/test splits from two checkpoint files, each holding an
-    `images` (N,C,H,W) tensor and a `labels` (N,) tensor."""
-    x_train, y_train = _read_split(train_path)
-    x_test, y_test = _read_split(test_path)
-    return ExternalDataset(x_train, y_train, x_test, y_test)

@@ -3,11 +3,14 @@
 A hinged convolution keeps its reshaped filter W (patch_size x n) and gains
 a square matrix A (n x n) that acts as a 1x1 convolution after it. Group
 sparsity on A's columns yields filter pruning, on its rows low-rank
-decomposition. Position-dependent legality rules protect skip connections:
-a block whose output feeds a residual sum may only be row-compressed.
+decomposition. A hinge sits at one of three positions: the first or the
+second conv of a residual block, or the conv of a plain block. The second
+conv's output joins the skip sum, so it may only be row-compressed; the
+layer table in `net` extends that rule to any layer whose output a skip
+reads.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,23 +23,17 @@ SVD_INIT = "svd"
 # Placement of a hinge matrix inside its block.
 FIRST_IN_BASIC = "first-in-basic-block"
 SECOND_IN_BASIC = "second-in-basic-block"
-LEADING_1X1 = "leading-1x1"
-ENDING_1X1 = "ending-1x1"
-GROUPED = "grouped"
 STANDALONE = "standalone"
 
 PRUNE = "prune"
 DECOMPOSE = "decompose"
 UNTOUCHED = "untouched"
 
-# Positions whose output side is protected by a skip connection admit only
-# row groups; a leading 1x1 exists to select the next conv's inputs, so it
-# admits only column groups.
+# Group kinds each position admits, its default first. The second conv of
+# a residual block feeds the skip sum, so its output channels must survive.
 _ALLOWED_KINDS = {
     FIRST_IN_BASIC: (ROWS, COLUMNS),
     SECOND_IN_BASIC: (ROWS,),
-    LEADING_1X1: (COLUMNS,),
-    ENDING_1X1: (ROWS,),
     STANDALONE: (COLUMNS, ROWS),
 }
 
@@ -65,11 +62,6 @@ class ConvMeta:
     def spatial(self) -> int:
         return self.out_h * self.out_w
 
-    def with_channels(self, in_channels=None, out_channels=None) -> "ConvMeta":
-        return replace(self,
-                       in_channels=self.in_channels if in_channels is None else in_channels,
-                       out_channels=self.out_channels if out_channels is None else out_channels)
-
 
 def attach(w: np.ndarray, init: str = SVD_INIT):
     """Split a filter matrix into the (W, A) pair whose product is the
@@ -94,45 +86,27 @@ def attach(w: np.ndarray, init: str = SVD_INIT):
     return res.u, a
 
 
-def make_scheme(n: int, position: str, kind: str | None = None, *,
-                cardinality: int | None = None,
-                lead_rows: int | None = None,
-                end_cols: int | None = None) -> GroupScheme:
+def make_scheme(n: int, position: str, kind: str | None = None) -> GroupScheme:
     """Group scheme for an n x n hinge matrix at the given block position.
 
-    `kind` overrides the position default (rows everywhere it is legal,
-    columns for a leading 1x1 and for standalone layers). The grouped
-    position instead builds concatenated channel groups spanning the
-    leading and ending matrices of a grouped convolution; `n` is then the
-    grouped channel count (cardinality * width).
+    `kind` overrides the position default (rows in a residual block,
+    columns in a plain block) where the position allows it.
     """
-    if position == GROUPED:
-        if cardinality is None or lead_rows is None or end_cols is None:
-            raise ValueError("grouped scheme needs cardinality, lead_rows, end_cols")
-        if n % cardinality != 0:
-            raise DimensionError(f"grouped width not integral: {n} / {cardinality}")
-        return linalg.concat_scheme(lead_rows, end_cols, cardinality, n // cardinality)
     allowed = _ALLOWED_KINDS.get(position)
     if allowed is None:
         raise ValueError(f"unknown hinge position {position!r}")
     if kind is None:
-        kind = ROWS if ROWS in allowed else allowed[0]
-        if position == STANDALONE:
-            kind = COLUMNS
+        kind = allowed[0]
     if kind not in allowed:
         raise SchemeLegalityError(
             f"{kind} groups are illegal at position {position} "
             f"(allowed: {', '.join(allowed)})")
-    return linalg.row_scheme(n, n) if kind == ROWS else linalg.column_scheme(n, n)
+    return GroupScheme(kind, (n, n))
 
 
 def scheme_mode(scheme: GroupScheme) -> str:
     """Structural consequence of nullifying this scheme's groups."""
-    if scheme.kind == COLUMNS:
-        return PRUNE
-    if scheme.kind == ROWS:
-        return DECOMPOSE
-    raise ValueError(f"no single-layer mode for scheme kind {scheme.kind}")
+    return PRUNE if scheme.kind == COLUMNS else DECOMPOSE
 
 
 @dataclass

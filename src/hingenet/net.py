@@ -7,6 +7,12 @@ conv+relu or a residual pair of 3x3 convs with an optional projection on
 the skip path. All parameters are float64 numpy arrays; every layer caches
 what its backward pass needs during forward.
 
+Layer table: `layer_table` lists every conv of an `ArchSpec` in checkpoint
+order with its nominal geometry, the layer it reads, its hinge position
+and whether a skip protects its output. Building, hinging, cost planning,
+compaction and compact-checkpoint loading all iterate that table; block
+classes only run forward and backward.
+
 Memory layout: activations are logically (B, C, H, W) but physically
 channels-last, because a conv output is the (B*H*W, C) product reshaped
 and viewed as NCHW. `im2col` reads its input through the free
@@ -18,8 +24,9 @@ restriction use; `_patch_rows` is the one place that permutes them, so the
 checkpoint format and its meaning are unchanged.
 """
 
+import itertools
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -137,8 +144,7 @@ class HingedConv2d:
     def __init__(self, meta: ConvMeta, w: np.ndarray, a: np.ndarray,
                  b: np.ndarray | None = None,
                  scheme: linalg.GroupScheme | None = None,
-                 mask: np.ndarray | None = None,
-                 position: str = hinge.STANDALONE):
+                 mask: np.ndarray | None = None):
         self.meta = meta
         self.w = np.ascontiguousarray(w, dtype=np.float64)
         self.a = np.ascontiguousarray(a, dtype=np.float64)
@@ -154,15 +160,10 @@ class HingedConv2d:
         self.scheme = scheme
         self.mask = mask if mask is not None else (
             np.ones(scheme.group_count, dtype=bool) if scheme is not None else None)
-        self.position = position
         self.grad_w = np.zeros_like(self.w)
         self.grad_a = np.zeros_like(self.a)
         self.grad_b = np.zeros_like(self.b)
         self._cache = None
-
-    @property
-    def rank(self) -> int:
-        return self.a.shape[0]
 
     def group_norms(self) -> np.ndarray:
         return linalg.group_norms(self.a, self.scheme)
@@ -272,7 +273,6 @@ class Linear:
 
 class PlainBlock:
     """conv -> relu, no skip."""
-    kind = "plain"
 
     def __init__(self, conv):
         self.conv = conv
@@ -284,9 +284,6 @@ class PlainBlock:
     def backward(self, dy):
         return self.conv.backward(self.relu.backward(dy))
 
-    def layers(self, prefix: str):
-        yield f"{prefix}.conv", self.conv
-
 
 class BasicBlock:
     """Residual pair of 3x3 convs: y = relu(conv2(relu(conv1(x))) + skip(x)).
@@ -295,7 +292,6 @@ class BasicBlock:
     projection conv. Because the block output joins the skip sum, its
     channel count must survive compression unchanged.
     """
-    kind = "basic"
 
     def __init__(self, conv1, conv2, downsample=None):
         self.conv1 = conv1
@@ -319,18 +315,22 @@ class BasicBlock:
             dx = dx + dsum
         return dx
 
-    def layers(self, prefix: str):
-        yield f"{prefix}.conv1", self.conv1
-        yield f"{prefix}.conv2", self.conv2
-        if self.downsample is not None:
-            yield f"{prefix}.down", self.downsample
-
 
 @dataclass(frozen=True)
 class BlockDef:
     kind: str            # "plain" | "basic"
     channels: int
     stride: int = 1
+
+
+@dataclass(frozen=True)
+class LayerEntry:
+    """One convolution of an architecture, as the layer table lists it."""
+    name: str                # checkpoint name: stem, block{i}.conv/.conv1/.conv2/.down
+    meta: ConvMeta           # nominal geometry
+    source: str | None       # the layer whose output it reads; None: the network input
+    position: str | None     # hinge position; None for the stem and skip projections
+    protected: bool          # its output joins a residual sum or an identity skip
 
 
 @dataclass(frozen=True)
@@ -341,25 +341,90 @@ class ArchSpec:
     classes: int
     stem_channels: int
     blocks: tuple = field(default_factory=tuple)
+    table: tuple = field(init=False, repr=False, compare=False)   # see layer_table
+    output: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(self.blocks) < 1:
-            raise ValueError("architecture needs at least one block")
-        for bd in self.blocks:
-            if bd.kind not in ("plain", "basic"):
-                raise ValueError(f"unsupported block kind {bd.kind!r}")
+        table, output = layer_table(self)
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "output", output)
+
+
+def layer_table(arch: ArchSpec):
+    """Every convolution of `arch` in checkpoint order, with its geometry,
+    its input, its hinge position and whether a skip protects its output;
+    and the name of the layer the head reads.
+
+    This is the one place that knows the block structure; `ArchSpec` builds
+    it once. A block's output is that of its last conv, so an identity
+    skip marks the layer that produced the block input as protected.
+    """
+    if len(arch.blocks) < 1 or arch.classes < 1:
+        raise ValueError("architecture needs at least one block and one class")
+    entries = {}
+
+    def add(name, source, out_ch, kernel, stride, position=None, protected=False):
+        if source is None:
+            in_ch, h, w = arch.input_channels, arch.input_h, arch.input_w
+        else:
+            src = entries[source].meta
+            in_ch, h, w = src.out_channels, src.out_h, src.out_w
+        if min(in_ch, out_ch, stride, h, w) < 1:
+            raise ValueError(f"{name}: channels, stride and input size must be >= 1, got "
+                             f"{in_ch} -> {out_ch} channels, stride {stride}, input {h}x{w}")
+        pad = kernel // 2
+        out_h = (h + 2 * pad - kernel) // stride + 1
+        out_w = (w + 2 * pad - kernel) // stride + 1
+        if out_h < 1 or out_w < 1:
+            raise ValueError(f"{name}: output would be {out_h}x{out_w}")
+        meta = ConvMeta(in_ch, out_ch, kernel, kernel, stride, pad, out_h, out_w)
+        entries[name] = LayerEntry(name, meta, source, position, protected)
+
+    add("stem", None, arch.stem_channels, 3, 1)
+    out = "stem"
+    for i, bd in enumerate(arch.blocks):
+        p = f"block{i}"
+        if bd.kind == "plain":
+            add(f"{p}.conv", out, bd.channels, 3, bd.stride, hinge.STANDALONE)
+            out = f"{p}.conv"
+            continue
+        if bd.kind != "basic":
+            raise ValueError(f"unsupported block kind {bd.kind!r}")
+        add(f"{p}.conv1", out, bd.channels, 3, bd.stride, hinge.FIRST_IN_BASIC)
+        add(f"{p}.conv2", f"{p}.conv1", bd.channels, 3, 1, hinge.SECOND_IN_BASIC,
+            protected=True)
+        if bd.stride != 1 or entries[out].meta.out_channels != bd.channels:
+            add(f"{p}.down", out, bd.channels, 1, bd.stride, protected=True)
+        else:
+            entries[out] = replace(entries[out], protected=True)
+        out = f"{p}.conv2"
+    return tuple(entries.values()), out
 
 
 class Network:
-    """Stem conv -> blocks -> global average pool -> linear classifier."""
+    """Stem conv -> blocks -> global average pool -> linear classifier.
 
-    def __init__(self, arch: ArchSpec, stem, blocks, head):
+    `layers` maps every name in `arch.table` to its convolution.
+    """
+
+    def __init__(self, arch: ArchSpec, layers: dict, head):
         self.arch = arch
-        self.stem = stem
         self.stem_relu = ReLU()
-        self.blocks = blocks
         self.pool = GlobalAvgPool()
         self.head = head
+        self.set_layers(layers)
+
+    def set_layers(self, layers: dict) -> None:
+        """Assemble the stem and the blocks from convolutions keyed by
+        table name."""
+        self.layers = dict(layers)
+        self.stem = self.layers["stem"]
+        self.blocks = []
+        for i, bd in enumerate(self.arch.blocks):
+            conv, conv1, conv2, down = (self.layers.get(f"block{i}.{part}")
+                                        for part in ("conv", "conv1", "conv2", "down"))
+            self.blocks.append(PlainBlock(conv) if bd.kind == "plain"
+                               else BasicBlock(conv1, conv2, down))
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         h = self.stem_relu.forward(self.stem.forward(x))
@@ -374,9 +439,8 @@ class Network:
         return self.stem.backward(self.stem_relu.backward(dh))
 
     def named_layers(self):
-        yield "stem", self.stem
-        for i, blk in enumerate(self.blocks):
-            yield from blk.layers(f"block{i}")
+        for entry in self.arch.table:
+            yield entry.name, self.layers[entry.name]
         yield "head", self.head
 
     def hinged_layers(self):
@@ -386,13 +450,11 @@ class Network:
     def hinged_basic_pairs(self):
         """(block name, conv1, conv2) for every basic block whose convs are
         both hinged; used by the gradient-ratio learning-rate rule."""
-        pairs = []
-        for i, blk in enumerate(self.blocks):
-            if (blk.kind == "basic"
-                    and isinstance(blk.conv1, HingedConv2d) and blk.conv1.scheme is not None
-                    and isinstance(blk.conv2, HingedConv2d) and blk.conv2.scheme is not None):
-                pairs.append((f"block{i}", blk.conv1, blk.conv2))
-        return pairs
+        hinged = dict(self.hinged_layers())
+        return [(entry.name.rpartition(".")[0], hinged[entry.source], hinged[entry.name])
+                for entry in self.arch.table
+                if entry.position == hinge.SECOND_IN_BASIC
+                and entry.name in hinged and entry.source in hinged]
 
     def params(self):
         for name, layer in self.named_layers():
@@ -430,67 +492,44 @@ class Network:
                 setattr(layer, f"grad_{attr}", np.zeros_like(value, dtype=np.float64))
 
 
-def _conv_meta(in_ch, out_ch, kernel, stride, pad, in_h, in_w):
-    out_h = (in_h + 2 * pad - kernel) // stride + 1
-    out_w = (in_w + 2 * pad - kernel) // stride + 1
-    return ConvMeta(in_ch, out_ch, kernel, kernel, stride, pad, out_h, out_w)
-
-
 def build_network(arch: ArchSpec, seed: int) -> Network:
     """Baseline network: plain convolutions everywhere, seeded init."""
     rng = np.random.default_rng(seed)
-    h, w = arch.input_h, arch.input_w
-    stem = Conv2d(_conv_meta(arch.input_channels, arch.stem_channels, 3, 1, 1, h, w), rng=rng)
-    stem.needs_input_grad = False
-    in_ch = arch.stem_channels
-    blocks = []
-    for bd in arch.blocks:
-        if bd.kind == "plain":
-            meta = _conv_meta(in_ch, bd.channels, 3, bd.stride, 1, h, w)
-            blocks.append(PlainBlock(Conv2d(meta, rng=rng)))
-            last_meta = meta
-        else:
-            meta1 = _conv_meta(in_ch, bd.channels, 3, bd.stride, 1, h, w)
-            meta2 = _conv_meta(bd.channels, bd.channels, 3, 1, 1, meta1.out_h, meta1.out_w)
-            down = None
-            if bd.stride != 1 or in_ch != bd.channels:
-                down = Conv2d(_conv_meta(in_ch, bd.channels, 1, bd.stride, 0, h, w), rng=rng)
-            blocks.append(BasicBlock(Conv2d(meta1, rng=rng), Conv2d(meta2, rng=rng), down))
-            last_meta = meta2
-        h, w = last_meta.out_h, last_meta.out_w
-        in_ch = bd.channels
-    head = Linear(in_ch, arch.classes, rng=rng)
-    return Network(arch, stem, blocks, head)
+    layers = {}
+    # Weights are drawn block by block, a block's skip projection before
+    # its convs although the table lists it last: the seeded baselines
+    # depend on this order.
+    for _, block in itertools.groupby(arch.table, key=lambda e: e.name.partition(".")[0]):
+        for entry in sorted(block, key=lambda e: e.position is not None):
+            conv = Conv2d(entry.meta, rng=rng)
+            conv.needs_input_grad = entry.source is not None
+            layers[entry.name] = conv
+    head = Linear(layers[arch.output].meta.out_channels, arch.classes, rng=rng)
+    return Network(arch, layers, head)
 
 
 def attach_hinges(net: Network, init: str = hinge.SVD_INIT,
                   first_kind: str | None = None,
                   plain_kind: str | None = None) -> Network:
-    """Replace every block convolution by its hinged version in place.
+    """Replace every convolution that has a hinge position by its hinged
+    version in place.
 
     `first_kind` picks the group kind for the first conv of each basic
-    block (default rows); the second conv is always rows because of the
-    skip connection. `plain_kind` picks the kind for plain-block convs
-    (default columns), except that a plain block feeding a basic block
-    with an identity skip is forced to rows: the skip consumes its output
-    channels, so they must survive. Stem, head, and skip projections stay
-    unhinged.
+    block (default rows), `plain_kind` for plain-block convs (default
+    columns). A protected layer always gets rows: the skip reads its
+    output channels, so they must survive. Stem, head, and skip
+    projections stay unhinged.
     """
-    for i, blk in enumerate(net.blocks):
-        if blk.kind == "plain":
-            kind = plain_kind
-            nxt = net.blocks[i + 1] if i + 1 < len(net.blocks) else None
-            if nxt is not None and nxt.kind == "basic" and nxt.downsample is None:
-                kind = linalg.ROWS
-            blk.conv = _hinge_conv(blk.conv, init, hinge.STANDALONE, kind)
-        else:
-            blk.conv1 = _hinge_conv(blk.conv1, init, hinge.FIRST_IN_BASIC, first_kind)
-            blk.conv2 = _hinge_conv(blk.conv2, init, hinge.SECOND_IN_BASIC, None)
+    requested = {hinge.FIRST_IN_BASIC: first_kind, hinge.STANDALONE: plain_kind}
+    layers = dict(net.layers)
+    for entry in net.arch.table:
+        if entry.position is None:
+            continue
+        kind = linalg.ROWS if entry.protected else requested.get(entry.position)
+        conv = layers[entry.name]
+        w_new, a_new = hinge.attach(conv.w, init)
+        scheme = hinge.make_scheme(conv.meta.out_channels, entry.position, kind)
+        layers[entry.name] = HingedConv2d(conv.meta, w_new, a_new, b=conv.b.copy(),
+                                          scheme=scheme)
+    net.set_layers(layers)
     return net
-
-
-def _hinge_conv(conv: Conv2d, init: str, position: str, kind: str | None) -> HingedConv2d:
-    w_new, a_new = hinge.attach(conv.w, init)
-    scheme = hinge.make_scheme(conv.meta.out_channels, position, kind)
-    return HingedConv2d(conv.meta, w_new, a_new, b=conv.b.copy(),
-                        scheme=scheme, position=position)

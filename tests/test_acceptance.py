@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hingenet import cli, cost, data, net, solver, train, verify
+from hingenet import cli, cost, data, linalg, net, solver, train, verify
 from hingenet.config import load_config
 from hingenet.linalg import group_norms, row_scheme
 from hingenet.net import attach_hinges, build_network
@@ -208,9 +208,8 @@ def test_criterion_8_solver_invariants(tmp_path):
         all(prev[k] >= cur[k] - 1e-18 for k in cur)
         for prev, cur in zip(bases, bases[1:]))
     masked_zero = all(
-        np.all(layer.a.ravel()[np.concatenate(
-            [g for g, alive in zip(layer.scheme.groups, layer.mask) if not alive]
-            or [np.array([], dtype=int)])] == 0.0)
+        np.all((layer.a[:, ~layer.mask] if layer.scheme.kind == linalg.COLUMNS
+                else layer.a[~layer.mask, :]) == 0.0)
         for _, layer in model.hinged_layers())
     gamma_recomputed = abs(cost.compression_ratio(model, cfg.nullify_threshold)
                            - state.gamma_c) <= 1e-12

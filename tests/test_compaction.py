@@ -218,6 +218,44 @@ class TestSerialization:
         # f32 storage: equality up to single-precision rounding
         assert verify_equivalence(cm.network, rebuilt, 8, seed=1) <= 1e-4
 
+    def test_pruned_plain_round_trip(self, rng):
+        model = build_network(small_plain_arch(channels=(5, 4)), seed=15)
+        attach_hinges(model, init="identity", plain_kind="columns")
+        for _, layer in model.hinged_layers():
+            layer.mask[[0, 2]] = False
+            layer.apply_mask()
+        cm = compact(model)
+        tensors = compaction.tensors_with_modes(cm.network, cm.modes)
+        rebuilt = compaction.network_from_compact_checkpoint(model.arch, tensors)
+        assert rebuilt.layers["block1.conv"].meta.in_channels == 3
+        assert verify_equivalence(cm.network, rebuilt, 8, seed=2) == 0.0
+
+    @pytest.mark.parametrize("corrupt", [
+        "rows-not-whole-kernels", "input-channels", "pruned-protected",
+        "wider-than-nominal", "unknown-mode"])
+    def test_compact_checkpoint_must_fit_arch(self, corrupt):
+        from hingenet import checkpoint
+        model = build_network(small_residual_arch(channels=(6, 8)), seed=16)
+        attach_hinges(model, init="svd")
+        cm = compact(model)
+        tensors = compaction.tensors_with_modes(cm.network, cm.modes)
+        if corrupt == "rows-not-whole-kernels":
+            tensors["block0.conv1/W"] = tensors["block0.conv1/W"][:-1]
+        elif corrupt == "input-channels":
+            tensors["block0.conv1/W"] = tensors["block0.conv1/W"][:-9]
+        elif corrupt == "pruned-protected":
+            tensors["block0.conv2/mode"] = np.array([1], dtype=np.uint8)
+            tensors["block0.conv2/W"] = tensors["block0.conv2/W"][:, :-1]
+            tensors["block0.conv2/b"] = tensors["block0.conv2/b"][:-1]
+        elif corrupt == "wider-than-nominal":
+            tensors["block0.conv1/mode"] = np.array([1], dtype=np.uint8)
+            tensors["block0.conv1/W"] = np.hstack([tensors["block0.conv1/W"]] * 2)
+            tensors["block0.conv1/b"] = np.hstack([tensors["block0.conv1/b"]] * 2)
+        else:
+            tensors["stem/mode"] = np.array([7], dtype=np.uint8)
+        with pytest.raises(checkpoint.CheckpointError):
+            compaction.network_from_compact_checkpoint(model.arch, tensors)
+
     def test_accuracy_identical_after_compaction(self, rng):
         from hingenet import data, train
         model = build_network(small_residual_arch(), seed=12)

@@ -112,22 +112,38 @@ class TestCliTrain:
         assert rc == cli.EXIT_NUMERIC
 
 
-def test_external_dataset_round_trip(tmp_path, rng):
-    from collections import OrderedDict
-    from hingenet import checkpoint as ckpt
-    from hingenet.data import load_external
-    images = rng.normal(size=(10, 1, 8, 8)).astype(np.float32).astype(np.float64)
-    labels = rng.integers(0, 3, 10).astype(np.float64)
-    for name in ("train", "test"):
-        ckpt.save(tmp_path / f"{name}.hngw",
-                  OrderedDict([("images", images), ("labels", labels)]))
-    ds = load_external(tmp_path / "train.hngw", tmp_path / "test.hngw")
-    assert np.array_equal(ds.x_train, images)
-    assert ds.y_train.dtype == np.int64
-    with pytest.raises(ckpt.CheckpointError):
-        bad = tmp_path / "bad.hngw"
-        ckpt.save(bad, OrderedDict([("images", images)]))
-        load_external(bad, bad)
+def _with(section, **values):
+    doc = json.loads(json.dumps(TINY_CONFIG))
+    if section is None:
+        doc.update(values)
+    else:
+        doc[section].update(values)
+    return doc
+
+
+WIDE_PLAIN_ARCH = dict(TINY_CONFIG["arch"], stem_channels=1,
+                       blocks=[{"kind": "plain", "channels": 16}])
+
+
+@pytest.mark.parametrize("doc", [
+    _with("arch", blocks=[{"kind": "basic", "channels": 4, "stride": 0}]),
+    _with("arch", blocks=[{"kind": "basic", "channels": 0}]),
+    _with(None, arch=WIDE_PLAIN_ARCH),   # svd init on a 9 x 16 filter
+    _with(None, seed="abc"),
+    _with("train", epochs="x"),
+    _with("train", batch_size=0),
+    _with("data", n_train=0),
+    _with("train", epochs=-1),
+], ids=["stride-0", "channels-0", "svd-wide-filter", "seed-string", "epochs-string",
+        "batch-size-0", "n-train-0", "epochs-negative"])
+def test_bad_config_value_is_usage_error(tmp_path, capsys, doc):
+    cfg = write_config(tmp_path, doc)
+    rc = cli.main(["train", "--config", cfg, "--out", str(tmp_path / "o.hngw")])
+    err = capsys.readouterr().err
+    assert rc == cli.EXIT_USAGE
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+    assert "Traceback" not in err
+    assert not (tmp_path / "o.hngw").exists()
 
 
 @pytest.fixture(scope="module")
@@ -248,6 +264,7 @@ class TestCliFinetune:
           + [{"kind": "basic", "channels": 6}]}, "base"),     # missing tensor
         ({"blocks": TINY_CONFIG["arch"]["blocks"]
           + [{"kind": "basic", "channels": 6}]}, "compact"),
+        ({"stem_channels": 5}, "compact"),                    # compact shape mismatch
     ])
     def test_evaluate_other_arch_is_usage_error(self, pipeline, capsys, arch_change, ckpt):
         doc = dict(TINY_CONFIG, arch=dict(TINY_CONFIG["arch"], **arch_change))

@@ -6,7 +6,7 @@ import pytest
 from conftest import small_plain_arch, small_residual_arch
 from hingenet import cost
 from hingenet.hinge import ConvMeta
-from hingenet.net import attach_hinges, build_network
+from hingenet.net import ArchSpec, BlockDef, attach_hinges, build_network
 
 
 class TestConvFlops:
@@ -98,15 +98,21 @@ class TestCompressionRatio:
         with pytest.raises(ValueError):
             cost.compression_ratio(model, 0.0, mode_map={"block0.conv1": "prune"})
 
-    def test_skip_output_prune_rejected(self, rng):
+    @pytest.mark.parametrize("arch,name", [
+        (small_residual_arch(), "block0.conv2"),
+        # a plain conv whose output the next block's identity skip reads
+        (ArchSpec(1, 8, 8, 3, 6, (BlockDef("plain", 6), BlockDef("basic", 6, 1))),
+         "block0.conv"),
+    ], ids=["basic-conv2", "plain-into-identity-skip"])
+    def test_skip_output_prune_rejected(self, rng, arch, name):
         from hingenet import linalg
-        model = build_network(small_residual_arch(), seed=6)
+        model = build_network(arch, seed=6)
         attach_hinges(model, init="svd")
-        conv2 = model.blocks[0].conv2
+        layer = model.layers[name]
         # bypass make_scheme legality on purpose
-        n = conv2.meta.out_channels
-        conv2.scheme = linalg.column_scheme(n, n)
-        conv2.mask = np.ones(n, dtype=bool)
+        n = layer.meta.out_channels
+        layer.scheme = linalg.column_scheme(n, n)
+        layer.mask = np.ones(n, dtype=bool)
         with pytest.raises(ValueError):
             cost.compression_ratio(model, 0.0)
 

@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 from hingenet import hinge
-from hingenet.hinge import (GROUPED, FIRST_IN_BASIC, SECOND_IN_BASIC, LEADING_1X1,
-                            ENDING_1X1, STANDALONE, SchemeLegalityError, attach,
-                            group_stats, make_scheme, update_mask)
-from hingenet.linalg import (COLUMNS, CONCAT_GROUPS, ROWS, DimensionError,
-                             column_scheme, group_norms)
+from hingenet.hinge import (FIRST_IN_BASIC, SECOND_IN_BASIC, STANDALONE,
+                            SchemeLegalityError, attach, group_stats, make_scheme,
+                            update_mask)
+from hingenet.linalg import COLUMNS, ROWS, DimensionError, column_scheme, group_norms
 
 
 class TestAttach:
@@ -59,14 +58,6 @@ class TestMakeScheme:
         with pytest.raises(SchemeLegalityError):
             make_scheme(6, SECOND_IN_BASIC, kind=COLUMNS)
 
-    def test_rows_illegal_on_leading(self):
-        with pytest.raises(SchemeLegalityError):
-            make_scheme(6, LEADING_1X1, kind=ROWS)
-        assert make_scheme(6, LEADING_1X1).kind == COLUMNS
-
-    def test_ending_is_rows(self):
-        assert make_scheme(6, ENDING_1X1).kind == ROWS
-
     def test_first_in_basic_defaults_rows_but_allows_columns(self):
         assert make_scheme(6, FIRST_IN_BASIC).kind == ROWS
         assert make_scheme(6, FIRST_IN_BASIC, kind=COLUMNS).kind == COLUMNS
@@ -78,20 +69,8 @@ class TestMakeScheme:
     def test_columns_scheme_8x8(self):
         scheme = make_scheme(8, STANDALONE, kind=COLUMNS)
         assert scheme.group_count == 8
-        assert all(len(g) == 8 for g in scheme.groups)
-
-    def test_grouped_concat(self):
-        scheme = make_scheme(8, GROUPED, cardinality=4, lead_rows=5, end_cols=3)
-        assert scheme.kind == CONCAT_GROUPS
-        assert scheme.group_count == 4
-        # each group: width 2 columns over a (5+3)-row carrier
-        assert all(len(g) == 2 * 8 for g in scheme.groups)
-        covered = sorted(int(i) for g in scheme.groups for i in g)
-        assert covered == list(range(8 * 8))
-
-    def test_grouped_needs_integral_width(self):
-        with pytest.raises(DimensionError):
-            make_scheme(7, GROUPED, cardinality=4, lead_rows=5, end_cols=3)
+        # every group holds 8 entries: the norm of an all-ones group is sqrt(8)
+        assert np.all(group_norms(np.ones((8, 8)), scheme) == np.sqrt(8.0))
 
     def test_unknown_position(self):
         with pytest.raises(ValueError):

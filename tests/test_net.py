@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from conftest import small_plain_arch, small_residual_arch
 from hingenet import losses, net
-from hingenet.hinge import ConvMeta
+from hingenet.hinge import FIRST_IN_BASIC, SECOND_IN_BASIC, STANDALONE, ConvMeta
 from hingenet.net import (ArchSpec, BlockDef, Conv2d, HingedConv2d, Linear,
                           attach_hinges, build_network, col2im, im2col)
 
@@ -122,10 +123,9 @@ class TestNetworkForward:
         # pass through and logits equal the pooled input through the head.
         arch = ArchSpec(3, 6, 6, 2, 3, (BlockDef("plain", 3),))
         meta = ConvMeta(3, 3, 1, 1, 1, 0, 6, 6)
-        stem = Conv2d(meta, w=np.eye(3))
-        block = net.PlainBlock(Conv2d(meta, w=np.eye(3)))
+        layers = {"stem": Conv2d(meta, w=np.eye(3)), "block0.conv": Conv2d(meta, w=np.eye(3))}
         head = Linear(3, 2, w=rng.normal(size=(3, 2)), b=rng.normal(size=2))
-        model = net.Network(arch, stem, [block], head)
+        model = net.Network(arch, layers, head)
         x = np.abs(rng.normal(size=(5, 3, 6, 6)))
         want = x.mean(axis=(2, 3)) @ head.w + head.b
         assert np.abs(model.forward(x) - want).max() <= 1e-12
@@ -146,6 +146,90 @@ class TestNetworkForward:
         clone.load_state_tensors(tensors)
         x = rng.normal(size=(2, 1, 8, 8))
         assert np.array_equal(model.forward(x), clone.forward(x))
+
+
+# (name, source, hinge position, protected) per conv, in checkpoint order
+TABLE_CASES = {
+    "plain": (small_plain_arch(), [
+        ("stem", None, None, False),
+        ("block0.conv", "stem", STANDALONE, False),
+        ("block1.conv", "block0.conv", STANDALONE, False)]),
+    "basic": (ArchSpec(1, 8, 8, 3, 4, (BlockDef("basic", 4, 1),)), [
+        ("stem", None, None, True),
+        ("block0.conv1", "stem", FIRST_IN_BASIC, False),
+        ("block0.conv2", "block0.conv1", SECOND_IN_BASIC, True)]),
+    "downsampling": (small_residual_arch(), [
+        ("stem", None, None, True),
+        ("block0.conv1", "stem", FIRST_IN_BASIC, False),
+        ("block0.conv2", "block0.conv1", SECOND_IN_BASIC, True),
+        ("block1.conv1", "block0.conv2", FIRST_IN_BASIC, False),
+        ("block1.conv2", "block1.conv1", SECOND_IN_BASIC, True),
+        ("block1.down", "block0.conv2", None, True)]),
+    "plain-into-identity-skip": (
+        ArchSpec(1, 8, 8, 3, 5, (BlockDef("plain", 6), BlockDef("basic", 6, 1))), [
+            ("stem", None, None, False),
+            ("block0.conv", "stem", STANDALONE, True),
+            ("block1.conv1", "block0.conv", FIRST_IN_BASIC, False),
+            ("block1.conv2", "block1.conv1", SECOND_IN_BASIC, True)]),
+}
+
+
+class TestLayerTable:
+    @pytest.mark.parametrize("case", list(TABLE_CASES))
+    def test_table_matches_built_layers(self, case):
+        arch, want = TABLE_CASES[case]
+        model = build_network(arch, seed=0)
+        table = arch.table
+        assert [(e.name, e.source, e.position, e.protected) for e in table] == want
+        convs = [(name, layer) for name, layer in model.named_layers() if name != "head"]
+        assert [name for name, _ in convs] == [e.name for e in table]
+        for entry, (_, layer) in zip(table, convs):
+            assert layer.meta == entry.meta
+            assert layer.w.shape == (entry.meta.patch_size, entry.meta.out_channels)
+            if entry.source is None:
+                assert entry.meta.in_channels == arch.input_channels
+            else:
+                assert entry.meta.in_channels == model.layers[entry.source].meta.out_channels
+        # the head reads the last block's main path, never a skip projection
+        assert arch.output == [e.name for e in table if not e.name.endswith(".down")][-1]
+        # the forward pass runs through exactly these geometries
+        x = np.zeros((1, arch.input_channels, arch.input_h, arch.input_w))
+        assert model.forward(x).shape == (1, arch.classes)
+
+    def test_blocks_are_assembled_from_named_layers(self):
+        model = build_network(small_residual_arch(), seed=0)
+        blk = model.blocks[1]
+        assert blk.conv1 is model.layers["block1.conv1"]
+        assert blk.conv2 is model.layers["block1.conv2"]
+        assert blk.downsample is model.layers["block1.down"]
+        assert model.blocks[0].downsample is None
+        assert model.stem is model.layers["stem"] and not model.stem.needs_input_grad
+
+    def test_spatial_sizes_follow_strides(self):
+        arch = small_residual_arch()
+        metas = {e.name: e.meta for e in arch.table}
+        assert (metas["block0.conv2"].out_h, metas["block0.conv2"].out_w) == (8, 8)
+        assert (metas["block1.conv1"].out_h, metas["block1.down"].out_h) == (4, 4)
+
+    @pytest.mark.parametrize("blocks,stem", [
+        ((BlockDef("basic", 4, 0),), 4),
+        ((BlockDef("plain", 0),), 4),
+        ((BlockDef("plain", 4),), 0),
+    ])
+    def test_bad_sizes_rejected(self, blocks, stem):
+        with pytest.raises(ValueError):
+            ArchSpec(1, 8, 8, 3, stem, blocks)
+
+    def test_init_draw_order_pinned(self):
+        # SHA-256 of the seeded toy baseline. It pins the init draw order
+        # (stem, then per block the skip projection before conv1 and conv2,
+        # then the head), on which every seeded baseline checkpoint depends
+        arch = ArchSpec(1, 16, 16, 4, 16, (BlockDef("basic", 16, 1), BlockDef("basic", 32, 2)))
+        h = hashlib.sha256()
+        for name, arr in build_network(arch, seed=42).state_tensors().items():
+            h.update(name.encode())
+            h.update(np.ascontiguousarray(arr).tobytes())
+        assert h.hexdigest() == "1a0d4d5778cb35e41ba490965c49ecf551b011247c9e825abd9ebec23062073c"
 
 
 class TestGradients:
