@@ -9,6 +9,7 @@ model's topological layer order; a hinged layer contributes W, then A, then
 its mask.
 """
 
+import math
 import struct
 from collections import OrderedDict
 
@@ -78,16 +79,22 @@ def load(path) -> "OrderedDict[str, np.ndarray]":
     tensors = OrderedDict()
     for _ in range(count):
         (name_len,) = struct.unpack("<H", take(2))
-        name = bytes(take(name_len)).decode("utf-8")
+        try:
+            name = bytes(take(name_len)).decode("utf-8")
+        except UnicodeDecodeError:
+            raise CheckpointError("tensor name is not UTF-8") from None
         (ndim,) = struct.unpack("<B", take(1))
-        dims = struct.unpack(f"<{ndim}Q", take(8 * ndim)) if ndim else ()
-        n_items = int(np.prod(dims, dtype=np.int64)) if ndim else 1
-        if _is_byte_tensor(name):
-            raw = np.frombuffer(take(n_items), dtype=np.uint8)
-            tensors[name] = raw.reshape(dims).copy()
-        else:
-            raw = np.frombuffer(take(4 * n_items), dtype="<f4")
-            tensors[name] = raw.astype(np.float64).reshape(dims)
+        dims = struct.unpack(f"<{ndim}Q", take(8 * ndim))
+        byte_tensor = _is_byte_tensor(name)
+        dtype = np.dtype(np.uint8 if byte_tensor else "<f4")
+        # Python ints, so a product of u64 dims cannot wrap around to a
+        # size that fits; `take` refuses any size beyond the bytes left.
+        raw = np.frombuffer(take(math.prod(dims) * dtype.itemsize), dtype=dtype)
+        try:
+            arr = raw.reshape(dims)
+        except ValueError as exc:  # ndim above numpy's limit, or a too-large empty shape
+            raise CheckpointError(f"tensor {name!r}: dims {dims}: {exc}") from None
+        tensors[name] = arr.copy() if byte_tensor else arr.astype(np.float64)
     if pos != len(view):
         raise CheckpointError(f"{len(view) - pos} trailing bytes after last tensor")
     return tensors

@@ -59,6 +59,15 @@ def _load_any(cfg, ckpt_path):
     return compaction.network_from_compact_checkpoint(cfg.arch, tensors), modes
 
 
+def _final_metrics(model, dataset, history):
+    """Test accuracy and loss of the trained model. The last epoch's record
+    already evaluated this model on the test split; a run of zero epochs
+    evaluates it here."""
+    if history:
+        return history[-1]["test_accuracy"], history[-1]["test_loss"]
+    return training.evaluate(model, dataset.x_test, dataset.y_test)
+
+
 def cmd_train(args) -> int:
     cfg = load_config(args.config)
     dataset = cfg.make_dataset()
@@ -70,7 +79,7 @@ def cmd_train(args) -> int:
                              lr_drop_factor=tc.lr_drop_factor, seed=cfg.seed,
                              log=_log)
     checkpoint.save(args.out, model.state_tensors())
-    acc, loss = training.evaluate(model, dataset.x_test, dataset.y_test)
+    acc, loss = _final_metrics(model, dataset, history)
     _write_json(_metrics_path(args.out),
                 {"test_accuracy": acc, "test_loss": loss, "history": history,
                  "seed": cfg.seed})
@@ -158,7 +167,7 @@ def cmd_finetune(args) -> int:
     else:
         out_tensors = model.state_tensors()
     checkpoint.save(args.out, out_tensors)
-    acc, loss = training.evaluate(model, dataset.x_test, dataset.y_test)
+    acc, loss = _final_metrics(model, dataset, history)
     _write_json(_metrics_path(args.out),
                 {"test_accuracy": acc, "test_loss": loss, "history": history,
                  "distilled": bool(args.distill), "seed": cfg.seed})

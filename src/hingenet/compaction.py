@@ -109,13 +109,13 @@ def _compact_layer(layer, plan, in_idx: np.ndarray):
     return Conv2d(new_meta, w=matmul(w_r, a_r), b=layer.b.copy())
 
 
-def compact(net: Network, mode_map: dict | None = None) -> CompactModel:
+def compact(net: Network) -> CompactModel:
     """Compact `net` according to its current masks. The masks are applied
     (dead groups zeroed) first, which is the state the equivalence claim
     refers to."""
     for _, layer in net.hinged_layers():
         layer.apply_mask()
-    plans = build_plan(net, threshold=None, mode_map=mode_map)
+    plans = build_plan(net, threshold=None)
     return propagate(net, plans)
 
 

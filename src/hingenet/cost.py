@@ -108,15 +108,9 @@ def _plan_conv(name, meta, in_idx):
                      alive_out_idx=np.arange(meta.out_channels))
 
 
-def _plan_hinged(name, layer, in_idx, threshold, mode_map):
+def _plan_hinged(name, layer, in_idx, threshold):
     meta = layer.meta
     mode = hinge.scheme_mode(layer.scheme)
-    if mode_map and name in mode_map:
-        requested = mode_map[name]
-        if requested != mode:
-            raise ValueError(
-                f"{name}: mode {requested!r} incompatible with {layer.scheme.kind} groups")
-        mode = requested
     alive = hypothetical_alive(layer, threshold)
     alive_idx = np.flatnonzero(alive)
     orig = conv_flops(meta, meta.in_channels, meta.out_channels)
@@ -138,8 +132,7 @@ def _plan_hinged(name, layer, in_idx, threshold, mode_map):
                      alive_out_idx=np.arange(meta.out_channels))
 
 
-def build_plan(net: Network, threshold: float | None = None,
-               mode_map: dict | None = None) -> list:
+def build_plan(net: Network, threshold: float | None = None) -> list:
     """Per-layer cost plan of the network after (hypothetically) nullifying
     every group with norm below `threshold` on top of the current masks.
     Channel removal propagates: a pruned output shrinks the input of every
@@ -151,7 +144,7 @@ def build_plan(net: Network, threshold: float | None = None,
                   else np.arange(net.arch.input_channels))
         layer = net.layers[entry.name]
         if isinstance(layer, HingedConv2d) and layer.scheme is not None:
-            plan = _plan_hinged(entry.name, layer, in_idx, threshold, mode_map)
+            plan = _plan_hinged(entry.name, layer, in_idx, threshold)
         else:
             plan = _plan_conv(entry.name, layer.meta, in_idx)
         if entry.protected and plan.mode == PRUNE:
@@ -179,9 +172,8 @@ def report_from_plan(plans: list, net: Network) -> CostReport:
                       gamma=flops_comp / flops_orig, per_layer=plans)
 
 
-def compression_ratio(net: Network, threshold: float | None,
-                      mode_map: dict | None = None) -> float:
+def compression_ratio(net: Network, threshold: float | None) -> float:
     """gamma = FLOPs after hypothetical nullification at `threshold`,
     divided by the original un-hinged model's FLOPs. Pure."""
-    plans = build_plan(net, threshold=threshold, mode_map=mode_map)
+    plans = build_plan(net, threshold=threshold)
     return report_from_plan(plans, net).gamma

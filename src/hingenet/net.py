@@ -104,6 +104,7 @@ class Conv2d:
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         m = self.meta
+        self._cache = None  # free the previous batch's patches before unfolding
         col = im2col(x, m.kernel_h, m.kernel_w, m.stride, m.padding)
         w = _patch_rows(self.w, m)
         z = matmul(col, w) + self.b
@@ -180,6 +181,7 @@ class HingedConv2d:
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         m = self.meta
+        self._cache = None  # free the previous batch's patches before unfolding
         col = im2col(x, m.kernel_h, m.kernel_w, m.stride, m.padding)
         w = _patch_rows(self.w, m)
         pre = matmul(col, w)

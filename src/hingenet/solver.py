@@ -64,10 +64,7 @@ class CompressionState:
     epoch: int = 0
     gamma_c: float = 1.0
     converged: bool = False
-    per_layer_lambda: dict = field(default_factory=dict)
     base_lambda: dict = field(default_factory=dict)
-    lr_per_matrix: dict = field(default_factory=dict)
-    rho_history: list = field(default_factory=list)
     anneal_count: int = 0
     gamma_history: list = field(default_factory=list)
 
@@ -151,7 +148,6 @@ def run_compression(net: Network, dataset, config: CompressionConfig,
         state.epoch = epoch
         lam_l = {name: balance_lambda(layer, state.base_lambda[name])
                  for name, layer in hinged}
-        state.per_layer_lambda = lam_l
         grad_sums = {id(layer): np.zeros_like(layer.a) for _, layer in hinged}
 
         for idx in batches(len(dataset.x_train), config.batch_size, rng):
@@ -186,9 +182,7 @@ def run_compression(net: Network, dataset, config: CompressionConfig,
         if pairs:
             lr_map, prev_rho = adjust_learning_rates(
                 pairs, grad_sums, config.eta, config.m, prev_rho, warn=log)
-            state.rho_history.append(dict(prev_rho))
         anneal(state, layer_stats, config)
-        state.lr_per_matrix = {name: lr_map[id(layer)] for name, layer in hinged}
 
         if log is not None:
             log({"epoch": epoch, "gamma_c": state.gamma_c,
@@ -215,8 +209,7 @@ class ThresholdSearchResult:
 
 def binary_search_threshold(net: Network, target: float, criterion: float = 0.005,
                             t0: float | None = None, s0: float | None = None,
-                            max_iters: int = 200,
-                            mode_map: dict | None = None) -> ThresholdSearchResult:
+                            max_iters: int = 200) -> ThresholdSearchResult:
     """Find the nullifying threshold whose compression ratio is closest to
     `target`. The step moves the threshold toward the target ratio and is
     halved whenever the ratio crosses it; because the ratio is a staircase,
@@ -236,7 +229,7 @@ def binary_search_threshold(net: Network, target: float, criterion: float = 0.00
     best = None
     prev_gamma = None
     for iteration in range(max_iters):
-        gamma = compression_ratio(net, t, mode_map=mode_map)
+        gamma = compression_ratio(net, t)
         visited.append((t, gamma))
         if best is None or abs(gamma - target) < abs(best[1] - target):
             best = (t, gamma)

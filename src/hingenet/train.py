@@ -60,11 +60,19 @@ def train(net: Network, dataset, epochs: int, lr: float, batch_size: int = 32,
           distill_cfg: losses.DistillConfig | None = None,
           log=None):
     """Train in place; returns per-epoch metrics. Fully determined by the
-    seed. With a teacher, batches are scored by the distillation loss
-    (teacher logits are recomputed, never trained)."""
+    seed. With a teacher, batches are scored by the distillation loss. The
+    teacher is frozen, so its logits on the training split are computed
+    once per run, before the first epoch, and indexed per batch."""
     opt = SgdMomentum(net, lr, momentum, weight_decay)
     rng = np.random.default_rng(seed)
     history = []
+    if teacher is not None and epochs > 0:
+        # Slices of the training batch size keep the teacher's patch
+        # matrices as small as the student's.
+        x = dataset.x_train
+        teacher_logits = np.concatenate(
+            [teacher.forward(x[start:start + batch_size])
+             for start in range(0, len(x), batch_size)])
     for epoch in range(epochs):
         if epoch in lr_drops:
             opt.lr *= lr_drop_factor
@@ -76,8 +84,8 @@ def train(net: Network, dataset, epochs: int, lr: float, batch_size: int = 32,
             net.zero_grads()
             logits = net.forward(xb)
             if teacher is not None:
-                teacher_logits = teacher.forward(xb)
-                loss, dlogits = losses.distill_loss(logits, teacher_logits, yb, distill_cfg)
+                loss, dlogits = losses.distill_loss(logits, teacher_logits[idx], yb,
+                                                    distill_cfg)
             else:
                 loss, dlogits = losses.cross_entropy(logits, yb)
             if not np.isfinite(loss):

@@ -1,7 +1,9 @@
+import struct
 from collections import OrderedDict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hingenet import checkpoint
 
@@ -83,3 +85,58 @@ def test_non_finite_rejected(tmp_path):
     with pytest.raises(checkpoint.CheckpointError):
         checkpoint.save(tmp_path / "x.hngw",
                         OrderedDict([("w", np.array([[np.nan]]))]))
+
+
+def test_overflowing_dims_rejected(tmp_path):
+    for dims in [(2**32, 2**32), (2**63, 3)]:
+        path = tmp_path / "o.hngw"
+        path.write_bytes(b"HNGW" + struct.pack("<IIH", 1, 1, 1) + b"w"
+                         + struct.pack(f"<B{len(dims)}Q", len(dims), *dims))
+        with pytest.raises(checkpoint.CheckpointError):
+            checkpoint.load(path)
+
+
+def test_non_utf8_name_rejected(tmp_path):
+    path = tmp_path / "n.hngw"
+    path.write_bytes(b"HNGW" + struct.pack("<IIH", 1, 1, 2) + b"\xff\xfe"
+                     + struct.pack("<BQ", 1, 1) + b"\x00" * 4)
+    with pytest.raises(checkpoint.CheckpointError):
+        checkpoint.load(path)
+
+
+def test_ndim_beyond_numpy_limit_rejected(tmp_path):
+    path = tmp_path / "d.hngw"
+    path.write_bytes(b"HNGW" + struct.pack("<IIH", 1, 1, 1) + b"w"
+                     + struct.pack("<B65Q", 65, *[1] * 65) + b"\x00" * 4)
+    with pytest.raises(checkpoint.CheckpointError):
+        checkpoint.load(path)
+
+
+def test_mutated_or_truncated_file_raises_checkpoint_error_or_loads(tmp_path_factory):
+    # tmp_path_factory, as hypothesis reruns the body without a fresh fixture.
+    path = tmp_path_factory.mktemp("fuzz") / "fuzz.hngw"
+    # Small tensors, so the headers are a large share of the bytes.
+    checkpoint.save(path, OrderedDict([
+        ("a/W", np.arange(6.0).reshape(2, 3)),
+        ("a/mask", np.array([1, 0, 1], dtype=np.uint8)),
+        ("s", np.array(2.5)),
+        ("a/mode", np.array([2], dtype=np.uint8)),
+    ]))
+    blob = path.read_bytes()
+
+    @settings(max_examples=400, deadline=None, database=None)
+    @given(edits=st.lists(st.tuples(st.integers(0, len(blob) - 1), st.integers(0, 255)),
+                          max_size=4),
+           keep=st.integers(0, len(blob)))
+    def check(edits, keep):
+        data = bytearray(blob)
+        for pos, value in edits:
+            data[pos] = value
+        path.write_bytes(bytes(data[:keep]))
+        try:
+            tensors = checkpoint.load(path)
+        except checkpoint.CheckpointError:
+            return
+        assert all(isinstance(v, np.ndarray) for v in tensors.values())
+
+    check()

@@ -1,11 +1,14 @@
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hingenet import cli, regularizers
-from hingenet.config import ConfigError, parse_config
+from hingenet.config import ConfigError, load_config, parse_config
+from hingenet.net import build_network
+from hingenet.train import evaluate
 
 TINY_CONFIG = {
     "arch": {
@@ -96,6 +99,19 @@ class TestCliTrain:
         metrics = json.loads((tmp_path / "base.metrics.json").read_text())
         assert 0.0 <= metrics["test_accuracy"] <= 1.0
         assert len(metrics["history"]) == 2
+        _assert_final_metrics_are_last_epoch(metrics)
+
+    def test_zero_epochs_evaluates_fresh_model(self, tmp_path):
+        cfg = write_config(tmp_path, _with("train", epochs=0))
+        out = tmp_path / "zero.hngw"
+        assert cli.main(["train", "--config", cfg, "--out", str(out)]) == 0
+        metrics = json.loads((tmp_path / "zero.metrics.json").read_text())
+        assert metrics["history"] == []
+        config = load_config(cfg)
+        dataset = config.make_dataset()
+        model = build_network(config.arch, seed=config.seed)
+        acc, loss = evaluate(model, dataset.x_test, dataset.y_test)
+        assert (metrics["test_accuracy"], metrics["test_loss"]) == (acc, loss)
 
     def test_same_seed_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -110,6 +126,12 @@ class TestCliTrain:
         cfg = write_config(tmp_path, doc)
         rc = cli.main(["train", "--config", cfg, "--out", str(tmp_path / "d.hngw")])
         assert rc == cli.EXIT_NUMERIC
+
+
+def _assert_final_metrics_are_last_epoch(metrics):
+    last = metrics["history"][-1]
+    assert metrics["test_accuracy"] == last["test_accuracy"]
+    assert metrics["test_loss"] == last["test_loss"]
 
 
 def _with(section, **values):
@@ -235,6 +257,8 @@ class TestCliFinetune:
         assert rc == 0
         metrics = json.loads((pipeline["tmp"] / "final.metrics.json").read_text())
         assert metrics["distilled"] is True
+        assert len(metrics["history"]) == 2
+        _assert_final_metrics_are_last_epoch(metrics)
 
     def test_plain_finetune_without_distill_flag(self, pipeline):
         out = pipeline["tmp"] / "plain_ft.hngw"
@@ -243,6 +267,23 @@ class TestCliFinetune:
         assert rc == 0
         metrics = json.loads((pipeline["tmp"] / "plain_ft.metrics.json").read_text())
         assert metrics["distilled"] is False
+        _assert_final_metrics_are_last_epoch(metrics)
+
+    def test_zero_finetune_epochs_evaluates_checkpoint(self, pipeline, capsys):
+        cfg = write_config(pipeline["tmp"], _with("train", finetune_epochs=0),
+                           name="no_finetune.json")
+        out = pipeline["tmp"] / "no_ft.hngw"
+        rc = cli.main(["finetune", "--config", cfg, "--ckpt", str(pipeline["compact"]),
+                       "--teacher", str(pipeline["base"]), "--distill",
+                       "--out", str(out)])
+        assert rc == 0
+        metrics = json.loads((pipeline["tmp"] / "no_ft.metrics.json").read_text())
+        assert metrics["history"] == []
+        capsys.readouterr()
+        assert cli.main(["evaluate", "--config", cfg, "--ckpt", str(out)]) == 0
+        evaluated = json.loads(capsys.readouterr().out)
+        assert metrics["test_accuracy"] == evaluated["test_accuracy"]
+        assert metrics["test_loss"] == evaluated["test_loss"]
 
     def test_distill_requires_teacher(self, pipeline):
         rc = cli.main(["finetune", "--config", pipeline["cfg"],
@@ -271,6 +312,19 @@ class TestCliFinetune:
         cfg = write_config(pipeline["tmp"], doc, name="other_arch.json")
         capsys.readouterr()
         rc = cli.main(["evaluate", "--config", cfg, "--ckpt", str(pipeline[ckpt])])
+        assert rc == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("dims", [(2**32, 2**32), (2**63, 3)],
+                             ids=["product-wraps-to-0", "product-overflows-int64"])
+    def test_evaluate_overflowing_dims_is_usage_error(self, pipeline, capsys, dims):
+        path = pipeline["tmp"] / "overflow.hngw"
+        path.write_bytes(b"HNGW" + struct.pack("<IIH", 1, 1, 6) + b"stem/W"
+                         + struct.pack(f"<B{len(dims)}Q", len(dims), *dims))
+        capsys.readouterr()
+        rc = cli.main(["evaluate", "--config", pipeline["cfg"], "--ckpt", str(path)])
         assert rc == cli.EXIT_USAGE
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("error:")

@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from hingenet import data, net, train
+from hingenet import data, losses, net, train
 from hingenet.net import BlockDef, build_network
 
 
@@ -75,3 +77,49 @@ def test_weight_decay_applies_to_weights_only():
     opt.step()  # zero grads: only decay acts
     assert np.all(model.head.b == 5.0)          # bias untouched
     assert np.all(model.head.grad_w == 0.0)
+
+
+def _teacher_run(monkeypatch, epochs):
+    """A distilled run on 50 samples in batches of 16 whose teacher counts
+    its forward calls and whose batches and distillation targets are
+    recorded."""
+    model, ds = tiny_setup(n_train=50)
+    teacher, _ = tiny_setup(seed=8)
+    calls, batch_idx, targets = [], [], []
+    forward, batches, distill_loss = teacher.forward, train.batches, losses.distill_loss
+
+    def counted_forward(x):
+        calls.append(len(x))
+        return forward(x)
+
+    def recorded_batches(*args):
+        for idx in batches(*args):
+            batch_idx.append(idx)
+            yield idx
+
+    def recorded_loss(logits, teacher_logits, labels, cfg):
+        targets.append(teacher_logits.copy())
+        return distill_loss(logits, teacher_logits, labels, cfg)
+    monkeypatch.setattr(teacher, "forward", counted_forward)
+    monkeypatch.setattr(train, "batches", recorded_batches)
+    monkeypatch.setattr(train.losses, "distill_loss", recorded_loss)
+    train.train(model, ds, epochs=epochs, lr=0.03, batch_size=16, seed=4,
+                teacher=teacher, distill_cfg=losses.DistillConfig())
+    return ds, forward, calls, batch_idx, targets
+
+
+@pytest.mark.parametrize("epochs,slices", [(0, []), (1, [16, 16, 16, 2]),
+                                           (3, [16, 16, 16, 2])])
+def test_teacher_forward_once_per_run(monkeypatch, epochs, slices):
+    """ceil(n_train / batch_size) teacher calls, whatever the epoch count."""
+    _, _, calls, _, _ = _teacher_run(monkeypatch, epochs)
+    assert calls == slices
+
+
+def test_teacher_logits_equal_per_batch_forward(monkeypatch):
+    """Logits computed once, in index-order slices, are bit-identical to
+    the teacher's forward on each shuffled batch."""
+    ds, teacher_forward, _, batch_idx, targets = _teacher_run(monkeypatch, epochs=3)
+    assert len(batch_idx) == len(targets) == 3 * math.ceil(50 / 16)
+    for idx, target in zip(batch_idx, targets):
+        assert np.array_equal(target, teacher_forward(ds.x_train[idx]))
