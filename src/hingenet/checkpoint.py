@@ -4,9 +4,8 @@ Layout: magic bytes ``HNGW``, u32 LE version (=1), u32 LE tensor count, then
 per tensor: u16 LE name length, UTF-8 name, u8 ndim, ndim u64 LE dims, and
 the row-major payload. Payloads are f32 LE except for tensors whose name
 ends in ``/mask`` or ``/mode``, which are stored as u8 (one byte per entry,
-values 0/1 for masks, 0/1/2 for layer modes). Tensor order follows the
-model's topological layer order; a hinged layer contributes W, then A, then
-its mask.
+values 0/1 for masks, 0/1/2 for layer modes). `net.Network.state_tensors`
+orders the tensors and `net.network_from_tensors` reads them back.
 """
 
 import math

@@ -43,22 +43,6 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
-def _load_baseline(cfg, tensors) -> net.Network:
-    model = net.build_network(cfg.arch, seed=cfg.seed)
-    model.load_state_tensors(tensors)
-    return model
-
-
-def _load_any(cfg, ckpt_path):
-    """The network in a baseline or a compact checkpoint, and the compact
-    layer modes (None for a baseline)."""
-    tensors = checkpoint.load(ckpt_path)
-    if not any(k.endswith("/mode") for k in tensors):
-        return _load_baseline(cfg, tensors), None
-    modes = {k[:-5]: int(v[0]) for k, v in tensors.items() if k.endswith("/mode")}
-    return compaction.network_from_compact_checkpoint(cfg.arch, tensors), modes
-
-
 def _final_metrics(model, dataset, history):
     """Test accuracy and loss of the trained model. The last epoch's record
     already evaluated this model on the test split; a run of zero epochs
@@ -94,7 +78,11 @@ def cmd_compress(args) -> int:
         cfg.compress.target_ratio = args.target_ratio
     target = cfg.compress.target_ratio
     dataset = cfg.make_dataset()
-    model = _load_baseline(cfg, checkpoint.load(args.ckpt))
+    model, modes = net.network_from_tensors(cfg.arch, checkpoint.load(args.ckpt))
+    if modes is not None or any(isinstance(layer, net.HingedConv2d)
+                                for layer in model.layers.values()):
+        raise checkpoint.CheckpointError(
+            f"{args.ckpt} is not a baseline checkpoint; compress needs one")
     net.attach_hinges(model, init=cfg.hinge_init,
                       first_kind=cfg.first_hinge_groups,
                       plain_kind=cfg.plain_hinge_groups)
@@ -126,7 +114,7 @@ def cmd_compress(args) -> int:
     compact_model = compaction.compact(model)
     deviation = compaction.verify_equivalence(model, compact_model.network,
                                               n_inputs=16, seed=cfg.seed)
-    compaction.save_compact(args.out, compact_model)
+    checkpoint.save(args.out, compact_model.network.state_tensors(compact_model.modes))
 
     report.update({
         "threshold": search.threshold,
@@ -146,14 +134,14 @@ def cmd_compress(args) -> int:
 def cmd_finetune(args) -> int:
     cfg = load_config(args.config)
     dataset = cfg.make_dataset()
-    model, modes = _load_any(cfg, args.ckpt)
+    model, modes = net.network_from_tensors(cfg.arch, checkpoint.load(args.ckpt))
 
     teacher = None
     distill_cfg = None
     if args.distill:
         if args.teacher is None:
             raise ConfigError("--distill requires --teacher")
-        teacher = _load_baseline(cfg, checkpoint.load(args.teacher))
+        teacher, _ = net.network_from_tensors(cfg.arch, checkpoint.load(args.teacher))
         distill_cfg = cfg.distill
 
     tc = cfg.train
@@ -162,11 +150,7 @@ def cmd_finetune(args) -> int:
                              momentum=tc.momentum, weight_decay=tc.weight_decay,
                              seed=cfg.seed, teacher=teacher,
                              distill_cfg=distill_cfg, log=_log)
-    if modes is not None:
-        out_tensors = compaction.tensors_with_modes(model, modes)
-    else:
-        out_tensors = model.state_tensors()
-    checkpoint.save(args.out, out_tensors)
+    checkpoint.save(args.out, model.state_tensors(modes))
     acc, loss = _final_metrics(model, dataset, history)
     _write_json(_metrics_path(args.out),
                 {"test_accuracy": acc, "test_loss": loss, "history": history,
@@ -177,7 +161,7 @@ def cmd_finetune(args) -> int:
 def cmd_evaluate(args) -> int:
     cfg = load_config(args.config)
     dataset = cfg.make_dataset()
-    model, _ = _load_any(cfg, args.ckpt)
+    model, _ = net.network_from_tensors(cfg.arch, checkpoint.load(args.ckpt))
     acc, loss = training.evaluate(model, dataset.x_test, dataset.y_test)
     print(json.dumps({"test_accuracy": acc, "test_loss": loss}, sort_keys=True))
     return EXIT_OK
@@ -247,7 +231,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (ConfigError, checkpoint.CheckpointError, FileNotFoundError) as exc:
+    except (ConfigError, OSError) as exc:  # CheckpointError is an OSError
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     except NumericError as exc:

@@ -6,21 +6,19 @@ columns, A to alive rows) as two convolutions when that is cheaper, and
 merge back otherwise. Channel removal propagates into the next layer's
 input rows, and biases ride with the output side. The compacted network
 computes the same function as the masked one up to float roundoff.
+`Network.state_tensors(CompactModel.modes)` writes it with a mode byte per
+layer.
 """
 
-from collections import OrderedDict
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import checkpoint, cost, hinge
+from . import cost, hinge
 from .cost import build_plan, report_from_plan
-from .hinge import DECOMPOSE, PRUNE, UNTOUCHED
+from .hinge import PRUNE, UNTOUCHED
 from .linalg import COLUMNS, ROWS, matmul
-from .net import ArchSpec, Conv2d, HingedConv2d, Linear, Network
-
-MODE_BYTES = {UNTOUCHED: 0, PRUNE: 1, DECOMPOSE: 2}
-MODE_NAMES = {v: k for k, v in MODE_BYTES.items()}
+from .net import Conv2d, HingedConv2d, Linear, Network
 
 
 class StructuralError(RuntimeError):
@@ -133,76 +131,3 @@ def verify_equivalence(model_a: Network, model_b: Network, n_inputs: int = 32,
         raise StructuralError(f"logit shapes diverge: {la.shape} vs {lb.shape}")
     return float(np.max(np.abs(la - lb)))
 
-
-# --------------------------------------------------------------------------
-# Serialization: same container as training checkpoints plus a mode byte
-# per layer record.
-# --------------------------------------------------------------------------
-
-def tensors_with_modes(network: Network, modes: dict) -> OrderedDict:
-    """Layer tensors in topological order, each preceded by its mode byte.
-    Decompose pairs keep their natural W/A tensor names."""
-    out = OrderedDict()
-    for name, layer in network.named_layers():
-        mode = modes.get(name, UNTOUCHED)
-        mode_byte = mode if isinstance(mode, int) else MODE_BYTES[mode]
-        out[f"{name}/mode"] = np.array([mode_byte], dtype=np.uint8)
-        out.update(layer.state_tensors(name))
-    return out
-
-
-def save_compact(path, model: CompactModel) -> None:
-    checkpoint.save(path, tensors_with_modes(model.network, model.modes))
-
-
-def _tensor(tensors, key):
-    if key not in tensors:
-        raise checkpoint.CheckpointError(f"checkpoint missing tensor {key!r}")
-    return tensors[key]
-
-
-def _checked_layer(entry, tensors, layers):
-    """Rebuild one compacted conv from its tensors, checked against its
-    table entry and against the layer it reads."""
-    name, nominal = entry.name, entry.meta
-    mode_t = _tensor(tensors, f"{name}/mode")
-    mode = MODE_NAMES.get(int(mode_t.flat[0])) if mode_t.size == 1 else None
-    w, b = _tensor(tensors, f"{name}/W"), _tensor(tensors, f"{name}/b")
-    a = tensors.get(f"{name}/A")
-    out_ch = b.shape[0] if b.ndim == 1 else 0
-    full = mode != PRUNE or entry.protected
-    if (mode is None or not 0 < out_ch <= nominal.out_channels
-            or (full and out_ch != nominal.out_channels)):
-        raise checkpoint.CheckpointError(
-            f"{name}: bias {b.shape} in mode {mode}, the architecture has "
-            f"{nominal.out_channels} output channels")
-    in_ch = (layers[entry.source].meta.out_channels if entry.source is not None
-             else nominal.in_channels)
-    meta = replace(nominal, in_channels=in_ch, out_channels=out_ch)
-    rank = a.shape[0] if a is not None and a.ndim == 2 else out_ch
-    if w.shape != (meta.patch_size, rank) or (a is not None and a.shape != (rank, out_ch)):
-        raise checkpoint.CheckpointError(
-            f"{name}: filter {w.shape} and hinge {None if a is None else a.shape} do not map "
-            f"{in_ch} input channels x {meta.kernel_h * meta.kernel_w} taps to {out_ch} outputs")
-    if a is not None:
-        return HingedConv2d(meta, w, a, b=b, scheme=None)
-    return Conv2d(meta, w=w, b=b)
-
-
-def network_from_compact_checkpoint(arch: ArchSpec, tensors) -> Network:
-    """Rebuild a compacted network from its checkpoint. Channel counts come
-    from the stored tensor shapes and must fit the architecture: whole
-    kernels per input channel, as many inputs as the source layer
-    produces, and no more outputs than nominal (exactly nominal unless the
-    layer was pruned, and always for a protected layer)."""
-    layers = {}
-    for entry in arch.table:
-        layers[entry.name] = _checked_layer(entry, tensors, layers)
-    layers["stem"].needs_input_grad = False
-    head_in = layers[arch.output].meta.out_channels
-    head_w, head_b = _tensor(tensors, "head/W"), _tensor(tensors, "head/b")
-    if head_w.shape != (head_in, arch.classes) or head_b.shape != (arch.classes,):
-        raise checkpoint.CheckpointError(
-            f"head: shapes {head_w.shape} and {head_b.shape}, expected "
-            f"({head_in}, {arch.classes}) and ({arch.classes},)")
-    return Network(arch, layers, Linear(head_in, arch.classes, w=head_w, b=head_b))

@@ -28,6 +28,8 @@ STANDALONE = "standalone"
 PRUNE = "prune"
 DECOMPOSE = "decompose"
 UNTOUCHED = "untouched"
+# A compacted checkpoint stores each layer's mode as one byte.
+MODE_BYTES = {UNTOUCHED: 0, PRUNE: 1, DECOMPOSE: 2}
 
 # Group kinds each position admits, its default first. The second conv of
 # a residual block feeds the skip sum, so its output channels must survive.

@@ -10,8 +10,11 @@ what its backward pass needs during forward.
 Layer table: `layer_table` lists every conv of an `ArchSpec` in checkpoint
 order with its nominal geometry, the layer it reads, its hinge position
 and whether a skip protects its output. Building, hinging, cost planning,
-compaction and compact-checkpoint loading all iterate that table; block
-classes only run forward and backward.
+compaction and checkpoint reading all iterate that table; block classes
+only run forward and backward.
+
+Checkpoints: `Network.state_tensors` writes every checkpoint and
+`network_from_tensors` reads every one back, baseline or compacted.
 
 Memory layout: activations are logically (B, C, H, W) but physically
 channels-last, because a conv output is the (B*H*W, C) product reshaped
@@ -129,9 +132,6 @@ class Conv2d:
         yield f"{prefix}/W", WEIGHT, self, "w"
         yield f"{prefix}/b", BIAS, self, "b"
 
-    def state_tensors(self, prefix: str) -> OrderedDict:
-        return OrderedDict(((f"{prefix}/W", self.w), (f"{prefix}/b", self.b)))
-
 
 class HingedConv2d:
     """Convolution followed by its hinge: `patches @ w @ a + b`.
@@ -208,13 +208,6 @@ class HingedConv2d:
         yield f"{prefix}/A", HINGE, self, "a"
         yield f"{prefix}/b", BIAS, self, "b"
 
-    def state_tensors(self, prefix: str) -> OrderedDict:
-        out = OrderedDict(((f"{prefix}/W", self.w), (f"{prefix}/A", self.a)))
-        if self.mask is not None:
-            out[f"{prefix}/mask"] = self.mask.astype(np.uint8)
-        out[f"{prefix}/b"] = self.b
-        return out
-
 
 class ReLU:
     def __init__(self):
@@ -268,9 +261,6 @@ class Linear:
     def params(self, prefix: str):
         yield f"{prefix}/W", WEIGHT, self, "w"
         yield f"{prefix}/b", BIAS, self, "b"
-
-    def state_tensors(self, prefix: str) -> OrderedDict:
-        return OrderedDict(((f"{prefix}/W", self.w), (f"{prefix}/b", self.b)))
 
 
 class PlainBlock:
@@ -467,31 +457,85 @@ class Network:
             grad = getattr(layer, f"grad_{attr}")
             grad[...] = 0.0
 
-    def state_tensors(self) -> OrderedDict:
+    def state_tensors(self, modes: dict | None = None) -> OrderedDict:
+        """The checkpoint tensors in table order, then the head: each
+        layer's params, then its mask while it is being compressed. Given
+        `modes` (layer name -> mode, untouched where absent), each layer's
+        tensors follow its mode byte, as in a compacted checkpoint."""
         out = OrderedDict()
         for name, layer in self.named_layers():
-            out.update(layer.state_tensors(name))
+            if modes is not None:
+                byte = hinge.MODE_BYTES[modes.get(name, hinge.UNTOUCHED)]
+                out[f"{name}/mode"] = np.array([byte], dtype=np.uint8)
+            for key, _, _, attr in layer.params(name):
+                out[key] = getattr(layer, attr)
+            if getattr(layer, "mask", None) is not None:
+                out[f"{name}/mask"] = layer.mask.astype(np.uint8)
         return out
 
-    def load_state_tensors(self, tensors) -> None:
-        for name, layer in self.named_layers():
-            for key in layer.state_tensors(name):
-                if key not in tensors:
-                    raise checkpoint.CheckpointError(f"checkpoint missing tensor {key!r}")
-                value = tensors[key]
-                attr = key.rsplit("/", 1)[1]
-                if attr == "mask":
-                    if layer.mask is None or value.shape != layer.mask.shape:
-                        raise checkpoint.CheckpointError(f"mask shape mismatch for {name}")
-                    layer.mask = value.astype(bool)
-                    continue
-                attr = {"W": "w", "A": "a", "b": "b"}[attr]
-                current = getattr(layer, attr)
-                if value.shape != current.shape:
-                    raise checkpoint.CheckpointError(
-                        f"tensor {key!r}: shape {value.shape} != expected {current.shape}")
-                setattr(layer, attr, np.ascontiguousarray(value, dtype=np.float64))
-                setattr(layer, f"grad_{attr}", np.zeros_like(value, dtype=np.float64))
+
+_MODE_NAMES = {byte: mode for mode, byte in hinge.MODE_BYTES.items()}
+
+
+def _tensor(tensors, key):
+    if key not in tensors:
+        raise checkpoint.CheckpointError(f"checkpoint missing tensor {key!r}")
+    return tensors[key]
+
+
+def _checked_layer(entry, tensors, layers, compacted):
+    """The mode of one conv and the conv built from its tensors, checked
+    against its table entry and against the layer it reads. A baseline
+    layer is read as untouched."""
+    name, nominal = entry.name, entry.meta
+    mode = hinge.UNTOUCHED
+    if compacted:
+        mode_t = _tensor(tensors, f"{name}/mode")
+        mode = _MODE_NAMES.get(int(mode_t.flat[0])) if mode_t.size == 1 else None
+    w, b = _tensor(tensors, f"{name}/W"), _tensor(tensors, f"{name}/b")
+    a = tensors.get(f"{name}/A")
+    out_ch = b.shape[0] if b.ndim == 1 else 0
+    full = mode != hinge.PRUNE or entry.protected
+    if (mode is None or not 0 < out_ch <= nominal.out_channels
+            or (full and out_ch != nominal.out_channels)):
+        raise checkpoint.CheckpointError(
+            f"{name}: bias {b.shape} in mode {mode}, the architecture has "
+            f"{nominal.out_channels} output channels")
+    in_ch = (layers[entry.source].meta.out_channels if entry.source is not None
+             else nominal.in_channels)
+    meta = replace(nominal, in_channels=in_ch, out_channels=out_ch)
+    rank = a.shape[0] if a is not None and a.ndim == 2 else out_ch
+    if w.shape != (meta.patch_size, rank) or (a is not None and a.shape != (rank, out_ch)):
+        raise checkpoint.CheckpointError(
+            f"{name}: filter {w.shape} and hinge {None if a is None else a.shape} do not map "
+            f"{in_ch} input channels x {meta.kernel_h * meta.kernel_w} taps to {out_ch} outputs")
+    if a is not None:
+        return mode, HingedConv2d(meta, w, a, b=b)
+    return mode, Conv2d(meta, w=w, b=b)
+
+
+def network_from_tensors(arch: ArchSpec, tensors):
+    """The network in a baseline or a compacted checkpoint, and its layer
+    modes (None for a baseline). A file without mode bytes is a baseline,
+    read as if every layer were untouched. Channel counts come from the
+    stored tensor shapes and must fit the architecture: whole kernels per
+    input channel, as many inputs as the source layer produces, and no
+    more outputs than nominal (exactly nominal unless the layer was
+    pruned, and always for a protected layer)."""
+    compacted = any(key.endswith("/mode") for key in tensors)
+    layers, modes = {}, {}
+    for entry in arch.table:
+        modes[entry.name], layers[entry.name] = _checked_layer(entry, tensors, layers,
+                                                               compacted)
+    layers["stem"].needs_input_grad = False
+    head_in = layers[arch.output].meta.out_channels
+    head_w, head_b = _tensor(tensors, "head/W"), _tensor(tensors, "head/b")
+    if head_w.shape != (head_in, arch.classes) or head_b.shape != (arch.classes,):
+        raise checkpoint.CheckpointError(
+            f"head: shapes {head_w.shape} and {head_b.shape}, expected "
+            f"({head_in}, {arch.classes}) and ({arch.classes},)")
+    head = Linear(head_in, arch.classes, w=head_w, b=head_b)
+    return Network(arch, layers, head), modes if compacted else None
 
 
 def build_network(arch: ArchSpec, seed: int) -> Network:

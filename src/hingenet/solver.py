@@ -95,10 +95,11 @@ def balance_lambda(layer, base_lambda: float) -> float:
 
 
 def adjust_learning_rates(pairs, grad_sums: dict, eta: float, m: float,
-                          prev_rho: dict, warn=None) -> dict:
+                          prev_rho: dict, warn=None) -> tuple[dict, dict]:
     """Per-matrix learning rates for the next epoch. For each residual
     pair, rho is the ratio of mean gradient group norms (first over second
-    matrix) and the first matrix's lr is eta / rho^m."""
+    matrix) and the first matrix's lr is eta / rho^m. Returns the lr per
+    matrix id and the rho per block."""
     lr_map = {}
     rho_map = {}
     for block_name, conv1, conv2 in pairs:
@@ -198,6 +199,9 @@ def run_compression(net: Network, dataset, config: CompressionConfig,
     return state
 
 
+SEARCH_MAX_ITERS = 200  # threshold probes before the best one seen is returned
+
+
 @dataclass
 class ThresholdSearchResult:
     threshold: float
@@ -208,8 +212,7 @@ class ThresholdSearchResult:
 
 
 def binary_search_threshold(net: Network, target: float, criterion: float = 0.005,
-                            t0: float | None = None, s0: float | None = None,
-                            max_iters: int = 200) -> ThresholdSearchResult:
+                            t0: float | None = None) -> ThresholdSearchResult:
     """Find the nullifying threshold whose compression ratio is closest to
     `target`. The step moves the threshold toward the target ratio and is
     halved whenever the ratio crosses it; because the ratio is a staircase,
@@ -220,15 +223,13 @@ def binary_search_threshold(net: Network, target: float, criterion: float = 0.00
         alive_norms = np.concatenate([
             layer.group_norms()[layer.mask] for _, layer in net.hinged_layers()])
         t0 = float(np.median(alive_norms)) if alive_norms.size else 0.0
-    if s0 is None:
-        s0 = t0 / 2.0 if t0 > 0 else 0.5
 
     t = t0
-    s = s0
+    s = t0 / 2.0 if t0 > 0 else 0.5
     visited = []
     best = None
     prev_gamma = None
-    for iteration in range(max_iters):
+    for iteration in range(SEARCH_MAX_ITERS):
         gamma = compression_ratio(net, t)
         visited.append((t, gamma))
         if best is None or abs(gamma - target) < abs(best[1] - target):
@@ -239,7 +240,7 @@ def binary_search_threshold(net: Network, target: float, criterion: float = 0.00
             s /= 2.0
         prev_gamma = gamma
         t = t + s if gamma > target else max(t - s, 0.0)
-    return ThresholdSearchResult(best[0], best[1], False, max_iters, visited)
+    return ThresholdSearchResult(best[0], best[1], False, SEARCH_MAX_ITERS, visited)
 
 
 def apply_threshold(net: Network, threshold: float) -> None:

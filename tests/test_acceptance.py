@@ -142,9 +142,8 @@ def test_criterion_5_compaction_equivalence():
 def test_criterion_6_threshold_search(toy_pipeline):
     cfg = load_config(TOY_CONFIG)
     from hingenet import checkpoint
-    tensors = checkpoint.load(toy_pipeline["baseline_ckpt"])
-    model = build_network(cfg.arch, seed=cfg.seed)
-    model.load_state_tensors(tensors)
+    model, _ = net.network_from_tensors(cfg.arch,
+                                        checkpoint.load(toy_pipeline["baseline_ckpt"]))
     attach_hinges(model, init=cfg.hinge_init)
 
     norms = np.concatenate([l.group_norms() for _, l in model.hinged_layers()])

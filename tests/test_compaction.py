@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from conftest import small_plain_arch, small_residual_arch
-from hingenet import compaction, cost, hinge, linalg
+from hingenet import checkpoint, cost, hinge, linalg
 from hingenet import net as net_module
 from hingenet.compaction import (StructuralError, compact, compact_decompose,
                                  compact_prune, verify_equivalence)
 from hingenet.hinge import ConvMeta
-from hingenet.net import Conv2d, HingedConv2d, attach_hinges, build_network
+from hingenet.net import (Conv2d, HingedConv2d, attach_hinges, build_network,
+                          network_from_tensors)
 
 
 def hinged_layer(rng, patch=12, n=8, kind="columns"):
@@ -207,16 +208,33 @@ class TestSerialization:
             layer.apply_mask()
         cm = compact(model)
         path = tmp_path / "compact.hngw"
-        compaction.save_compact(path, cm)
+        checkpoint.save(path, cm.network.state_tensors(cm.modes))
 
-        from hingenet import checkpoint
-        tensors = checkpoint.load(path)
-        modes = {k[:-5]: int(v[0]) for k, v in tensors.items() if k.endswith("/mode")}
-        assert modes["stem"] == 0
-        assert modes["block0.conv1"] in (1, 2)
-        rebuilt = compaction.network_from_compact_checkpoint(model.arch, tensors)
+        rebuilt, modes = network_from_tensors(model.arch, checkpoint.load(path))
+        assert modes["stem"] == hinge.UNTOUCHED
+        assert modes["block0.conv1"] in (hinge.PRUNE, hinge.DECOMPOSE)
         # f32 storage: equality up to single-precision rounding
         assert verify_equivalence(cm.network, rebuilt, 8, seed=1) <= 1e-4
+
+    @pytest.mark.parametrize("kind", ["baseline", "compacted"])
+    def test_read_then_write_is_byte_equal(self, tmp_path, kind):
+        model = build_network(small_residual_arch(channels=(6, 8)), seed=17)
+        modes = None
+        if kind == "compacted":
+            attach_hinges(model, init="svd", first_kind="columns")
+            for _, layer in model.hinged_layers():
+                layer.mask[[0, 2, 3]] = False
+            cm = compact(model)
+            model, modes = cm.network, cm.modes
+            assert {hinge.PRUNE, hinge.DECOMPOSE} <= set(modes.values())
+            assert any(isinstance(layer, HingedConv2d) for layer in model.layers.values())
+        first, second = tmp_path / "first.hngw", tmp_path / "second.hngw"
+        checkpoint.save(first, model.state_tensors(modes))
+        rebuilt, read_modes = network_from_tensors(model.arch, checkpoint.load(first))
+        assert read_modes == (None if modes is None
+                              else {e.name: modes[e.name] for e in model.arch.table})
+        checkpoint.save(second, rebuilt.state_tensors(read_modes))
+        assert second.read_bytes() == first.read_bytes()
 
     def test_pruned_plain_round_trip(self, rng):
         model = build_network(small_plain_arch(channels=(5, 4)), seed=15)
@@ -225,20 +243,20 @@ class TestSerialization:
             layer.mask[[0, 2]] = False
             layer.apply_mask()
         cm = compact(model)
-        tensors = compaction.tensors_with_modes(cm.network, cm.modes)
-        rebuilt = compaction.network_from_compact_checkpoint(model.arch, tensors)
+        rebuilt, _ = network_from_tensors(model.arch, cm.network.state_tensors(cm.modes))
         assert rebuilt.layers["block1.conv"].meta.in_channels == 3
         assert verify_equivalence(cm.network, rebuilt, 8, seed=2) == 0.0
 
     @pytest.mark.parametrize("corrupt", [
         "rows-not-whole-kernels", "input-channels", "pruned-protected",
-        "wider-than-nominal", "unknown-mode"])
+        "wider-than-nominal", "unknown-mode", "baseline-narrow-conv",
+        "baseline-missing-head-b"])
     def test_compact_checkpoint_must_fit_arch(self, corrupt):
-        from hingenet import checkpoint
-        model = build_network(small_residual_arch(channels=(6, 8)), seed=16)
+        arch = small_residual_arch(channels=(6, 8))
+        model = build_network(arch, seed=16)
         attach_hinges(model, init="svd")
         cm = compact(model)
-        tensors = compaction.tensors_with_modes(cm.network, cm.modes)
+        tensors = cm.network.state_tensors(cm.modes)
         if corrupt == "rows-not-whole-kernels":
             tensors["block0.conv1/W"] = tensors["block0.conv1/W"][:-1]
         elif corrupt == "input-channels":
@@ -251,10 +269,18 @@ class TestSerialization:
             tensors["block0.conv1/mode"] = np.array([1], dtype=np.uint8)
             tensors["block0.conv1/W"] = np.hstack([tensors["block0.conv1/W"]] * 2)
             tensors["block0.conv1/b"] = np.hstack([tensors["block0.conv1/b"]] * 2)
-        else:
+        elif corrupt == "unknown-mode":
             tensors["stem/mode"] = np.array([7], dtype=np.uint8)
+        else:
+            # a baseline is read as untouched: every conv at nominal width
+            tensors = build_network(arch, seed=16).state_tensors()
+            if corrupt == "baseline-narrow-conv":
+                tensors["block0.conv1/W"] = tensors["block0.conv1/W"][:, :-1]
+                tensors["block0.conv1/b"] = tensors["block0.conv1/b"][:-1]
+            else:
+                del tensors["head/b"]
         with pytest.raises(checkpoint.CheckpointError):
-            compaction.network_from_compact_checkpoint(model.arch, tensors)
+            network_from_tensors(arch, tensors)
 
     def test_accuracy_identical_after_compaction(self, rng):
         from hingenet import data, train

@@ -5,9 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hingenet import cli, regularizers
+from hingenet import checkpoint, cli, regularizers
 from hingenet.config import ConfigError, load_config, parse_config
-from hingenet.net import build_network
+from hingenet.net import attach_hinges, build_network, network_from_tensors
 from hingenet.train import evaluate
 
 TINY_CONFIG = {
@@ -184,6 +184,48 @@ def pipeline(tmp_path_factory):
             "report": report}
 
 
+def _compressed(pipeline, ratio):
+    """The pipeline's baseline compacted at `ratio`, written once."""
+    out = pipeline["tmp"] / f"compact_{ratio}.hngw"
+    if not out.exists():
+        rc = cli.main(["compress", "--config", pipeline["cfg"], "--ckpt", str(pipeline["base"]),
+                       "--target-ratio", str(ratio), "--out", str(out)])
+        assert rc == 0
+    return out
+
+
+@pytest.mark.parametrize("case", [
+    "ckpt-is-directory", "out-is-directory", "report-is-directory",
+    "compress-compacted-0.999", "compress-compacted-0.5", "compress-hinged-state"])
+def test_unusable_path_is_usage_error(pipeline, capsys, case):
+    cfg, tmp = pipeline["cfg"], pipeline["tmp"]
+    compress = ["compress", "--config", cfg, "--out", str(tmp / "again.hngw")]
+    named = None
+    if case == "ckpt-is-directory":
+        argv = ["evaluate", "--config", cfg, "--ckpt", str(tmp)]
+    elif case == "out-is-directory":
+        argv = ["train", "--config", cfg, "--out", str(tmp)]
+    elif case == "report-is-directory":
+        argv = compress + ["--ckpt", str(pipeline["base"]), "--report", str(tmp)]
+    elif case == "compress-hinged-state":   # a network still being compressed
+        model, _ = network_from_tensors(load_config(cfg).arch, checkpoint.load(pipeline["base"]))
+        named = str(tmp / "hinged.hngw")
+        checkpoint.save(named, attach_hinges(model).state_tensors())
+        argv = compress + ["--ckpt", named]
+    else:
+        ratio = float(case.rpartition("-")[2])
+        named = str(_compressed(pipeline, ratio))
+        # at 0.999 every layer is merged back to nominal width; at 0.5 a pair is kept
+        assert any(key.endswith("/A") for key in checkpoint.load(named)) == (ratio == 0.5)
+        argv = compress + ["--ckpt", named]
+    capsys.readouterr()
+    rc = cli.main(argv)
+    *progress, err = capsys.readouterr().err.splitlines()
+    assert rc == cli.EXIT_USAGE
+    assert err.startswith("error:") and all(line.startswith("{") for line in progress)
+    assert named is None or named in err
+
+
 class TestCliCompress:
     def test_report_validates_against_shipped_schema(self, pipeline):
         import jsonschema
@@ -297,6 +339,15 @@ class TestCliFinetune:
                        "--ckpt", str(pipeline["base"]),
                        "--teacher", str(pipeline["base"]),
                        "--distill", "--out", str(out)])
+        assert rc == 0
+
+    def test_compacted_teacher_allowed(self, pipeline):
+        teacher = _compressed(pipeline, 0.5)
+        assert any(key.endswith("/A") for key in checkpoint.load(teacher))  # a kept pair
+        rc = cli.main(["finetune", "--config", pipeline["cfg"],
+                       "--ckpt", str(pipeline["compact"]),
+                       "--teacher", str(teacher),
+                       "--distill", "--out", str(pipeline["tmp"] / "compact_teacher.hngw")])
         assert rc == 0
 
     @pytest.mark.parametrize("arch_change,ckpt", [
