@@ -43,6 +43,19 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
+def _check_outputs(**paths):
+    """Refuse, before any work, an output path (flag name -> path, None
+    when not given) that is a directory or whose directory is missing."""
+    for flag, path in paths.items():
+        if path is None:
+            continue
+        path = Path(path)
+        if path.is_dir():
+            raise ConfigError(f"--{flag} {path} is a directory")
+        if not path.parent.is_dir():
+            raise ConfigError(f"--{flag} {path}: directory {path.parent} does not exist")
+
+
 def _final_metrics(model, dataset, history):
     """Test accuracy and loss of the trained model. The last epoch's record
     already evaluated this model on the test split; a run of zero epochs
@@ -54,6 +67,7 @@ def _final_metrics(model, dataset, history):
 
 def cmd_train(args) -> int:
     cfg = load_config(args.config)
+    _check_outputs(out=args.out)
     dataset = cfg.make_dataset()
     model = net.build_network(cfg.arch, seed=cfg.seed)
     tc = cfg.train
@@ -72,6 +86,7 @@ def cmd_train(args) -> int:
 
 def cmd_compress(args) -> int:
     cfg = load_config(args.config)
+    _check_outputs(out=args.out, report=args.report)
     if args.target_ratio is not None:
         if not 0.0 < args.target_ratio < 1.0:
             raise ConfigError("--target-ratio must be in (0, 1)")
@@ -133,6 +148,7 @@ def cmd_compress(args) -> int:
 
 def cmd_finetune(args) -> int:
     cfg = load_config(args.config)
+    _check_outputs(out=args.out)
     dataset = cfg.make_dataset()
     model, modes = net.network_from_tensors(cfg.arch, checkpoint.load(args.ckpt))
 

@@ -30,12 +30,14 @@ def as_matrix(a) -> np.ndarray:
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with shape checking and a finiteness guard.
+    """Matrix product with shape checking.
 
     Delegates to the BLAS behind numpy; for a fixed environment the
     reduction order (and hence the bit pattern of the result) is stable
     across runs. Strided operands such as `col.T` go to BLAS as they are,
-    without a contiguous copy.
+    without a contiguous copy. The result is not checked for finiteness:
+    the training, compression and evaluation loops check their losses,
+    gradients and logits once per step, under `quiet_overflow`.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -44,13 +46,15 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             f"matmul: expected 2-D matrices, got ndim={a.ndim} and ndim={b.ndim}")
     if a.shape[1] != b.shape[0]:
         raise DimensionError(f"matmul: inner dims differ, {a.shape} x {b.shape}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = a @ b
-        # One-pass guard: any NaN/Inf entry poisons the sum.
-        if not np.isfinite(out.sum()):
-            if not np.all(np.isfinite(out)):
-                raise NumericError("matmul produced non-finite entries")
-    return out
+    return a @ b
+
+
+def quiet_overflow():
+    """The floating-point state of a loop that checks its own finiteness:
+    overflow and invalid operations yield inf or NaN without a warning,
+    and the loop checks its losses, gradients or logits. A fresh
+    `np.errstate`, usable as a context or as a decorator."""
+    return np.errstate(over="ignore", invalid="ignore")
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,11 @@ Convolution is realized as one matrix product over im2col patches, so a
 hinged layer is literally `patches @ W @ A` and the compression math and
 the network math share the same code path. Blocks are either a plain
 conv+relu or a residual pair of 3x3 convs with an optional projection on
-the skip path. All parameters are float64 numpy arrays; every layer caches
-what its backward pass needs during forward.
+the skip path. All parameters are float64 numpy arrays. Only the caching
+forward (`cache=True`, the default) keeps what backward needs; an
+inference forward (`cache=False`) drops every layer's cache, so a conv's
+patch matrix is freed as soon as its output exists, and a backward after
+it raises.
 
 Layer table: `layer_table` lists every conv of an `ArchSpec` in checkpoint
 order with its nominal geometry, the layer it reads, its hinge position
@@ -21,10 +24,14 @@ channels-last, because a conv output is the (B*H*W, C) product reshaped
 and viewed as NCHW. `im2col` reads its input through the free
 `transpose(0, 2, 3, 1)` view and emits patch features in (kh, kw, c)
 order; `col2im` returns an NCHW view of channels-last memory, so neither
-direction makes a layout copy. Stored `W` rows keep the (c, kh, kw) order
-that the checkpoints, the SVD in `hinge.attach` and compaction's row
-restriction use; `_patch_rows` is the one place that permutes them, so the
-checkpoint format and its meaning are unchanged.
+direction makes a layout copy. `col2im` is the whole conv input gradient:
+it multiplies the output gradient by one kernel tap's filter rows at a
+time and adds each product into that tap's window, so the
+(B*out_h*out_w, kh*kw*C) patch-gradient matrix is never built. Stored `W`
+rows keep the (c, kh, kw) order that the checkpoints, the SVD in
+`hinge.attach` and compaction's row restriction use; `_patch_rows` is the
+one place that permutes them, so the checkpoint format and its meaning are
+unchanged.
 """
 
 import itertools
@@ -61,20 +68,31 @@ def im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int) -> np.ndarray
     return windows.transpose(0, 1, 2, 4, 5, 3).reshape(b * out_h * out_w, kh * kw * c)
 
 
-def col2im(dcol: np.ndarray, x_shape, kh: int, kw: int, stride: int, pad: int) -> np.ndarray:
-    """Adjoint of im2col: scatter patch-row gradients back onto the image.
-    The result is a (B, C, H, W) view of channels-last memory."""
-    b, c, h, w = x_shape
+def col2im(dz: np.ndarray, w: np.ndarray, x_shape, kh: int, kw: int, stride: int,
+           pad: int) -> np.ndarray:
+    """Input gradient of the conv `im2col(x) @ w`: the adjoint of im2col
+    applied to `dz @ w.T`, one kernel tap at a time. `w` has im2col's
+    (kh, kw, c) row order. The result is a (B, C, H, W) view of
+    channels-last memory."""
+    b, c, h, w_in = x_shape
     out_h = (h + 2 * pad - kh) // stride + 1
-    out_w = (w + 2 * pad - kw) // stride + 1
-    dcol = dcol.reshape(b, out_h, out_w, kh, kw, c)
-    dxp = np.zeros((b, h + 2 * pad, w + 2 * pad, c), dtype=np.float64)
+    out_w = (w_in + 2 * pad - kw) // stride + 1
+    dxp = np.zeros((b, h + 2 * pad, w_in + 2 * pad, c), dtype=np.float64)
     for i in range(kh):
         i_end = i + stride * out_h
         for j in range(kw):
             j_end = j + stride * out_w
-            dxp[:, i:i_end:stride, j:j_end:stride] += dcol[:, :, :, i, j]
-    return dxp[:, pad:pad + h, pad:pad + w].transpose(0, 3, 1, 2)
+            tap = (i * kw + j) * c
+            dtap = matmul(dz, w[tap:tap + c].T)
+            dxp[:, i:i_end:stride, j:j_end:stride] += dtap.reshape(b, out_h, out_w, c)
+    return dxp[:, pad:pad + h, pad:pad + w_in].transpose(0, 3, 1, 2)
+
+
+def _cached(layer):
+    """What the layer's last caching forward kept for its backward."""
+    if layer._cache is None:
+        raise RuntimeError("backward called before forward")
+    return layer._cache
 
 
 def _patch_rows(w: np.ndarray, meta: ConvMeta, inverse: bool = False) -> np.ndarray:
@@ -105,28 +123,26 @@ class Conv2d:
         self.needs_input_grad = True  # the stem turns this off
         self._cache = None
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, cache: bool = True) -> np.ndarray:
         m = self.meta
         self._cache = None  # free the previous batch's patches before unfolding
         col = im2col(x, m.kernel_h, m.kernel_w, m.stride, m.padding)
         w = _patch_rows(self.w, m)
         z = matmul(col, w) + self.b
-        self._cache = (x.shape, col, w)
+        if cache:
+            self._cache = (x.shape, col, w)
         b = x.shape[0]
         return z.reshape(b, m.out_h, m.out_w, m.out_channels).transpose(0, 3, 1, 2)
 
     def backward(self, dy: np.ndarray) -> np.ndarray | None:
-        if self._cache is None:
-            raise RuntimeError("backward called before forward")
+        x_shape, col, w = _cached(self)
         m = self.meta
-        x_shape, col, w = self._cache
         dz = dy.transpose(0, 2, 3, 1).reshape(-1, m.out_channels)
         self.grad_w += _patch_rows(matmul(col.T, dz), m, inverse=True)
         self.grad_b += dz.sum(axis=0)
         if not self.needs_input_grad:
             return None
-        dcol = matmul(dz, w.T)
-        return col2im(dcol, x_shape, m.kernel_h, m.kernel_w, m.stride, m.padding)
+        return col2im(dz, w, x_shape, m.kernel_h, m.kernel_w, m.stride, m.padding)
 
     def params(self, prefix: str):
         yield f"{prefix}/W", WEIGHT, self, "w"
@@ -179,29 +195,27 @@ class HingedConv2d:
         if self.scheme.kind == linalg.COLUMNS:
             self.b = self.b * self.mask.astype(np.float64)
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, cache: bool = True) -> np.ndarray:
         m = self.meta
         self._cache = None  # free the previous batch's patches before unfolding
         col = im2col(x, m.kernel_h, m.kernel_w, m.stride, m.padding)
         w = _patch_rows(self.w, m)
         pre = matmul(col, w)
         z = matmul(pre, self.a) + self.b
-        self._cache = (x.shape, col, w, pre)
+        if cache:
+            self._cache = (x.shape, col, w, pre)
         b = x.shape[0]
         return z.reshape(b, m.out_h, m.out_w, m.out_channels).transpose(0, 3, 1, 2)
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        if self._cache is None:
-            raise RuntimeError("backward called before forward")
+        x_shape, col, w, pre = _cached(self)
         m = self.meta
-        x_shape, col, w, pre = self._cache
         dz = dy.transpose(0, 2, 3, 1).reshape(-1, m.out_channels)
         self.grad_a += matmul(pre.T, dz)
         self.grad_b += dz.sum(axis=0)
         dpre = matmul(dz, self.a.T)
         self.grad_w += _patch_rows(matmul(col.T, dpre), m, inverse=True)
-        dcol = matmul(dpre, w.T)
-        return col2im(dcol, x_shape, m.kernel_h, m.kernel_w, m.stride, m.padding)
+        return col2im(dpre, w, x_shape, m.kernel_h, m.kernel_w, m.stride, m.padding)
 
     def params(self, prefix: str):
         yield f"{prefix}/W", WEIGHT, self, "w"
@@ -211,26 +225,27 @@ class HingedConv2d:
 
 class ReLU:
     def __init__(self):
-        self._mask = None
+        self._cache = None
 
-    def forward(self, x):
-        self._mask = x > 0
-        return x * self._mask
+    def forward(self, x, cache: bool = True):
+        mask = x > 0
+        self._cache = mask if cache else None
+        return x * mask
 
     def backward(self, dy):
-        return dy * self._mask
+        return dy * _cached(self)
 
 
 class GlobalAvgPool:
     def __init__(self):
-        self._shape = None
+        self._cache = None
 
-    def forward(self, x):
-        self._shape = x.shape
+    def forward(self, x, cache: bool = True):
+        self._cache = x.shape if cache else None
         return x.mean(axis=(2, 3))
 
     def backward(self, dy):
-        b, c, h, w = self._shape
+        b, c, h, w = _cached(self)
         # channels-last like the activations, so no conv backward copies it
         return np.broadcast_to(dy[:, None, None, :] / (h * w), (b, h, w, c)).transpose(0, 3, 1, 2)
 
@@ -248,12 +263,12 @@ class Linear:
         self.grad_b = np.zeros_like(self.b)
         self._cache = None
 
-    def forward(self, x):
-        self._cache = x
+    def forward(self, x, cache: bool = True):
+        self._cache = x if cache else None
         return matmul(x, self.w) + self.b
 
     def backward(self, dy):
-        x = self._cache
+        x = _cached(self)
         self.grad_w += matmul(x.T, dy)
         self.grad_b += dy.sum(axis=0)
         return matmul(dy, self.w.T)
@@ -270,8 +285,8 @@ class PlainBlock:
         self.conv = conv
         self.relu = ReLU()
 
-    def forward(self, x):
-        return self.relu.forward(self.conv.forward(x))
+    def forward(self, x, cache: bool = True):
+        return self.relu.forward(self.conv.forward(x, cache), cache)
 
     def backward(self, dy):
         return self.conv.backward(self.relu.backward(dy))
@@ -292,11 +307,11 @@ class BasicBlock:
         self.relu1 = ReLU()
         self.relu2 = ReLU()
 
-    def forward(self, x):
-        h = self.relu1.forward(self.conv1.forward(x))
-        f = self.conv2.forward(h)
-        s = self.downsample.forward(x) if self.downsample is not None else x
-        return self.relu2.forward(f + s)
+    def forward(self, x, cache: bool = True):
+        h = self.relu1.forward(self.conv1.forward(x, cache), cache)
+        f = self.conv2.forward(h, cache)
+        s = self.downsample.forward(x, cache) if self.downsample is not None else x
+        return self.relu2.forward(f + s, cache)
 
     def backward(self, dy):
         dsum = self.relu2.backward(dy)
@@ -418,11 +433,13 @@ class Network:
             self.blocks.append(PlainBlock(conv) if bd.kind == "plain"
                                else BasicBlock(conv1, conv2, down))
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        h = self.stem_relu.forward(self.stem.forward(x))
+    def forward(self, x: np.ndarray, cache: bool = True) -> np.ndarray:
+        """Logits of a batch. With `cache=False` no layer keeps anything
+        for a backward pass: the inference forward."""
+        h = self.stem_relu.forward(self.stem.forward(x, cache), cache)
         for blk in self.blocks:
-            h = blk.forward(h)
-        return self.head.forward(self.pool.forward(h))
+            h = blk.forward(h, cache)
+        return self.head.forward(self.pool.forward(h, cache), cache)
 
     def backward(self, dlogits: np.ndarray) -> np.ndarray:
         dh = self.pool.backward(self.head.backward(dlogits))
@@ -483,15 +500,19 @@ def _tensor(tensors, key):
     return tensors[key]
 
 
+def _mode(tensors, name):
+    """The mode a compacted checkpoint records for a layer; None for a
+    byte that names no mode."""
+    mode_t = _tensor(tensors, f"{name}/mode")
+    return _MODE_NAMES.get(int(mode_t.flat[0])) if mode_t.size == 1 else None
+
+
 def _checked_layer(entry, tensors, layers, compacted):
     """The mode of one conv and the conv built from its tensors, checked
     against its table entry and against the layer it reads. A baseline
     layer is read as untouched."""
     name, nominal = entry.name, entry.meta
-    mode = hinge.UNTOUCHED
-    if compacted:
-        mode_t = _tensor(tensors, f"{name}/mode")
-        mode = _MODE_NAMES.get(int(mode_t.flat[0])) if mode_t.size == 1 else None
+    mode = _mode(tensors, name) if compacted else hinge.UNTOUCHED
     w, b = _tensor(tensors, f"{name}/W"), _tensor(tensors, f"{name}/b")
     a = tensors.get(f"{name}/A")
     out_ch = b.shape[0] if b.ndim == 1 else 0
@@ -521,7 +542,8 @@ def network_from_tensors(arch: ArchSpec, tensors):
     stored tensor shapes and must fit the architecture: whole kernels per
     input channel, as many inputs as the source layer produces, and no
     more outputs than nominal (exactly nominal unless the layer was
-    pruned, and always for a protected layer)."""
+    pruned, and always for a protected layer). A compacted file's head
+    is untouched."""
     compacted = any(key.endswith("/mode") for key in tensors)
     layers, modes = {}, {}
     for entry in arch.table:
@@ -534,6 +556,9 @@ def network_from_tensors(arch: ArchSpec, tensors):
         raise checkpoint.CheckpointError(
             f"head: shapes {head_w.shape} and {head_b.shape}, expected "
             f"({head_in}, {arch.classes}) and ({arch.classes},)")
+    if compacted and _mode(tensors, "head") != hinge.UNTOUCHED:
+        raise checkpoint.CheckpointError(
+            f"head: mode byte is not {hinge.MODE_BYTES[hinge.UNTOUCHED]} (untouched)")
     head = Linear(head_in, arch.classes, w=head_w, b=head_b)
     return Network(arch, layers, head), modes if compacted else None
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import hinge, losses
 from .cost import compression_ratio
-from .linalg import NumericError, group_norms
+from .linalg import NumericError, group_norms, quiet_overflow
 from .net import HINGE, WEIGHT, Network
 from .regularizers import RegularizerSpec, prox
 from .train import batches
@@ -129,6 +129,7 @@ def anneal(state: CompressionState, layer_stats: dict, config: CompressionConfig
             state.anneal_count += 1
 
 
+@quiet_overflow()
 def run_compression(net: Network, dataset, config: CompressionConfig,
                     log=None) -> CompressionState:
     """Loop epochs of (filter SGD + hinge prox-gradient) until the

@@ -4,7 +4,7 @@ shuffling, optional distillation against a frozen teacher."""
 import numpy as np
 
 from . import losses
-from .linalg import NumericError
+from .linalg import NumericError, quiet_overflow
 from .net import WEIGHT, Network
 
 
@@ -39,20 +39,25 @@ def batches(n: int, batch_size: int, rng: np.random.Generator):
         yield order[start:start + batch_size]
 
 
+@quiet_overflow()
 def evaluate(net: Network, x: np.ndarray, y: np.ndarray, batch_size: int = 128):
-    """Top-1 accuracy and mean cross-entropy over a split; pure."""
+    """Top-1 accuracy and mean cross-entropy over a split, by the inference
+    forward; pure."""
     correct = 0
     total_loss = 0.0
     for start in range(0, len(x), batch_size):
         xb = x[start:start + batch_size]
         yb = y[start:start + batch_size]
-        logits = net.forward(xb)
+        logits = net.forward(xb, cache=False)
         loss, _ = losses.cross_entropy(logits, yb)
+        if not np.isfinite(loss):
+            raise NumericError(f"evaluation loss is not finite ({loss})")
         total_loss += loss * len(xb)
         correct += int((logits.argmax(axis=1) == yb).sum())
     return correct / len(x), total_loss / len(x)
 
 
+@quiet_overflow()
 def train(net: Network, dataset, epochs: int, lr: float, batch_size: int = 32,
           momentum: float = 0.9, weight_decay: float = 1e-4,
           lr_drops: tuple = (), lr_drop_factor: float = 0.1,
@@ -62,7 +67,8 @@ def train(net: Network, dataset, epochs: int, lr: float, batch_size: int = 32,
     """Train in place; returns per-epoch metrics. Fully determined by the
     seed. With a teacher, batches are scored by the distillation loss. The
     teacher is frozen, so its logits on the training split are computed
-    once per run, before the first epoch, and indexed per batch."""
+    once per run, before the first epoch, and indexed per batch. Each step
+    checks its loss and every gradient before any parameter moves."""
     opt = SgdMomentum(net, lr, momentum, weight_decay)
     rng = np.random.default_rng(seed)
     history = []
@@ -71,7 +77,7 @@ def train(net: Network, dataset, epochs: int, lr: float, batch_size: int = 32,
         # matrices as small as the student's.
         x = dataset.x_train
         teacher_logits = np.concatenate(
-            [teacher.forward(x[start:start + batch_size])
+            [teacher.forward(x[start:start + batch_size], cache=False)
              for start in range(0, len(x), batch_size)])
     for epoch in range(epochs):
         if epoch in lr_drops:
@@ -91,6 +97,9 @@ def train(net: Network, dataset, epochs: int, lr: float, batch_size: int = 32,
             if not np.isfinite(loss):
                 raise NumericError(f"training diverged at epoch {epoch} (loss={loss})")
             net.backward(dlogits)
+            for name, _, layer, attr in net.params():
+                if not np.all(np.isfinite(getattr(layer, f"grad_{attr}"))):
+                    raise NumericError(f"non-finite gradient of {name} at epoch {epoch}")
             opt.step()
             epoch_loss += loss * len(idx)
             seen += len(idx)

@@ -128,9 +128,9 @@ def finite_difference_check(model, x, y, loss_fn, rng, samples_per_param: int = 
         for idx in rng.choice(flat.size, size=count, replace=False):
             orig = flat[idx]
             flat[idx] = orig + h
-            lp, _ = loss_fn(model.forward(x))
+            lp, _ = loss_fn(model.forward(x, cache=False))
             flat[idx] = orig - h
-            lm, _ = loss_fn(model.forward(x))
+            lm, _ = loss_fn(model.forward(x, cache=False))
             flat[idx] = orig
             fd = (lp - lm) / (2.0 * h)
             rel = abs(aflat[idx] - fd) / (abs(aflat[idx]) + 1e-8)

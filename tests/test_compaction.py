@@ -191,6 +191,15 @@ class TestVerifyEquivalence:
         cm.network.head.w[0, 0] += 1e-3
         assert verify_equivalence(model, cm.network, 4, seed=0) > 0.0
 
+    @pytest.mark.parametrize("which", ["first", "second"])
+    def test_non_finite_logits_raise(self, which):
+        good = build_network(small_residual_arch(), seed=7)
+        bad = build_network(small_residual_arch(), seed=7)
+        bad.layers["block1.conv2"].w[0, 0] = np.inf
+        models = (bad, good) if which == "first" else (good, bad)
+        with pytest.raises(linalg.NumericError):
+            verify_equivalence(*models, 4, seed=0)
+
     def test_shape_divergence_raises(self, rng):
         a = build_network(small_residual_arch(classes=3), seed=9)
         b = build_network(small_residual_arch(classes=4), seed=9)
@@ -250,7 +259,8 @@ class TestSerialization:
     @pytest.mark.parametrize("corrupt", [
         "rows-not-whole-kernels", "input-channels", "pruned-protected",
         "wider-than-nominal", "unknown-mode", "baseline-narrow-conv",
-        "baseline-missing-head-b"])
+        "baseline-missing-head-b", "head-mode-unknown", "head-mode-pruned",
+        "head-mode-missing"])
     def test_compact_checkpoint_must_fit_arch(self, corrupt):
         arch = small_residual_arch(channels=(6, 8))
         model = build_network(arch, seed=16)
@@ -271,6 +281,11 @@ class TestSerialization:
             tensors["block0.conv1/b"] = np.hstack([tensors["block0.conv1/b"]] * 2)
         elif corrupt == "unknown-mode":
             tensors["stem/mode"] = np.array([7], dtype=np.uint8)
+        elif corrupt == "head-mode-missing":
+            del tensors["head/mode"]
+        elif corrupt.startswith("head-mode"):   # the head is always untouched
+            byte = 7 if corrupt == "head-mode-unknown" else hinge.MODE_BYTES[hinge.PRUNE]
+            tensors["head/mode"] = np.array([byte], dtype=np.uint8)
         else:
             # a baseline is read as untouched: every conv at nominal width
             tensors = build_network(arch, seed=16).state_tensors()

@@ -194,12 +194,19 @@ def _compressed(pipeline, ratio):
     return out
 
 
+# output paths that cannot be written, refused before any work starts
+OUTPUT_CASES = ("out-is-directory", "report-is-directory", "finetune-out-is-directory",
+                "out-directory-missing", "report-directory-missing")
+
+
 @pytest.mark.parametrize("case", [
     "ckpt-is-directory", "out-is-directory", "report-is-directory",
-    "compress-compacted-0.999", "compress-compacted-0.5", "compress-hinged-state"])
+    "compress-compacted-0.999", "compress-compacted-0.5", "compress-hinged-state",
+    "finetune-out-is-directory", "out-directory-missing", "report-directory-missing"])
 def test_unusable_path_is_usage_error(pipeline, capsys, case):
     cfg, tmp = pipeline["cfg"], pipeline["tmp"]
-    compress = ["compress", "--config", cfg, "--out", str(tmp / "again.hngw")]
+    again = tmp / "again.hngw"
+    compress = ["compress", "--config", cfg, "--out", str(again)]
     named = None
     if case == "ckpt-is-directory":
         argv = ["evaluate", "--config", cfg, "--ckpt", str(tmp)]
@@ -207,6 +214,15 @@ def test_unusable_path_is_usage_error(pipeline, capsys, case):
         argv = ["train", "--config", cfg, "--out", str(tmp)]
     elif case == "report-is-directory":
         argv = compress + ["--ckpt", str(pipeline["base"]), "--report", str(tmp)]
+    elif case == "finetune-out-is-directory":
+        argv = ["finetune", "--config", cfg, "--ckpt", str(pipeline["compact"]),
+                "--out", str(tmp)]
+    elif case == "out-directory-missing":
+        named = str(tmp / "missing" / "base.hngw")
+        argv = ["train", "--config", cfg, "--out", named]
+    elif case == "report-directory-missing":
+        named = str(tmp / "missing" / "report.json")
+        argv = compress + ["--ckpt", str(pipeline["base"]), "--report", named]
     elif case == "compress-hinged-state":   # a network still being compressed
         model, _ = network_from_tensors(load_config(cfg).arch, checkpoint.load(pipeline["base"]))
         named = str(tmp / "hinged.hngw")
@@ -224,6 +240,33 @@ def test_unusable_path_is_usage_error(pipeline, capsys, case):
     assert rc == cli.EXIT_USAGE
     assert err.startswith("error:") and all(line.startswith("{") for line in progress)
     assert named is None or named in err
+    if case in OUTPUT_CASES:   # refused before any work: no progress, no file
+        assert progress == []
+        assert not again.exists() and not (tmp / "missing").exists()
+
+
+@pytest.mark.parametrize("stage", ["train", "compress", "finetune"])
+def test_huge_learning_rate_is_numeric_error(pipeline, capsys, stage):
+    """A run that diverges ends in exit 3 with one `numeric error:` line
+    after its progress records, and no numpy warning reaches stderr."""
+    tmp = pipeline["tmp"]
+    out = tmp / f"diverged_{stage}.hngw"
+    if stage == "compress":
+        doc = _with("compress", eta=1e8, lr_ratio=1.0)
+        argv = ["--ckpt", str(pipeline["base"])]
+    else:
+        doc = _with("train", lr=1e5, finetune_lr=1e5, epochs=30, finetune_epochs=30)
+        argv = ["--ckpt", str(pipeline["compact"])] if stage == "finetune" else []
+    cfg = write_config(tmp, doc, name=f"diverge_{stage}.json")
+    capsys.readouterr()
+    rc = cli.main([stage, "--config", cfg, "--out", str(out)] + argv)
+    *progress, err = capsys.readouterr().err.splitlines()
+    assert rc == cli.EXIT_NUMERIC
+    assert err.startswith("numeric error:")
+    assert all(line.startswith("{") and "Warning" not in line for line in progress)
+    if stage == "compress":
+        assert "compression diverged" in err   # in the proximal phase
+    assert not out.exists()
 
 
 class TestCliCompress:
@@ -380,6 +423,21 @@ class TestCliFinetune:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("error:")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("byte", [7, 1, None], ids=["unknown", "pruned", "missing"])
+    def test_evaluate_head_mode_not_untouched_is_usage_error(self, pipeline, capsys, byte):
+        tensors = checkpoint.load(pipeline["compact"])
+        if byte is None:
+            del tensors["head/mode"]
+        else:
+            tensors["head/mode"] = np.array([byte], dtype=np.uint8)
+        path = pipeline["tmp"] / "head_mode.hngw"
+        checkpoint.save(path, tensors)
+        capsys.readouterr()
+        rc = cli.main(["evaluate", "--config", pipeline["cfg"], "--ckpt", str(path)])
+        assert rc == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error:") and "head" in err
 
     def test_evaluate_compact(self, pipeline, capsys):
         rc = cli.main(["evaluate", "--config", pipeline["cfg"],

@@ -62,11 +62,6 @@ class TestMatmul:
             rel = np.linalg.norm(left - right) / np.linalg.norm(left)
             assert rel <= 1e-10
 
-    def test_non_finite_guard(self):
-        bad = np.array([[1.0, np.inf]])
-        with pytest.raises(linalg.NumericError):
-            matmul(bad, np.full((2, 1), 1e308))
-
 
 def jacobi_singular_values(m, sweeps=200):
     """Two-sided Jacobi eigenvalue iteration on M^T M; independent oracle

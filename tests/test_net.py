@@ -7,8 +7,9 @@ import pytest
 from conftest import small_plain_arch, small_residual_arch
 from hingenet import losses, net
 from hingenet.hinge import FIRST_IN_BASIC, SECOND_IN_BASIC, STANDALONE, ConvMeta
-from hingenet.net import (ArchSpec, BlockDef, Conv2d, HingedConv2d, Linear,
-                          attach_hinges, build_network, col2im, im2col)
+from hingenet.compaction import compact
+from hingenet.net import (ArchSpec, BlockDef, Conv2d, GlobalAvgPool, HingedConv2d, Linear,
+                          ReLU, attach_hinges, build_network, col2im, im2col)
 
 
 def naive_conv(x, w_mat, bias, meta):
@@ -28,6 +29,19 @@ def naive_conv(x, w_mat, bias, meta):
     return out
 
 
+def scatter_patch_rows(dcol, x_shape, kh, kw, stride, pad):
+    """Oracle for col2im: add every patch row of the full (B*oh*ow,
+    kh*kw*C) gradient back onto its window, tap by tap."""
+    b, c, h, w = x_shape
+    out_h = (h + 2 * pad - kh) // stride + 1
+    out_w = (w + 2 * pad - kw) // stride + 1
+    dcol = dcol.reshape(b, out_h, out_w, kh, kw, c)
+    dxp = np.zeros((b, h + 2 * pad, w + 2 * pad, c))
+    for i, j in itertools.product(range(kh), range(kw)):
+        dxp[:, i:i + stride * out_h:stride, j:j + stride * out_w:stride] += dcol[:, :, :, i, j]
+    return dxp[:, pad:pad + h, pad:pad + w].transpose(0, 3, 1, 2)
+
+
 class TestConv:
     @pytest.mark.parametrize("stride,pad", [(1, 1), (2, 1), (1, 0)])
     def test_against_naive_oracle(self, rng, stride, pad):
@@ -43,13 +57,22 @@ class TestConv:
     @pytest.mark.parametrize("stride,pad,channels",
                              list(itertools.product((1, 2), (0, 1), (1, 3))))
     def test_im2col_col2im_adjoint(self, rng, stride, pad, channels):
-        # <im2col(x), y> == <x, col2im(y)> pins col2im as the exact adjoint
+        # col2im(dz, w) is the input gradient of the conv im2col(x) @ w:
+        # <im2col(x) @ w, dz> == <x, col2im(dz, w)>
         x = rng.normal(size=(2, channels, 6, 6))
+        w = rng.normal(size=(9 * channels, 4))
         col = im2col(x, 3, 3, stride, pad)
-        y = rng.normal(size=col.shape)
-        lhs = np.sum(col * y)
-        rhs = np.sum(x * col2im(y, x.shape, 3, 3, stride, pad))
-        assert abs(lhs - rhs) <= 1e-10
+        dz = rng.normal(size=(col.shape[0], 4))
+        dx = col2im(dz, w, x.shape, 3, 3, stride, pad)
+        assert abs(np.sum((col @ w) * dz) - np.sum(x * dx)) <= 1e-10
+        want = scatter_patch_rows(dz @ w.T, x.shape, 3, 3, stride, pad)
+        if channels > 1:
+            # tap by tap, the same sums in the same order as the oracle
+            assert np.array_equal(dx, want)
+        else:
+            # numpy hands a one-column product to the BLAS matrix-vector
+            # kernel, whose dot products round differently
+            assert np.abs(dx - want).max() <= 1e-12
 
     def test_im2col_feature_order_is_kernel_then_channel(self, rng):
         x = rng.normal(size=(2, 3, 5, 5))
@@ -66,9 +89,10 @@ class TestConv:
         assert x_cl.shape == x.shape and not x_cl.flags.c_contiguous
         col = im2col(x, 3, 3, stride, pad)
         assert np.array_equal(col, im2col(x_cl, 3, 3, stride, pad))
-        y = rng.normal(size=col.shape)
-        dx = col2im(y, x.shape, 3, 3, stride, pad)
-        assert np.array_equal(dx, col2im(np.asfortranarray(y), x.shape, 3, 3, stride, pad))
+        w = rng.normal(size=(27, 4))
+        dz = rng.normal(size=(col.shape[0], 4))
+        dx = col2im(dz, w, x.shape, 3, 3, stride, pad)
+        assert np.array_equal(dx, col2im(np.asfortranarray(dz), w, x.shape, 3, 3, stride, pad))
         # the gradient comes back channels-last: channels are the unit stride
         assert dx.strides[1] == dx.itemsize
 
@@ -144,6 +168,62 @@ class TestNetworkForward:
         assert modes is None
         x = rng.normal(size=(2, 1, 8, 8))
         assert np.array_equal(model.forward(x), clone.forward(x))
+
+
+def inference_case(kind):
+    """A network of each kind the inference forward must reproduce."""
+    if kind == "plain":
+        return build_network(small_plain_arch(), seed=4)
+    if kind == "basic":
+        return build_network(small_residual_arch(), seed=4)
+    model = build_network(small_residual_arch(channels=(6, 8)), seed=17)
+    attach_hinges(model, init="svd", first_kind="columns")
+    if kind == "hinged":
+        return model
+    for _, layer in model.hinged_layers():
+        layer.mask[[0, 2, 3]] = False
+    compacted = compact(model).network
+    assert any(isinstance(layer, HingedConv2d) for layer in compacted.layers.values())
+    return compacted
+
+
+def caching_parts(model):
+    """Every object of `model` that keeps something for backward."""
+    parts = [*model.layers.values(), model.head, model.stem_relu, model.pool]
+    for blk in model.blocks:
+        parts += [part for part in vars(blk).values() if hasattr(part, "_cache")]
+    return parts
+
+
+class TestInferenceForward:
+    @pytest.mark.parametrize("kind", ["plain", "basic", "hinged", "compacted-kept-pair"])
+    def test_same_logits_and_nothing_cached(self, rng, kind):
+        model = inference_case(kind)
+        arch = model.arch
+        x = rng.normal(size=(3, arch.input_channels, arch.input_h, arch.input_w))
+        cached = model.forward(x)
+        assert all(part._cache is not None for part in caching_parts(model))
+        assert np.array_equal(model.forward(x, cache=False), cached)
+        assert all(part._cache is None for part in caching_parts(model))
+        with pytest.raises(RuntimeError, match="backward called before forward"):
+            model.backward(np.ones_like(cached))
+
+    @pytest.mark.parametrize("kind", ["conv", "hinged", "linear", "relu", "pool"])
+    def test_backward_after_inference_forward_raises(self, rng, kind):
+        meta = ConvMeta(2, 3, 3, 3, 1, 1, 4, 4)
+        layer, x = {
+            "conv": (Conv2d(meta, rng=rng), rng.normal(size=(2, 2, 4, 4))),
+            "hinged": (HingedConv2d(meta, rng.normal(size=(18, 3)), rng.normal(size=(3, 3))),
+                       rng.normal(size=(2, 2, 4, 4))),
+            "linear": (Linear(5, 3, rng=rng), rng.normal(size=(2, 5))),
+            "relu": (ReLU(), rng.normal(size=(2, 5))),
+            "pool": (GlobalAvgPool(), rng.normal(size=(2, 3, 4, 4))),
+        }[kind]
+        y = layer.forward(x)
+        layer.backward(np.ones_like(y))
+        assert np.array_equal(layer.forward(x, cache=False), y)
+        with pytest.raises(RuntimeError, match="backward called before forward"):
+            layer.backward(np.ones_like(y))
 
 
 # (name, source, hinge position, protected) per conv, in checkpoint order

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hingenet import data, losses, net, train
+from hingenet.linalg import NumericError
 from hingenet.net import BlockDef, build_network
 
 
@@ -64,9 +65,31 @@ def test_lr_drop_applied():
 
 def test_divergence_aborts():
     model, ds = tiny_setup()
-    from hingenet.linalg import NumericError
     with pytest.raises(NumericError):
         train.train(model, ds, epochs=30, lr=1e4, batch_size=16, seed=2)
+
+
+def test_nan_gradient_stops_before_any_parameter_moves(monkeypatch):
+    model, ds = tiny_setup()
+    before = {k: v.copy() for k, v in model.state_tensors().items()}
+    backward = model.backward
+
+    def nan_head_bias_grad(dlogits):
+        backward(dlogits)
+        model.head.grad_b[0] = np.nan   # the last parameter the optimiser visits
+    monkeypatch.setattr(model, "backward", nan_head_bias_grad)
+    with pytest.raises(NumericError, match="head/b"):
+        train.train(model, ds, epochs=1, lr=0.1, batch_size=16, seed=0)
+    for key, val in model.state_tensors().items():
+        assert np.array_equal(before[key], val), key
+
+
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+def test_evaluate_non_finite_weight_raises(value):
+    model, ds = tiny_setup()
+    model.stem.w[0, 0] = value
+    with pytest.raises(NumericError):
+        train.evaluate(model, ds.x_test, ds.y_test)
 
 
 def test_weight_decay_applies_to_weights_only():
@@ -88,9 +111,10 @@ def _teacher_run(monkeypatch, epochs):
     calls, batch_idx, targets = [], [], []
     forward, batches, distill_loss = teacher.forward, train.batches, losses.distill_loss
 
-    def counted_forward(x):
+    def counted_forward(x, cache=True):
+        assert not cache  # the frozen teacher runs the inference forward
         calls.append(len(x))
-        return forward(x)
+        return forward(x, cache=cache)
 
     def recorded_batches(*args):
         for idx in batches(*args):
