@@ -18,6 +18,7 @@ from . import checkpoint, compaction, net, solver, train as training, verify
 from .config import ConfigError, load_config
 from .cost import compression_ratio
 from .linalg import NumericError
+from .regularizers import ParameterError
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -247,7 +248,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (ConfigError, OSError) as exc:  # CheckpointError is an OSError
+    # CheckpointError is an OSError; a ParameterError raised in the phase is a
+    # regularizer setting its steps cannot use (logsum epsilon >= sqrt(step)).
+    except (ConfigError, ParameterError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     except NumericError as exc:

@@ -63,9 +63,6 @@ class SvdResult:
     singular_values: np.ndarray    # length k, non-negative, descending
     vt: np.ndarray                 # k x n, orthonormal rows
 
-    def reconstruct(self) -> np.ndarray:
-        return (self.u * self.singular_values) @ self.vt
-
 
 def svd(m: np.ndarray) -> SvdResult:
     """Thin SVD through LAPACK, with a fixed sign per singular pair.
@@ -107,14 +104,6 @@ class GroupScheme:
         if tuple(a.shape) != self.shape:
             raise DimensionError(
                 f"scheme built for shape {self.shape}, got matrix {a.shape}")
-
-
-def column_scheme(rows: int, cols: int) -> GroupScheme:
-    return GroupScheme(COLUMNS, (rows, cols))
-
-
-def row_scheme(rows: int, cols: int) -> GroupScheme:
-    return GroupScheme(ROWS, (rows, cols))
 
 
 def group_norms(a: np.ndarray, scheme: GroupScheme) -> np.ndarray:

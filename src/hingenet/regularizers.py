@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .linalg import GroupScheme, group_norms, scale_groups
+from .linalg import GroupScheme, NumericError, group_norms, scale_groups
 
 L1 = "l1"
 L_HALF = "l_half"
@@ -31,7 +31,7 @@ DEFAULT_LAMBDA = {L1: 2e-4, L1_MINUS_2: 2e-4, L_HALF: 4e-4, LOGSUM: 9e-5}
 HALF_CUTOFF_COEFF = 54.0 ** (1.0 / 3.0) / 4.0
 
 
-class DegenerateGroupsError(ValueError):
+class DegenerateGroupsError(NumericError):
     """Every group norm is at or below the shrinkage step (l1-l2 only)."""
 
 

@@ -1,8 +1,10 @@
 """Proximal-gradient compression and the nullifying-threshold search.
 
-Per batch the filter weights take a small plain-SGD step while each hinge
-matrix takes a gradient step followed by the closed-form group prox. At
-the end of every epoch, groups whose norm fell below the nullifying
+Each epoch is one `train.sgd_epoch` pass, the batch loop training uses.
+Its per-batch step gives the filter weights a small plain-SGD step while
+each hinge matrix takes a gradient step followed by the closed-form group
+prox; the pass has checked the loss and every gradient before the step
+runs. At the end of every epoch, groups whose norm fell below the nullifying
 threshold are masked (permanently), the compression ratio is recomputed,
 each layer's regularization factor is rebalanced by its mean alive group
 norm, the learning rate of the first matrix in each residual pair is
@@ -23,10 +25,10 @@ import numpy as np
 
 from . import hinge, losses
 from .cost import compression_ratio
-from .linalg import NumericError, group_norms, quiet_overflow
+from .linalg import group_norms, quiet_overflow
 from .net import HINGE, WEIGHT, Network
 from .regularizers import RegularizerSpec, prox
-from .train import batches
+from .train import sgd_epoch
 
 
 @dataclass
@@ -61,19 +63,15 @@ class CompressionConfig:
 
 @dataclass
 class CompressionState:
-    epoch: int = 0
     gamma_c: float = 1.0
     converged: bool = False
     base_lambda: dict = field(default_factory=dict)
-    anneal_count: int = 0
     gamma_history: list = field(default_factory=list)
 
 
 def sgd_step_w(param: np.ndarray, grad: np.ndarray, eta_s: float,
                mu: float) -> np.ndarray:
     """One plain SGD step with weight decay folded into the gradient."""
-    if not np.all(np.isfinite(grad)):
-        raise NumericError("non-finite filter gradient")
     return param - eta_s * (grad + mu * param)
 
 
@@ -81,8 +79,6 @@ def prox_step_a(layer, grad_a: np.ndarray, lr: float, spec: RegularizerSpec,
                 layer_lambda: float) -> None:
     """Gradient step on the hinge matrix followed by the group prox at
     strength layer_lambda * lr; dead groups are pinned at zero."""
-    if not np.all(np.isfinite(grad_a)):
-        raise NumericError("non-finite hinge gradient")
     moved = layer.a - lr * grad_a
     layer.a = prox(moved, layer.scheme, spec, layer_lambda * lr)
     layer.apply_mask()
@@ -126,7 +122,6 @@ def anneal(state: CompressionState, layer_stats: dict, config: CompressionConfig
     for name, stats in layer_stats.items():
         if stats.mean_norm < config.anneal_trigger:
             state.base_lambda[name] *= config.anneal_decay
-            state.anneal_count += 1
 
 
 @quiet_overflow()
@@ -146,44 +141,37 @@ def run_compression(net: Network, dataset, config: CompressionConfig,
     prev_rho = {}
     rng = np.random.default_rng(config.seed)
 
+    def score(logits, idx):
+        return losses.cross_entropy(logits, dataset.y_train[idx])
+
+    def step():  # reads this epoch's lr_map, lam_l and grad_sums
+        for _, kind, layer, attr in net.params():
+            if kind == HINGE:
+                continue
+            mu = config.weight_decay if kind == WEIGHT else 0.0
+            setattr(layer, attr, sgd_step_w(getattr(layer, attr),
+                                            getattr(layer, f"grad_{attr}"),
+                                            config.eta_s, mu))
+        for name, layer in hinged:
+            grad_sums[id(layer)] += layer.grad_a
+            prox_step_a(layer, layer.grad_a, lr_map[id(layer)],
+                        config.regularizer, lam_l[name])
+
     for epoch in range(config.max_epochs):
-        state.epoch = epoch
         lam_l = {name: balance_lambda(layer, state.base_lambda[name])
                  for name, layer in hinged}
         grad_sums = {id(layer): np.zeros_like(layer.a) for _, layer in hinged}
-
-        for idx in batches(len(dataset.x_train), config.batch_size, rng):
-            xb = dataset.x_train[idx]
-            yb = dataset.y_train[idx]
-            net.zero_grads()
-            logits = net.forward(xb)
-            loss, dlogits = losses.cross_entropy(logits, yb)
-            if not np.isfinite(loss):
-                raise NumericError(f"compression diverged at epoch {epoch}")
-            net.backward(dlogits)
-            for name, kind, layer, attr in net.params():
-                if kind == HINGE:
-                    continue
-                p = getattr(layer, attr)
-                g = getattr(layer, f"grad_{attr}")
-                mu = config.weight_decay if kind == WEIGHT else 0.0
-                setattr(layer, attr, sgd_step_w(p, g, config.eta_s, mu))
-            for name, layer in hinged:
-                grad_sums[id(layer)] += layer.grad_a
-                prox_step_a(layer, layer.grad_a, lr_map[id(layer)],
-                            config.regularizer, lam_l[name])
+        sgd_epoch(net, dataset, config.batch_size, rng, score, step, "compression", epoch)
 
         # Epoch end: mask, measure, rebalance, adjust, anneal.
-        for name, layer in hinged:
-            layer.mask = hinge.update_mask(layer.group_norms(), layer.mask,
-                                           config.nullify_threshold)
-            layer.apply_mask()
+        apply_threshold(net, config.nullify_threshold)
         state.gamma_c = compression_ratio(net, config.nullify_threshold)
         state.gamma_history.append(state.gamma_c)
         layer_stats = {name: layer.stats() for name, layer in hinged}
-        if pairs:
-            lr_map, prev_rho = adjust_learning_rates(
+        if pairs:  # layers outside a residual pair keep eta
+            pair_lr, prev_rho = adjust_learning_rates(
                 pairs, grad_sums, config.eta, config.m, prev_rho, warn=log)
+            lr_map.update(pair_lr)
         anneal(state, layer_stats, config)
 
         if log is not None:
@@ -195,7 +183,6 @@ def run_compression(net: Network, dataset, config: CompressionConfig,
                  "rho": dict(prev_rho) if pairs else {}})
         if state.gamma_c - config.target_ratio <= config.stop_margin:
             state.converged = True
-            state.epoch = epoch
             break
     return state
 

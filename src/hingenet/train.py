@@ -1,5 +1,7 @@
 """Baseline training and finetuning loops: SGD with momentum, seeded
-shuffling, optional distillation against a frozen teacher."""
+shuffling, optional distillation against a frozen teacher. `sgd_epoch` is
+the one pass over the training split that training and the proximal
+compression phase share."""
 
 import numpy as np
 
@@ -39,6 +41,31 @@ def batches(n: int, batch_size: int, rng: np.random.Generator):
         yield order[start:start + batch_size]
 
 
+def sgd_epoch(net: Network, dataset, batch_size: int, rng: np.random.Generator,
+              score, step, stage: str, epoch: int) -> float:
+    """One pass over the training split in batches drawn by `batches`.
+    Each batch runs the caching forward and is scored by
+    `score(logits, idx) -> (loss, dlogits)`. The loss, then after backward
+    every gradient (hinge matrices included), is checked before `step()`
+    moves any parameter, so a non-finite value raises `NumericError` with
+    every tensor as it was. Returns the epoch's mean loss."""
+    total = 0.0
+    seen = 0
+    for idx in batches(len(dataset.x_train), batch_size, rng):
+        net.zero_grads()
+        loss, dlogits = score(net.forward(dataset.x_train[idx]), idx)
+        if not np.isfinite(loss):
+            raise NumericError(f"{stage} diverged at epoch {epoch} (loss={loss})")
+        net.backward(dlogits)
+        for name, _, layer, attr in net.params():
+            if not np.all(np.isfinite(getattr(layer, f"grad_{attr}"))):
+                raise NumericError(f"non-finite gradient of {name} at epoch {epoch}")
+        step()
+        total += loss * len(idx)
+        seen += len(idx)
+    return total / seen
+
+
 @quiet_overflow()
 def evaluate(net: Network, x: np.ndarray, y: np.ndarray, batch_size: int = 128):
     """Top-1 accuracy and mean cross-entropy over a split, by the inference
@@ -67,8 +94,8 @@ def train(net: Network, dataset, epochs: int, lr: float, batch_size: int = 32,
     """Train in place; returns per-epoch metrics. Fully determined by the
     seed. With a teacher, batches are scored by the distillation loss. The
     teacher is frozen, so its logits on the training split are computed
-    once per run, before the first epoch, and indexed per batch. Each step
-    checks its loss and every gradient before any parameter moves."""
+    once per run, before the first epoch, and indexed per batch. Each
+    epoch is one `sgd_epoch` stepping `SgdMomentum`."""
     opt = SgdMomentum(net, lr, momentum, weight_decay)
     rng = np.random.default_rng(seed)
     history = []
@@ -79,32 +106,20 @@ def train(net: Network, dataset, epochs: int, lr: float, batch_size: int = 32,
         teacher_logits = np.concatenate(
             [teacher.forward(x[start:start + batch_size], cache=False)
              for start in range(0, len(x), batch_size)])
+
+    def score(logits, idx):
+        if teacher is None:
+            return losses.cross_entropy(logits, dataset.y_train[idx])
+        return losses.distill_loss(logits, teacher_logits[idx], dataset.y_train[idx],
+                                   distill_cfg)
+
     for epoch in range(epochs):
         if epoch in lr_drops:
             opt.lr *= lr_drop_factor
-        epoch_loss = 0.0
-        seen = 0
-        for idx in batches(len(dataset.x_train), batch_size, rng):
-            xb = dataset.x_train[idx]
-            yb = dataset.y_train[idx]
-            net.zero_grads()
-            logits = net.forward(xb)
-            if teacher is not None:
-                loss, dlogits = losses.distill_loss(logits, teacher_logits[idx], yb,
-                                                    distill_cfg)
-            else:
-                loss, dlogits = losses.cross_entropy(logits, yb)
-            if not np.isfinite(loss):
-                raise NumericError(f"training diverged at epoch {epoch} (loss={loss})")
-            net.backward(dlogits)
-            for name, _, layer, attr in net.params():
-                if not np.all(np.isfinite(getattr(layer, f"grad_{attr}"))):
-                    raise NumericError(f"non-finite gradient of {name} at epoch {epoch}")
-            opt.step()
-            epoch_loss += loss * len(idx)
-            seen += len(idx)
+        train_loss = sgd_epoch(net, dataset, batch_size, rng, score, opt.step,
+                               "training", epoch)
         acc, test_loss = evaluate(net, dataset.x_test, dataset.y_test)
-        record = {"epoch": epoch, "train_loss": epoch_loss / seen,
+        record = {"epoch": epoch, "train_loss": train_loss,
                   "test_loss": test_loss, "test_accuracy": acc, "lr": opt.lr}
         history.append(record)
         if log is not None:

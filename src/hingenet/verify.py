@@ -9,7 +9,7 @@ import numpy as np
 
 from . import compaction, hinge, losses, net, regularizers
 from .cost import compression_ratio
-from .linalg import group_norms, row_scheme
+from .linalg import ROWS, GroupScheme, group_norms
 from .regularizers import RegularizerSpec
 
 
@@ -64,7 +64,7 @@ def prox_suite(cases: int = 1000, seed: int = 2024, tol: float = 1e-6) -> list:
             step = float(rng.uniform(0.01, 2.0))
             norm = float(rng.uniform(0.0, 4.0) * math.sqrt(step))
             a = _random_group_matrix(rng, norm)
-            scheme = row_scheme(1, a.shape[1])
+            scheme = GroupScheme(ROWS, (1, a.shape[1]))
             spec = RegularizerSpec(kind, lam=1.0)
             got = float(np.linalg.norm(op(a, scheme, step)))
             want = regularizers.prox_oracle(norm, spec, step)
@@ -88,7 +88,7 @@ def prox_suite(cases: int = 1000, seed: int = 2024, tol: float = 1e-6) -> list:
         for i, nm in enumerate(norms):
             row = rng.normal(size=6)
             a[i] = row * (nm / np.linalg.norm(row))
-        scheme = row_scheme(g, 6)
+        scheme = GroupScheme(ROWS, (g, 6))
         got = group_norms(regularizers.prox_l1_minus_2(a, scheme, step), scheme)
         want = regularizers.prox_oracle_l1_minus_2(group_norms(a, scheme), step,
                                                    seed=int(rng.integers(2 ** 31)))

@@ -14,7 +14,7 @@ import pytest
 
 from hingenet import cli, cost, data, linalg, net, solver, train, verify
 from hingenet.config import load_config
-from hingenet.linalg import group_norms, row_scheme
+from hingenet.linalg import ROWS, GroupScheme, group_norms
 from hingenet.net import attach_hinges, build_network
 from hingenet.regularizers import (RegularizerSpec, l1_norm_map, l_half_norm_map,
                                    prox_l1, prox_l1_minus_2, prox_l_half,
@@ -73,7 +73,7 @@ def _nullification_boundary(prox_fn, step, lo, hi, iters=80):
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
         a = np.array([[mid]])
-        out = prox_fn(a, row_scheme(1, 1), step)
+        out = prox_fn(a, GroupScheme(ROWS, (1, 1)), step)
         if np.all(out == 0.0):
             lo = mid
         else:
@@ -86,7 +86,7 @@ def test_criterion_2_thresholding_constants():
     want_half = 54.0 ** (1.0 / 3.0) / 4.0
     l1_cutoff = _nullification_boundary(prox_l1, 1.0, 0.5, 1.5)
     # boundary semantics: zero at exactly the step, positive just above
-    at_step = prox_l1(np.array([[1.0]]), row_scheme(1, 1), 1.0)
+    at_step = prox_l1(np.array([[1.0]]), GroupScheme(ROWS, (1, 1)), 1.0)
     ok = (abs(half_cutoff - want_half) <= 1e-9
           and abs(l1_cutoff - 1.0) <= 1e-12
           and np.all(at_step == 0.0)
@@ -112,7 +112,7 @@ def test_criterion_3_direction_composition():
             a = rng.normal(size=(g, width))
             if kind == "l1_minus_2":
                 a[0] *= (2.0 * step + 1.0) / np.linalg.norm(a[0])
-            scheme = row_scheme(g, width)
+            scheme = GroupScheme(ROWS, (g, width))
             out = op(a, scheme, step)
             old = group_norms(a, scheme)
             new = group_norms(out, scheme)

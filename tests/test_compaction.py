@@ -15,8 +15,7 @@ def hinged_layer(rng, patch=12, n=8, kind="columns"):
     meta = ConvMeta(3, n, 2, 2, 1, 0, 4, 4)
     w = rng.normal(size=(patch, n))
     a = rng.normal(size=(n, n))
-    scheme = (linalg.column_scheme(n, n) if kind == "columns"
-              else linalg.row_scheme(n, n))
+    scheme = linalg.GroupScheme(kind, (n, n))
     return HingedConv2d(meta, w, a, b=rng.normal(size=n), scheme=scheme)
 
 
@@ -158,7 +157,7 @@ class TestPropagate:
         model = net_module.build_network(arch, seed=14)
         attach_hinges(model, init="identity")
         plain_conv = model.blocks[0].conv
-        plain_conv.scheme = linalg.column_scheme(6, 6)  # bypass the guard
+        plain_conv.scheme = linalg.GroupScheme(linalg.COLUMNS, (6, 6))  # bypass the guard
         plain_conv.mask = np.ones(6, dtype=bool)
         plain_conv.mask[2] = False
         plain_conv.apply_mask()

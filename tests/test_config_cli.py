@@ -269,6 +269,27 @@ def test_huge_learning_rate_is_numeric_error(pipeline, capsys, stage):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("regularizer,code,prefix", [
+    ({"kind": "l1_minus_2", "lambda": 1e6}, cli.EXIT_NUMERIC, "numeric error: l1-l2"),
+    ({"kind": "logsum", "epsilon": 1.0}, cli.EXIT_USAGE, "error: logsum epsilon"),
+], ids=["l1-l2-shrinks-every-group", "logsum-epsilon-above-sqrt-step"])
+def test_regularizer_failing_in_phase(pipeline, capsys, regularizer, code, prefix):
+    """A regularizer the phase cannot apply ends in its exit code with one
+    line, not a traceback."""
+    tmp = pipeline["tmp"]
+    out = tmp / "bad_regularizer.hngw"
+    cfg = write_config(tmp, _with("compress", regularizer=regularizer),
+                       name="bad_regularizer.json")
+    capsys.readouterr()
+    rc = cli.main(["compress", "--config", cfg, "--ckpt", str(pipeline["base"]),
+                   "--out", str(out)])
+    *progress, err = capsys.readouterr().err.splitlines()
+    assert rc == code
+    assert err.startswith(prefix)
+    assert all(line.startswith("{") for line in progress)
+    assert not out.exists()
+
+
 class TestCliCompress:
     def test_report_validates_against_shipped_schema(self, pipeline):
         import jsonschema

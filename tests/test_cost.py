@@ -105,7 +105,7 @@ class TestCompressionRatio:
         layer = model.layers[name]
         # bypass make_scheme legality on purpose
         n = layer.meta.out_channels
-        layer.scheme = linalg.column_scheme(n, n)
+        layer.scheme = linalg.GroupScheme(linalg.COLUMNS, (n, n))
         layer.mask = np.ones(n, dtype=bool)
         with pytest.raises(ValueError):
             cost.compression_ratio(model, 0.0)

@@ -5,7 +5,7 @@ from hingenet import hinge
 from hingenet.hinge import (FIRST_IN_BASIC, SECOND_IN_BASIC, STANDALONE,
                             SchemeLegalityError, attach, group_stats, make_scheme,
                             update_mask)
-from hingenet.linalg import COLUMNS, ROWS, DimensionError, column_scheme, group_norms
+from hingenet.linalg import COLUMNS, ROWS, DimensionError, GroupScheme, group_norms
 
 
 class TestAttach:
@@ -80,7 +80,7 @@ class TestMakeScheme:
 class TestGroupStats:
     def test_identity_columns(self):
         a = np.eye(4)
-        scheme = column_scheme(4, 4)
+        scheme = GroupScheme(COLUMNS, (4, 4))
         stats = group_stats(a, scheme, np.ones(4, dtype=bool))
         assert np.allclose(stats.norms, 1.0)
         assert stats.mean_norm == pytest.approx(1.0)
@@ -88,7 +88,7 @@ class TestGroupStats:
 
     def test_masked_groups_excluded(self):
         a = np.eye(4)
-        scheme = column_scheme(4, 4)
+        scheme = GroupScheme(COLUMNS, (4, 4))
         mask = np.array([True, False, True, False])
         stats = group_stats(a, scheme, mask)
         assert stats.alive_count == 2
@@ -96,7 +96,7 @@ class TestGroupStats:
 
     def test_mean_matches_recompute(self, rng):
         a = rng.normal(size=(6, 6))
-        scheme = column_scheme(6, 6)
+        scheme = GroupScheme(COLUMNS, (6, 6))
         mask = rng.random(6) > 0.3
         mask[0] = True
         stats = group_stats(a, scheme, mask)
@@ -107,7 +107,7 @@ class TestGroupStats:
 class TestMasking:
     def test_apply_mask_idempotent(self, rng):
         a = rng.normal(size=(5, 5))
-        scheme = column_scheme(5, 5)
+        scheme = GroupScheme(COLUMNS, (5, 5))
         mask = np.array([True, False, True, True, False])
         once = hinge.apply_mask(a, scheme, mask)
         twice = hinge.apply_mask(once, scheme, mask)

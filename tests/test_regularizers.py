@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hingenet import regularizers as reg
-from hingenet.linalg import group_norms, row_scheme
+from hingenet.linalg import ROWS, GroupScheme, group_norms
 from hingenet.regularizers import (DegenerateGroupsError, ParameterError,
                                    RegularizerSpec, prox_l1, prox_l1_minus_2,
                                    prox_l_half, prox_logsum, prox_oracle,
@@ -18,7 +18,7 @@ def group_matrix(rng, norms, width=5):
     for i, n in enumerate(norms):
         row = rng.normal(size=width)
         a[i] = row * (n / np.linalg.norm(row)) if n > 0 else 0.0
-    return a, row_scheme(norms.size, width)
+    return a, GroupScheme(ROWS, (norms.size, width))
 
 
 class TestProxL1:

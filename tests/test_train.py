@@ -5,7 +5,8 @@ import pytest
 
 from hingenet import data, losses, net, train
 from hingenet.linalg import NumericError
-from hingenet.net import BlockDef, build_network
+from hingenet.net import BlockDef, attach_hinges, build_network
+from hingenet.solver import CompressionConfig, run_compression
 
 
 def tiny_setup(seed=3, n_train=48, n_test=96):
@@ -69,17 +70,31 @@ def test_divergence_aborts():
         train.train(model, ds, epochs=30, lr=1e4, batch_size=16, seed=2)
 
 
-def test_nan_gradient_stops_before_any_parameter_moves(monkeypatch):
+def _train_one_epoch(model, ds):
+    train.train(model, ds, epochs=1, lr=0.1, batch_size=16, seed=0)
+
+
+def _compress_one_epoch(model, ds):
+    run_compression(model, ds, CompressionConfig(target_ratio=0.5, max_epochs=1,
+                                                 batch_size=16))
+
+
+@pytest.mark.parametrize("run", [_train_one_epoch, _compress_one_epoch],
+                         ids=["train", "compress"])
+def test_nan_gradient_stops_before_any_parameter_moves(monkeypatch, run):
+    """Both loops check every gradient, hinge matrices included, before
+    their step moves any tensor."""
     model, ds = tiny_setup()
+    attach_hinges(model, init="identity")
     before = {k: v.copy() for k, v in model.state_tensors().items()}
     backward = model.backward
 
     def nan_head_bias_grad(dlogits):
         backward(dlogits)
-        model.head.grad_b[0] = np.nan   # the last parameter the optimiser visits
+        model.head.grad_b[0] = np.nan   # the last parameter either step visits
     monkeypatch.setattr(model, "backward", nan_head_bias_grad)
-    with pytest.raises(NumericError, match="head/b"):
-        train.train(model, ds, epochs=1, lr=0.1, batch_size=16, seed=0)
+    with pytest.raises(NumericError, match="head/b at epoch 0"):
+        run(model, ds)
     for key, val in model.state_tensors().items():
         assert np.array_equal(before[key], val), key
 
