@@ -4,7 +4,9 @@ Subcommands: train (baseline), compress (proximal-gradient phase, threshold
 search, compaction), finetune (optionally distilled), evaluate, verify
 (oracle suites). Machine artifacts go to the paths given by flags; progress
 records are JSON lines on stderr. Exit codes: 0 success, 1 verification
-failure, 2 usage/config error, 3 numeric failure, 4 infeasible target.
+failure, 2 usage/config error, 3 numeric failure, 4 infeasible target,
+5 internal error (any other exception, reported as one `internal error:`
+line instead of a traceback).
 """
 
 import argparse
@@ -25,6 +27,7 @@ EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 EXIT_INFEASIBLE = 4
+EXIT_INTERNAL = 5
 
 SEARCH_CRITERION = 0.005  # |gamma - target| considered an exact hit
 
@@ -103,7 +106,11 @@ def cmd_compress(args) -> int:
                       first_kind=cfg.first_hinge_groups,
                       plain_kind=cfg.plain_hinge_groups)
 
-    state = solver.run_compression(model, dataset, cfg.compress, log=_log)
+    try:
+        state = solver.run_compression(model, dataset, cfg.compress, log=_log)
+    except ParameterError as exc:  # logsum epsilon not below sqrt(step)
+        raise ConfigError(f"{exc}; lower compress.regularizer.epsilon "
+                          "or leave it unset") from exc
 
     floor = compression_ratio(model, np.inf)
     report = {
@@ -248,14 +255,15 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    # CheckpointError is an OSError; a ParameterError raised in the phase is a
-    # regularizer setting its steps cannot use (logsum epsilon >= sqrt(step)).
-    except (ConfigError, ParameterError, OSError) as exc:
+    except (ConfigError, OSError) as exc:  # CheckpointError is an OSError
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     except NumericError as exc:
         sys.stderr.write(f"numeric error: {exc}\n")
         return EXIT_NUMERIC
+    except Exception as exc:  # a defect: still one line, and not exit 1
+        sys.stderr.write(f"internal error: {exc!r}\n")  # repr: one line
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -1,56 +1,49 @@
 """Structural compaction of masked hinged networks.
 
-Column-masked layers merge W@A and drop the dead output channels (filter
-pruning); row-masked layers keep the reduced pair (W restricted to alive
-columns, A to alive rows) as two convolutions when that is cheaper, and
-merge back otherwise. Channel removal propagates into the next layer's
-input rows, and biases ride with the output side. The compacted network
-computes the same function as the masked one up to float roundoff.
-`Network.state_tensors(CompactModel.modes)` writes it with a mode byte per
-layer.
+`compact` turns the cost plan of a masked network into the tensors of a
+compacted checkpoint and reads them with `net.network_from_tensors`, so a
+compacted network is built, and checked against its architecture, by the
+code that loads one from disk. Column-masked layers merge W@A and drop the
+dead output channels (filter pruning); row-masked layers keep the reduced
+pair (W restricted to alive columns, A to alive rows) as two convolutions
+when that is cheaper, and merge back otherwise. Channel removal propagates
+into the next layer's input rows, and biases ride with the output side.
+The compacted network computes the same function as the masked one up to
+float roundoff. `Network.state_tensors(CompactModel.modes)` writes it with
+a mode byte per layer.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import cost, hinge
+from . import cost
 from .cost import build_plan, report_from_plan
-from .hinge import PRUNE, UNTOUCHED
-from .linalg import COLUMNS, ROWS, NumericError, matmul, quiet_overflow
-from .net import Conv2d, HingedConv2d, Linear, Network
+from .hinge import MODE_BYTES, PRUNE, UNTOUCHED
+from .linalg import NumericError, matmul, quiet_overflow
+from .net import Network, network_from_tensors
 
 
 class StructuralError(RuntimeError):
     """Two models that should agree have diverging shapes."""
 
 
-def compact_prune(layer: HingedConv2d):
-    """Merged filter W@A with dead columns dropped, plus the surviving
-    output indices for downstream propagation."""
-    if layer.scheme is None or layer.scheme.kind != COLUMNS:
-        raise hinge.SchemeLegalityError("prune compaction needs column groups")
-    alive_idx = np.flatnonzero(layer.mask)
-    merged = matmul(layer.w, layer.a)[:, alive_idx]
-    return merged, alive_idx
-
-
-def compact_decompose(layer: HingedConv2d):
-    """(W restricted to alive columns, A restricted to alive rows); the
-    product equals W @ masked-A exactly."""
-    if layer.scheme is None or layer.scheme.kind != ROWS:
-        raise hinge.SchemeLegalityError("decompose compaction needs row groups")
-    alive_idx = np.flatnonzero(layer.mask)
-    return layer.w[:, alive_idx].copy(), layer.a[alive_idx, :].copy(), alive_idx
-
-
-def _restrict_input_rows(w: np.ndarray, kernel_h: int, kernel_w: int,
-                         alive_in_idx: np.ndarray) -> np.ndarray:
-    """Keep only the kernel-sized row blocks of W that belong to alive
-    input channels (rows are ordered channel-major)."""
-    k = kernel_h * kernel_w
-    rows = (alive_in_idx[:, None] * k + np.arange(k)[None, :]).ravel()
-    return w[rows, :].copy()
+def _conv_tensors(layer, plan, in_idx: np.ndarray) -> dict:
+    """W, A for a kept pair, and b of one compacted conv. W keeps the
+    kernel-sized row blocks of the alive input channels (rows are
+    channel-major), selected after W@A for a pruned layer and before a
+    decomposed pair is merged back."""
+    k = layer.meta.kernel_h * layer.meta.kernel_w
+    rows = (in_idx[:, None] * k + np.arange(k)).ravel()
+    if plan.mode == UNTOUCHED:
+        return {"W": layer.w[rows], "b": layer.b.copy()}
+    alive = np.flatnonzero(layer.mask)
+    if plan.mode == PRUNE:
+        return {"W": matmul(layer.w, layer.a)[np.ix_(rows, alive)], "b": layer.b[alive]}
+    w, a = layer.w[np.ix_(rows, alive)], layer.a[alive]
+    if plan.kept_pair:
+        return {"W": w, "A": a, "b": layer.b.copy()}
+    return {"W": matmul(w, a), "b": layer.b.copy()}
 
 
 @dataclass
@@ -64,57 +57,27 @@ class CompactModel:
         return {p.name: p.mode for p in self.plans}
 
 
-def propagate(net: Network, plans: list) -> CompactModel:
-    """Assemble the compacted network from per-layer plans, removing dead
-    channels end to end (including the classifier's input features)."""
-    by_name = {p.name: p for p in plans}
-    layers = {}
-    for entry in net.arch.table:
-        in_idx = (by_name[entry.source].alive_out_idx if entry.source is not None
-                  else np.arange(net.arch.input_channels))
-        layers[entry.name] = _compact_layer(net.layers[entry.name], by_name[entry.name],
-                                            in_idx)
-    in_idx = by_name[net.arch.output].alive_out_idx
-    new_head = Linear(len(in_idx), net.head.w.shape[1],
-                      w=net.head.w[in_idx, :].copy(), b=net.head.b.copy())
-    compact_net = Network(net.arch, layers, new_head)
-    report = report_from_plan(plans, net)
-    return CompactModel(network=compact_net, report=report, plans=plans)
-
-
-def _compact_conv(conv: Conv2d, in_idx: np.ndarray) -> Conv2d:
-    meta = replace(conv.meta, in_channels=len(in_idx))
-    w = _restrict_input_rows(conv.w, meta.kernel_h, meta.kernel_w, in_idx)
-    out = Conv2d(meta, w=w, b=conv.b.copy())
-    out.needs_input_grad = conv.needs_input_grad
-    return out
-
-
-def _compact_layer(layer, plan, in_idx: np.ndarray):
-    if plan.mode == UNTOUCHED:
-        return _compact_conv(layer, in_idx)
-    meta = layer.meta
-    if plan.mode == PRUNE:
-        merged, alive_idx = compact_prune(layer)
-        merged = _restrict_input_rows(merged, meta.kernel_h, meta.kernel_w, in_idx)
-        new_meta = replace(meta, in_channels=len(in_idx), out_channels=len(alive_idx))
-        return Conv2d(new_meta, w=merged, b=layer.b[alive_idx].copy())
-    w_r, a_r, _ = compact_decompose(layer)
-    w_r = _restrict_input_rows(w_r, meta.kernel_h, meta.kernel_w, in_idx)
-    new_meta = replace(meta, in_channels=len(in_idx))
-    if plan.kept_pair:
-        return HingedConv2d(new_meta, w_r, a_r, b=layer.b.copy(), scheme=None)
-    return Conv2d(new_meta, w=matmul(w_r, a_r), b=layer.b.copy())
-
-
 def compact(net: Network) -> CompactModel:
     """Compact `net` according to its current masks. The masks are applied
     (dead groups zeroed) first, which is the state the equivalence claim
-    refers to."""
+    refers to. Dead channels are removed end to end, the classifier's
+    input features included."""
     for _, layer in net.hinged_layers():
         layer.apply_mask()
     plans = build_plan(net, threshold=None)
-    return propagate(net, plans)
+    by_name = {p.name: p for p in plans}
+    tensors = {f"{p.name}/mode": np.array([MODE_BYTES[p.mode]], dtype=np.uint8)
+               for p in plans}
+    for entry in net.arch.table:
+        in_idx = (by_name[entry.source].alive_out_idx if entry.source is not None
+                  else np.arange(net.arch.input_channels))
+        for key, t in _conv_tensors(net.layers[entry.name], by_name[entry.name],
+                                    in_idx).items():
+            tensors[f"{entry.name}/{key}"] = t
+    in_idx = by_name[net.arch.output].alive_out_idx
+    tensors.update({"head/W": net.head.w[in_idx, :], "head/b": net.head.b.copy()})
+    network, _ = network_from_tensors(net.arch, tensors)
+    return CompactModel(network=network, report=report_from_plan(plans, net), plans=plans)
 
 
 @quiet_overflow()

@@ -5,8 +5,11 @@ and pooling are ignored. Parameter counts include biases (they are stored
 tensors). gamma is always measured against the original un-hinged model.
 
 `build_plan` is the single source of truth for what a nullified model
-costs: the hypothetical ratio during optimization and the report of the
-final compacted model both come from it, so the two always agree.
+costs: the hypothetical ratio during optimization, the report of the
+final compacted model and the tensors `compaction.compact` builds all come
+from it, so they always agree. It maps a hinge's group kind to its mode
+(columns prune, rows decompose) and is the one guard that refuses to
+prune a layer whose output a skip reads.
 """
 
 from dataclasses import dataclass, field
@@ -15,7 +18,8 @@ import numpy as np
 
 from . import hinge
 from .hinge import DECOMPOSE, PRUNE, UNTOUCHED, ConvMeta
-from .net import HingedConv2d, Network
+from .linalg import COLUMNS
+from .net import Network
 
 
 def conv_flops(meta: ConvMeta, in_alive: int, out_alive: int) -> int:
@@ -48,15 +52,6 @@ def decompose_saves(meta: ConvMeta, rank: int, in_alive: int | None = None) -> b
     k = (in_alive if in_alive is not None else meta.in_channels) \
         * meta.kernel_h * meta.kernel_w
     return rank * (k + meta.out_channels) < k * meta.out_channels
-
-
-def hypothetical_alive(layer: HingedConv2d, threshold: float | None) -> np.ndarray:
-    """Alive-group mask after nullifying groups below `threshold` on top of
-    the layer's existing mask (min one survivor). Does not mutate."""
-    mask = layer.mask.copy()
-    if threshold is not None:
-        mask = hinge.update_mask(layer.group_norms(), mask, threshold)
-    return mask
 
 
 @dataclass
@@ -109,12 +104,16 @@ def _plan_conv(name, meta, in_idx):
 
 
 def _plan_hinged(name, layer, in_idx, threshold):
+    """Cost of a hinged conv once groups below `threshold` are nullified on
+    top of its mask (min one survivor). Column groups prune the layer's
+    filters, row groups decompose it. Does not mutate."""
     meta = layer.meta
-    mode = hinge.scheme_mode(layer.scheme)
-    alive = hypothetical_alive(layer, threshold)
+    alive = layer.mask
+    if threshold is not None:
+        alive = hinge.update_mask(layer.group_norms(), alive, threshold)
     alive_idx = np.flatnonzero(alive)
     orig = conv_flops(meta, meta.in_channels, meta.out_channels)
-    if mode == PRUNE:
+    if layer.scheme.kind == COLUMNS:
         flops = conv_flops(meta, len(in_idx), len(alive_idx))
         params = conv_params(meta, len(in_idx), len(alive_idx))
         return LayerPlan(name, PRUNE, len(in_idx), len(alive_idx), None, False,
@@ -138,15 +137,15 @@ def build_plan(net: Network, threshold: float | None = None) -> list:
     Channel removal propagates: a pruned output shrinks the input of every
     layer that reads it. A protected layer (its output joins a residual
     sum or an identity skip) may not be pruned. Read-only."""
+    hinged = dict(net.hinged_layers())
     plans = {}
     for entry in net.arch.table:
         in_idx = (plans[entry.source].alive_out_idx if entry.source is not None
                   else np.arange(net.arch.input_channels))
-        layer = net.layers[entry.name]
-        if isinstance(layer, HingedConv2d) and layer.scheme is not None:
-            plan = _plan_hinged(entry.name, layer, in_idx, threshold)
+        if entry.name in hinged:
+            plan = _plan_hinged(entry.name, hinged[entry.name], in_idx, threshold)
         else:
-            plan = _plan_conv(entry.name, layer.meta, in_idx)
+            plan = _plan_conv(entry.name, net.layers[entry.name].meta, in_idx)
         if entry.protected and plan.mode == PRUNE:
             raise ValueError(f"{entry.name}: its output joins a skip connection, so it "
                              "may not be pruned; it must use row groups")

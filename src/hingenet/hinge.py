@@ -4,10 +4,11 @@ A hinged convolution keeps its reshaped filter W (patch_size x n) and gains
 a square matrix A (n x n) that acts as a 1x1 convolution after it. Group
 sparsity on A's columns yields filter pruning, on its rows low-rank
 decomposition. A hinge sits at one of three positions: the first or the
-second conv of a residual block, or the conv of a plain block. The second
-conv's output joins the skip sum, so it may only be row-compressed; the
-layer table in `net` extends that rule to any layer whose output a skip
-reads.
+second conv of a residual block, or the conv of a plain block. Which group
+kind a hinge gets is decided in one place, `net.attach_hinges`: a layer
+whose output a skip reads (the second conv of a residual block among
+them) gets rows, so its output channels survive. `cost.build_plan` refuses
+to prune such a layer.
 """
 
 from dataclasses import dataclass
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .linalg import COLUMNS, ROWS, DimensionError, GroupScheme
+from .linalg import DimensionError, GroupScheme
 
 IDENTITY_INIT = "identity"
 SVD_INIT = "svd"
@@ -30,18 +31,6 @@ DECOMPOSE = "decompose"
 UNTOUCHED = "untouched"
 # A compacted checkpoint stores each layer's mode as one byte.
 MODE_BYTES = {UNTOUCHED: 0, PRUNE: 1, DECOMPOSE: 2}
-
-# Group kinds each position admits, its default first. The second conv of
-# a residual block feeds the skip sum, so its output channels must survive.
-_ALLOWED_KINDS = {
-    FIRST_IN_BASIC: (ROWS, COLUMNS),
-    SECOND_IN_BASIC: (ROWS,),
-    STANDALONE: (COLUMNS, ROWS),
-}
-
-
-class SchemeLegalityError(ValueError):
-    """The requested group kind is illegal for the layer's position."""
 
 
 @dataclass(frozen=True)
@@ -86,29 +75,6 @@ def attach(w: np.ndarray, init: str = SVD_INIT):
     res = linalg.svd(w)
     a = res.singular_values[:, None] * res.vt
     return res.u, a
-
-
-def make_scheme(n: int, position: str, kind: str | None = None) -> GroupScheme:
-    """Group scheme for an n x n hinge matrix at the given block position.
-
-    `kind` overrides the position default (rows in a residual block,
-    columns in a plain block) where the position allows it.
-    """
-    allowed = _ALLOWED_KINDS.get(position)
-    if allowed is None:
-        raise ValueError(f"unknown hinge position {position!r}")
-    if kind is None:
-        kind = allowed[0]
-    if kind not in allowed:
-        raise SchemeLegalityError(
-            f"{kind} groups are illegal at position {position} "
-            f"(allowed: {', '.join(allowed)})")
-    return GroupScheme(kind, (n, n))
-
-
-def scheme_mode(scheme: GroupScheme) -> str:
-    """Structural consequence of nullifying this scheme's groups."""
-    return PRUNE if scheme.kind == COLUMNS else DECOMPOSE
 
 
 @dataclass

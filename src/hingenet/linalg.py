@@ -91,6 +91,10 @@ class GroupScheme:
     kind: str
     shape: tuple
 
+    def __post_init__(self):
+        if self.kind not in (COLUMNS, ROWS):
+            raise ValueError(f"group kind must be {COLUMNS} or {ROWS}, got {self.kind!r}")
+
     @property
     def axis(self) -> int:
         """The matrix axis a group runs along."""

@@ -17,7 +17,8 @@ compaction and checkpoint reading all iterate that table; block classes
 only run forward and backward.
 
 Checkpoints: `Network.state_tensors` writes every checkpoint and
-`network_from_tensors` reads every one back, baseline or compacted.
+`network_from_tensors` reads every one back, baseline or compacted; it
+also builds the network `compaction.compact` returns.
 
 Memory layout: activations are logically (B, C, H, W) but physically
 channels-last, because a conv output is the (B*H*W, C) product reshaped
@@ -591,16 +592,17 @@ def attach_hinges(net: Network, init: str = hinge.SVD_INIT,
     output channels, so they must survive. Stem, head, and skip
     projections stay unhinged.
     """
-    requested = {hinge.FIRST_IN_BASIC: first_kind, hinge.STANDALONE: plain_kind}
+    kinds = {hinge.FIRST_IN_BASIC: first_kind or linalg.ROWS,
+             hinge.STANDALONE: plain_kind or linalg.COLUMNS}
     layers = dict(net.layers)
     for entry in net.arch.table:
         if entry.position is None:
             continue
-        kind = linalg.ROWS if entry.protected else requested.get(entry.position)
+        kind = linalg.ROWS if entry.protected else kinds[entry.position]
         conv = layers[entry.name]
         w_new, a_new = hinge.attach(conv.w, init)
-        scheme = hinge.make_scheme(conv.meta.out_channels, entry.position, kind)
+        n = conv.meta.out_channels
         layers[entry.name] = HingedConv2d(conv.meta, w_new, a_new, b=conv.b.copy(),
-                                          scheme=scheme)
+                                          scheme=linalg.GroupScheme(kind, (n, n)))
     net.set_layers(layers)
     return net

@@ -76,12 +76,13 @@ def sgd_step_w(param: np.ndarray, grad: np.ndarray, eta_s: float,
 
 
 def prox_step_a(layer, grad_a: np.ndarray, lr: float, spec: RegularizerSpec,
-                layer_lambda: float) -> None:
-    """Gradient step on the hinge matrix followed by the group prox at
-    strength layer_lambda * lr; dead groups are pinned at zero."""
+                layer_lambda: float) -> np.ndarray:
+    """The hinge matrix after a gradient step and the group prox at
+    strength layer_lambda * lr, dead groups pinned at zero. The layer is
+    not changed."""
     moved = layer.a - lr * grad_a
-    layer.a = prox(moved, layer.scheme, spec, layer_lambda * lr)
-    layer.apply_mask()
+    return hinge.apply_mask(prox(moved, layer.scheme, spec, layer_lambda * lr),
+                            layer.scheme, layer.mask)
 
 
 def balance_lambda(layer, base_lambda: float) -> float:
@@ -145,6 +146,10 @@ def run_compression(net: Network, dataset, config: CompressionConfig,
         return losses.cross_entropy(logits, dataset.y_train[idx])
 
     def step():  # reads this epoch's lr_map, lam_l and grad_sums
+        # every prox runs before any tensor moves, so one that raises
+        # leaves the network as it was
+        new_a = [prox_step_a(layer, layer.grad_a, lr_map[id(layer)],
+                             config.regularizer, lam_l[name]) for name, layer in hinged]
         for _, kind, layer, attr in net.params():
             if kind == HINGE:
                 continue
@@ -152,10 +157,10 @@ def run_compression(net: Network, dataset, config: CompressionConfig,
             setattr(layer, attr, sgd_step_w(getattr(layer, attr),
                                             getattr(layer, f"grad_{attr}"),
                                             config.eta_s, mu))
-        for name, layer in hinged:
+        for (_, layer), a in zip(hinged, new_a):
             grad_sums[id(layer)] += layer.grad_a
-            prox_step_a(layer, layer.grad_a, lr_map[id(layer)],
-                        config.regularizer, lam_l[name])
+            layer.a = a
+            layer.apply_mask()
 
     for epoch in range(config.max_epochs):
         lam_l = {name: balance_lambda(layer, state.base_lambda[name])
@@ -199,21 +204,19 @@ class ThresholdSearchResult:
     visited: list
 
 
-def binary_search_threshold(net: Network, target: float, criterion: float = 0.005,
-                            t0: float | None = None) -> ThresholdSearchResult:
+def binary_search_threshold(net: Network, target: float,
+                            criterion: float = 0.005) -> ThresholdSearchResult:
     """Find the nullifying threshold whose compression ratio is closest to
     `target`. The step moves the threshold toward the target ratio and is
     halved whenever the ratio crosses it; because the ratio is a staircase,
-    the search returns the best visited threshold with an exactness flag."""
+    the search returns the best visited threshold with an exactness flag.
+    The first probe is the median alive group norm."""
     if criterion <= 0:
         raise ValueError("criterion must be positive")
-    if t0 is None:
-        alive_norms = np.concatenate([
-            layer.group_norms()[layer.mask] for _, layer in net.hinged_layers()])
-        t0 = float(np.median(alive_norms)) if alive_norms.size else 0.0
-
-    t = t0
-    s = t0 / 2.0 if t0 > 0 else 0.5
+    alive_norms = np.concatenate([
+        layer.group_norms()[layer.mask] for _, layer in net.hinged_layers()])
+    t = float(np.median(alive_norms)) if alive_norms.size else 0.0
+    s = t / 2.0 if t > 0 else 0.5
     visited = []
     best = None
     prev_gamma = None

@@ -243,12 +243,12 @@ def equivalence_suite(cases: int = 100, seed: int = 11, tol: float = 1e-10,
                         gamma_tol, cases, [])]
 
 
-def run_suites(which: str = "all", **kwargs) -> list:
+def run_suites(which: str = "all") -> list:
     results = []
     if which in ("all", "prox"):
-        results += prox_suite(**kwargs.get("prox", {}))
+        results += prox_suite()
     if which in ("all", "grad"):
-        results += grad_suite(**kwargs.get("grad", {}))
+        results += grad_suite()
     if which in ("all", "equiv"):
-        results += equivalence_suite(**kwargs.get("equiv", {}))
+        results += equivalence_suite()
     return results

@@ -1,11 +1,13 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
 from conftest import small_plain_arch, small_residual_arch
-from hingenet import checkpoint, cost, hinge, linalg
+from hingenet import checkpoint, cost, hinge, linalg, verify
 from hingenet import net as net_module
-from hingenet.compaction import (StructuralError, compact, compact_decompose,
-                                 compact_prune, verify_equivalence)
+from hingenet.compaction import StructuralError, compact, verify_equivalence
 from hingenet.hinge import ConvMeta
 from hingenet.net import (Conv2d, HingedConv2d, attach_hinges, build_network,
                           network_from_tensors)
@@ -19,59 +21,87 @@ def hinged_layer(rng, patch=12, n=8, kind="columns"):
     return HingedConv2d(meta, w, a, b=rng.normal(size=n), scheme=scheme)
 
 
+def one_hinge_net(rng, kind, n=8):
+    """A 3-channel stem and one plain block whose conv carries a random
+    n x n hinge with `kind` groups; the net and that conv."""
+    model = build_network(net_module.ArchSpec(1, 8, 8, 3, 3,
+                                              (net_module.BlockDef("plain", n),)), seed=0)
+    attach_hinges(model, init="identity", plain_kind=kind)
+    layer = model.layers["block0.conv"]
+    layer.a = rng.normal(size=(n, n))
+    return model, layer
+
+
+def compacted_conv(model):
+    cm = compact(model)
+    return cm.network.layers["block0.conv"], cm.plans[1]
+
+
 class TestCompactPrune:
     def test_no_masks_gives_full_product(self, rng):
-        layer = hinged_layer(rng)
-        merged, alive = compact_prune(layer)
-        assert np.array_equal(merged, layer.w @ layer.a)
-        assert alive.tolist() == list(range(8))
+        model, layer = one_hinge_net(rng, "columns")
+        conv, plan = compacted_conv(model)
+        assert plan.mode == hinge.PRUNE
+        assert isinstance(conv, Conv2d)
+        assert np.array_equal(conv.w, layer.w @ layer.a)
+        assert plan.alive_out_idx.tolist() == list(range(8))
 
     def test_identity_hinge_drops_columns(self, rng):
-        layer = hinged_layer(rng)
+        model, layer = one_hinge_net(rng, "columns")
         layer.a = np.eye(8)
         layer.mask[[2, 4]] = False
-        layer.apply_mask()
-        merged, alive = compact_prune(layer)
+        conv, plan = compacted_conv(model)
         keep = [0, 1, 3, 5, 6, 7]
-        assert np.array_equal(merged, layer.w[:, keep])
-        assert alive.tolist() == keep
+        assert np.array_equal(conv.w, layer.w[:, keep])
+        assert np.array_equal(conv.b, layer.b[keep])
+        assert plan.alive_out_idx.tolist() == keep
 
     def test_forward_equals_alive_columns(self, rng):
-        layer = hinged_layer(rng)
+        model, layer = one_hinge_net(rng, "columns")
         layer.mask[rng.choice(8, 3, replace=False)] = False
-        layer.apply_mask()
-        merged, alive = compact_prune(layer)
-        x = rng.normal(size=(10, 12))
-        assert np.abs(x @ merged - (x @ layer.w @ layer.a)[:, alive]).max() <= 1e-12
+        conv, plan = compacted_conv(model)
+        assert conv.meta.out_channels == 5
+        x = rng.normal(size=(10, 27))
+        assert np.abs(x @ conv.w - (x @ layer.w @ layer.a)[:, plan.alive_out_idx]).max() <= 1e-12
 
     def test_wrong_scheme_rejected(self, rng):
-        layer = hinged_layer(rng, kind="rows")
-        with pytest.raises(hinge.SchemeLegalityError):
-            compact_prune(layer)
+        # column groups on a layer a skip reads: compact refuses to prune it
+        model = build_network(small_residual_arch(), seed=0)
+        attach_hinges(model, init="identity")
+        conv2 = model.layers["block0.conv2"]
+        n = conv2.meta.out_channels
+        conv2.scheme = linalg.GroupScheme(linalg.COLUMNS, (n, n))
+        with pytest.raises(ValueError, match="may not be pruned"):
+            compact(model)
 
 
 class TestCompactDecompose:
     def test_no_masks_unchanged(self, rng):
-        layer = hinged_layer(rng, kind="rows")
-        w_r, a_r, alive = compact_decompose(layer)
-        assert np.array_equal(w_r, layer.w)
-        assert np.array_equal(a_r, layer.a)
+        # full rank: the pair would cost more, so it is merged back
+        model, layer = one_hinge_net(rng, "rows")
+        conv, plan = compacted_conv(model)
+        assert plan.mode == hinge.DECOMPOSE and not plan.kept_pair
+        assert isinstance(conv, Conv2d)
+        assert np.array_equal(conv.w, layer.w @ layer.a)
 
     def test_rank_one(self, rng):
-        layer = hinged_layer(rng, kind="rows")
+        model, layer = one_hinge_net(rng, "rows")
         layer.mask[:] = False
         layer.mask[3] = True
-        layer.apply_mask()
-        w_r, a_r, alive = compact_decompose(layer)
-        assert w_r.shape == (12, 1) and a_r.shape == (1, 8)
-        assert np.abs(w_r @ a_r - layer.w @ layer.a).max() <= 1e-12
+        conv, plan = compacted_conv(model)
+        assert plan.kept_pair and plan.rank == 1
+        assert isinstance(conv, HingedConv2d)
+        assert conv.w.shape == (27, 1) and conv.a.shape == (1, 8)
+        assert np.array_equal(conv.w, layer.w[:, [3]])
+        assert np.array_equal(conv.a, layer.a[[3]])
+        assert np.abs(conv.w @ conv.a - layer.w @ layer.a).max() <= 1e-12
 
     def test_product_reproduces_masked_exactly(self, rng):
-        layer = hinged_layer(rng, kind="rows", n=16)
-        layer.mask[rng.choice(16, 5, replace=False)] = False
-        layer.apply_mask()
-        w_r, a_r, _ = compact_decompose(layer)
-        assert np.abs(w_r @ a_r - layer.w @ layer.a).max() <= 1e-12
+        model, layer = one_hinge_net(rng, "rows", n=16)
+        layer.mask[rng.choice(16, 8, replace=False)] = False
+        conv, plan = compacted_conv(model)
+        assert plan.kept_pair  # a 27x16 filter's pair saves below rank 10.05
+        assert np.abs(conv.w @ conv.a - layer.w @ layer.a).max() <= 1e-12
 
     def test_pair_cost_matches_saves_verdict(self, rng):
         layer = hinged_layer(rng, kind="rows", n=16)
@@ -318,3 +348,24 @@ class TestSerialization:
         hypothetical = cost.compression_ratio(model, None)
         cm = compact(model)
         assert abs(cm.report.gamma - hypothetical) <= 1e-12
+
+
+def test_compaction_golden_sha256():
+    """Thirty random masked models of the equivalence suite, covering
+    untouched, pruned, kept-pair and merged-back layers: the compacted
+    checkpoint tensors and the cost report are pinned bit for bit. The
+    digest was recorded before compaction built its networks through
+    `network_from_tensors`."""
+    rng = np.random.default_rng(0)
+    h = hashlib.sha256()
+    seen = set()
+    for _ in range(30):
+        cm = compact(verify.random_masked_model(rng))
+        for name, arr in cm.network.state_tensors(cm.modes).items():
+            h.update(name.encode())
+            h.update(np.ascontiguousarray(arr).tobytes())
+        h.update(json.dumps(cm.report.to_dict(), sort_keys=True).encode())
+        seen |= {(p.mode, p.kept_pair) for p in cm.plans}
+    assert seen == {(hinge.UNTOUCHED, False), (hinge.PRUNE, False),
+                    (hinge.DECOMPOSE, True), (hinge.DECOMPOSE, False)}
+    assert h.hexdigest() == "b44624f2a54e826b928338cde1df725efe3b594111d6a6eb7d38279b600f8609"

@@ -286,8 +286,23 @@ def test_regularizer_failing_in_phase(pipeline, capsys, regularizer, code, prefi
     *progress, err = capsys.readouterr().err.splitlines()
     assert rc == code
     assert err.startswith(prefix)
+    if regularizer["kind"] == "logsum":
+        assert "compress.regularizer.epsilon" in err   # names the config key
     assert all(line.startswith("{") for line in progress)
     assert not out.exists()
+
+
+def test_unexpected_exception_is_internal_error(monkeypatch, capsys):
+    """Any other exception escaping a subcommand ends in the last-resort
+    code with one line, not exit 1 (verification failure) and a traceback."""
+    def broken(args):
+        raise RuntimeError("boom")
+    monkeypatch.setattr(cli, "cmd_verify", broken)
+    rc = cli.main(["verify", "--prox"])
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_INTERNAL == 5
+    assert captured.err == "internal error: RuntimeError('boom')\n"
+    assert captured.out == ""
 
 
 class TestCliCompress:
@@ -489,7 +504,7 @@ class TestCliVerify:
     def test_exit_code_contract(self, monkeypatch):
         from hingenet import verify
 
-        def fake_suites(which, **kw):
+        def fake_suites(which):
             return [verify.SuiteResult("prox_l1", False, 1.0, 1e-6, 1,
                                        [{"group_norm": 1.0}])]
         monkeypatch.setattr(verify, "run_suites", fake_suites)

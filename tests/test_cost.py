@@ -103,7 +103,7 @@ class TestCompressionRatio:
         model = build_network(arch, seed=6)
         attach_hinges(model, init="svd")
         layer = model.layers[name]
-        # bypass make_scheme legality on purpose
+        # bypass the group-kind rule of attach_hinges on purpose
         n = layer.meta.out_channels
         layer.scheme = linalg.GroupScheme(linalg.COLUMNS, (n, n))
         layer.mask = np.ones(n, dtype=bool)

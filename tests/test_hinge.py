@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from hingenet import hinge
-from hingenet.hinge import (FIRST_IN_BASIC, SECOND_IN_BASIC, STANDALONE,
-                            SchemeLegalityError, attach, group_stats, make_scheme,
-                            update_mask)
+from hingenet.hinge import attach, group_stats, update_mask
 from hingenet.linalg import COLUMNS, ROWS, DimensionError, GroupScheme, group_norms
+from hingenet.net import ArchSpec, BlockDef, attach_hinges, build_network
 
 
 class TestAttach:
@@ -48,33 +47,56 @@ class TestAttach:
         assert a.shape == (9, 9)
 
 
+PLAIN = (BlockDef("plain", 6),)
+BASIC = (BlockDef("basic", 4, 1),)
+PLAIN_INTO_SKIP = PLAIN + (BlockDef("basic", 6, 1),)  # the skip reads block0.conv
+
+
+def scheme_kinds(blocks, **kinds):
+    """The group kind `attach_hinges` gives each hinge of a 6-channel-stem
+    net with these blocks; every scheme is n x n with all groups alive."""
+    model = build_network(ArchSpec(1, 8, 8, 3, 6, blocks), seed=0)
+    attach_hinges(model, init="identity", **kinds)
+    for _, layer in model.hinged_layers():
+        n = layer.meta.out_channels
+        assert layer.scheme == GroupScheme(layer.scheme.kind, (n, n))
+        assert layer.mask.shape == (n,) and layer.mask.all()
+    return {name: layer.scheme.kind for name, layer in model.hinged_layers()}
+
+
 class TestMakeScheme:
+    """The group scheme `attach_hinges` makes at each hinge position: the
+    one place that states the group-kind rule."""
+
     def test_second_in_basic_is_rows(self):
-        scheme = make_scheme(6, SECOND_IN_BASIC)
-        assert scheme.kind == ROWS
-        assert scheme.group_count == 6
+        assert scheme_kinds(BASIC)["block0.conv2"] == ROWS
 
     def test_columns_illegal_on_second(self):
-        with pytest.raises(SchemeLegalityError):
-            make_scheme(6, SECOND_IN_BASIC, kind=COLUMNS)
+        # columns requested everywhere: every layer a skip reads still gets rows
+        assert scheme_kinds(BASIC, first_kind=COLUMNS) == {
+            "block0.conv1": COLUMNS, "block0.conv2": ROWS}
+        assert scheme_kinds(PLAIN_INTO_SKIP, plain_kind=COLUMNS, first_kind=COLUMNS) == {
+            "block0.conv": ROWS, "block1.conv1": COLUMNS, "block1.conv2": ROWS}
 
     def test_first_in_basic_defaults_rows_but_allows_columns(self):
-        assert make_scheme(6, FIRST_IN_BASIC).kind == ROWS
-        assert make_scheme(6, FIRST_IN_BASIC, kind=COLUMNS).kind == COLUMNS
+        assert scheme_kinds(BASIC)["block0.conv1"] == ROWS
+        assert scheme_kinds(BASIC, first_kind=COLUMNS)["block0.conv1"] == COLUMNS
 
     def test_standalone_defaults_columns(self):
-        assert make_scheme(6, STANDALONE).kind == COLUMNS
-        assert make_scheme(6, STANDALONE, kind=ROWS).kind == ROWS
+        assert scheme_kinds(PLAIN) == {"block0.conv": COLUMNS}
+        assert scheme_kinds(PLAIN, plain_kind=ROWS) == {"block0.conv": ROWS}
+
+    def test_unknown_position(self):
+        # hinge positions come from the layer table, which refuses a block
+        # kind it has none for
+        with pytest.raises(ValueError, match="unsupported block kind"):
+            ArchSpec(1, 8, 8, 3, 6, (BlockDef("middle", 4),))
 
     def test_columns_scheme_8x8(self):
-        scheme = make_scheme(8, STANDALONE, kind=COLUMNS)
+        scheme = GroupScheme(COLUMNS, (8, 8))
         assert scheme.group_count == 8
         # every group holds 8 entries: the norm of an all-ones group is sqrt(8)
         assert np.all(group_norms(np.ones((8, 8)), scheme) == np.sqrt(8.0))
-
-    def test_unknown_position(self):
-        with pytest.raises(ValueError):
-            make_scheme(4, "middle")
 
 
 class TestGroupStats:

@@ -202,3 +202,8 @@ class TestGroups:
     def test_scheme_shape_check(self):
         with pytest.raises(DimensionError):
             group_norms(np.zeros((3, 3)), GroupScheme(COLUMNS, (2, 2)))
+
+    def test_unknown_kind_rejected(self):
+        # attach_hinges passes a requested kind straight to GroupScheme
+        with pytest.raises(ValueError, match="group kind"):
+            GroupScheme("diagonal", (2, 2))

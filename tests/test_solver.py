@@ -45,23 +45,24 @@ class TestProxStepA:
     def test_zero_grad_zero_lambda_unchanged(self, rng):
         layer = make_hinged(rng)
         before = layer.a.copy()
-        prox_step_a(layer, np.zeros_like(layer.a), 0.5, RegularizerSpec("l1", 0.0), 0.0)
-        assert np.array_equal(layer.a, before)
+        out = prox_step_a(layer, np.zeros_like(layer.a), 0.5, RegularizerSpec("l1", 0.0), 0.0)
+        assert np.array_equal(out, before)
+        assert np.array_equal(layer.a, before)  # the layer is not changed
 
     def test_pure_shrinkage_zeroes_small_group(self, rng):
         layer = make_hinged(rng)
         layer.a[2] *= 1e-3 / np.linalg.norm(layer.a[2])  # tiny row group
-        prox_step_a(layer, np.zeros_like(layer.a), 1.0,
-                    RegularizerSpec("l1", 1.0), 0.01)  # threshold 0.01 > 1e-3
-        assert np.all(layer.a[2] == 0.0)
+        out = prox_step_a(layer, np.zeros_like(layer.a), 1.0,
+                          RegularizerSpec("l1", 1.0), 0.01)  # threshold 0.01 > 1e-3
+        assert np.all(out[2] == 0.0)
 
     def test_masked_groups_stay_zero(self, rng):
         layer = make_hinged(rng)
         layer.mask[1] = False
         layer.apply_mask()
-        prox_step_a(layer, rng.normal(size=layer.a.shape), 0.1,
-                    RegularizerSpec("l1", 0.01), 0.01)
-        assert np.all(layer.a[1] == 0.0)
+        out = prox_step_a(layer, rng.normal(size=layer.a.shape), 0.1,
+                          RegularizerSpec("l1", 0.01), 0.01)
+        assert np.all(out[1] == 0.0)
 
     def test_equals_grad_step_then_oracle(self, rng):
         spec = RegularizerSpec("l1", 1.0)
@@ -72,8 +73,8 @@ class TestProxStepA:
             lam_l = float(rng.uniform(0.01, 0.5))
             moved = layer.a - lr * grad
             moved_norms = linalg.group_norms(moved, layer.scheme)
-            prox_step_a(layer, grad, lr, spec, lam_l)
-            got = linalg.group_norms(layer.a, layer.scheme)
+            got = linalg.group_norms(prox_step_a(layer, grad, lr, spec, lam_l),
+                                     layer.scheme)
             for g in range(layer.scheme.group_count):
                 want = prox_oracle(moved_norms[g], spec, lam_l * lr)
                 assert abs(got[g] - want) <= 1e-6
@@ -286,9 +287,12 @@ class TestBinarySearch:
 
     def test_immediate_return_when_within_criterion(self, rng):
         model = self.hinged_model(rng)
-        res = binary_search_threshold(model, 1.0 - 1e-9, criterion=0.005, t0=0.0)
+        alive = np.concatenate([l.group_norms()[l.mask] for _, l in model.hinged_layers()])
+        first_probe = float(np.median(alive))
+        target = cost.compression_ratio(model, first_probe)
+        res = binary_search_threshold(model, target, criterion=0.005)
         assert res.exact and res.iterations == 1
-        assert res.threshold == 0.0
+        assert res.threshold == first_probe
 
     @pytest.mark.parametrize("target", [0.75, 0.5, 0.3])
     def test_hits_target_or_closest_staircase_step(self, rng, target):

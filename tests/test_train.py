@@ -6,6 +6,7 @@ import pytest
 from hingenet import data, losses, net, train
 from hingenet.linalg import NumericError
 from hingenet.net import BlockDef, attach_hinges, build_network
+from hingenet.regularizers import ParameterError, RegularizerSpec
 from hingenet.solver import CompressionConfig, run_compression
 
 
@@ -95,6 +96,23 @@ def test_nan_gradient_stops_before_any_parameter_moves(monkeypatch, run):
     monkeypatch.setattr(model, "backward", nan_head_bias_grad)
     with pytest.raises(NumericError, match="head/b at epoch 0"):
         run(model, ds)
+    for key, val in model.state_tensors().items():
+        assert np.array_equal(before[key], val), key
+
+
+@pytest.mark.parametrize("spec,error", [
+    (RegularizerSpec("l1_minus_2", 1e6), NumericError),
+    (RegularizerSpec("logsum", 1e-4, epsilon=1.0), ParameterError),
+], ids=["l1-l2-shrinks-every-group", "logsum-epsilon-above-sqrt-step"])
+def test_failing_prox_stops_before_any_parameter_moves(spec, error):
+    """Every hinge's prox runs before the phase's step moves a tensor, so a
+    prox that raises leaves the network as it was."""
+    model, ds = tiny_setup()
+    attach_hinges(model, init="identity")
+    before = {k: v.copy() for k, v in model.state_tensors().items()}
+    with pytest.raises(error):
+        run_compression(model, ds, CompressionConfig(target_ratio=0.5, max_epochs=1,
+                                                     batch_size=16, regularizer=spec))
     for key, val in model.state_tensors().items():
         assert np.array_equal(before[key], val), key
 
