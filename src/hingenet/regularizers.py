@@ -6,9 +6,12 @@ zero). The scalar norm maps are exposed separately so the vector operators
 are the scalar maps composed with the unit direction by construction.
 
 `prox_oracle` is an independent numeric solver for the same scalar
-problems (dense grid plus ternary refinement, and a multi-start descent
-for the coupled l1-l2 case); it is the ground truth the closed forms are
-checked against.
+problems; it is the ground truth the closed forms are checked against. It
+solves a whole batch of (norm, step) cases in one call: a dense grid search
+per case in buffers allocated once per call, then ternary refinement of
+every case in lockstep, each case stopping on its own bracket width.
+`prox_oracle_l1_minus_2` is a multi-start descent for the coupled l1-l2
+case, one layer per call.
 """
 
 import math
@@ -219,58 +222,91 @@ def regularizer_value(a: np.ndarray, scheme: GroupScheme,
 # Independent numeric oracle.
 # --------------------------------------------------------------------------
 
-# Scalar penalties under the (t - x)^2 / (2*step) normalization. The half
+ORACLE_GRID = 100_000       # grid points per scalar problem
+ORACLE_REFINE_TOL = 1e-9    # bracket width at which ternary refinement stops
+ORACLE_RANDOM_STARTS = 4    # random starts of the joint l1-l2 descent
+
+
+# Objective of the scalar oracle under the (t - x)^2 / (2*step)
+# normalization, written into `out` with `quad` as scratch. The half
 # thresholding operator is the exact prox of sqrt(t)/2 under this
 # normalization (equivalently of sqrt(t) against (t-x)^2/step); the /2 keeps
 # the oracle consistent with the closed form's 54^(1/3)/4 cutoff.
-def _scalar_penalty(kind: str, epsilon: float | None):
+def _oracle_objective(kind, t, x, step, epsilon, out, quad):
+    np.subtract(t, x, out=quad)
+    np.square(quad, out=quad)
+    quad /= 2.0 * step
     if kind == L1:
-        return lambda t: t
+        return np.add(t, quad, out=out)
     if kind == L_HALF:
-        return lambda t: 0.5 * np.sqrt(t)
-    if kind == LOGSUM:
-        return lambda t: np.log1p(t / epsilon)
-    raise ParameterError(f"no scalar penalty for kind {kind!r}")
+        np.sqrt(t, out=out)
+        out *= 0.5
+    else:
+        np.divide(t, epsilon, out=out)
+        np.log1p(out, out=out)
+    out += quad
+    return out
 
 
-def prox_oracle(group_norm: float, spec: RegularizerSpec, step: float,
-                grid: int = 100_000, refine_tol: float = 1e-9) -> float:
-    """Numerically minimize penalty(t) + (t - group_norm)^2/(2*step) over
-    t >= 0 by dense grid search followed by ternary refinement.
+def prox_oracle(norms, spec: RegularizerSpec, steps) -> np.ndarray:
+    """Numerically minimize penalty(t) + (t - norm)^2/(2*step) over t >= 0
+    for every (norm, step) pair of the broadcast inputs, by a dense grid
+    search per case followed by ternary refinement of all cases in lockstep.
+    Each case takes exactly the steps it would take alone. A negative or
+    non-finite norm or step anywhere in the batch is a ParameterError.
 
     This is the pre-build verification oracle for the scalar closed forms
     (l1, l_half, logsum). The coupled l1-l2 case needs the joint oracle
     `prox_oracle_l1_minus_2`.
     """
-    if group_norm < 0:
-        raise ParameterError("group_norm must be non-negative")
-    if spec.lam == 0.0 or step == 0.0:
-        return group_norm
-    eps = logsum_epsilon(step, spec.epsilon) if spec.kind == LOGSUM else None
-    penalty = _scalar_penalty(spec.kind, eps)
-    hi = 2.0 * group_norm + 1.0
-    ts = np.linspace(0.0, hi, grid)
-    vals = penalty(ts) + (ts - group_norm) ** 2 / (2.0 * step)
-    k = int(np.argmin(vals))
-    lo_b = ts[max(k - 1, 0)]
-    hi_b = ts[min(k + 1, grid - 1)]
+    x, st = np.broadcast_arrays(np.asarray(norms, dtype=np.float64),
+                                np.asarray(steps, dtype=np.float64))
+    if not np.all(np.isfinite(st) & (st >= 0.0)):
+        raise ParameterError("step must be finite and non-negative")
+    if not np.all(np.isfinite(x) & (x >= 0.0)):
+        raise ParameterError("group norm must be finite and non-negative")
+    result = x.copy()
+    if spec.lam == 0.0:
+        return result
+    if spec.kind not in (L1, L_HALF, LOGSUM):
+        raise ParameterError(f"no scalar oracle for kind {spec.kind!r}")
+    active = np.flatnonzero(st > 0.0)  # a zero step leaves the norm as it is
+    x, st = x.reshape(-1)[active], st.reshape(-1)[active]
+    if spec.kind == LOGSUM:
+        eps = np.array([logsum_epsilon(float(s), spec.epsilon) for s in st])
+    else:
+        eps = np.ones_like(st)  # read by the logsum objective only
 
-    def f(t):
-        return float(penalty(np.asarray(t, dtype=np.float64))
-                     + (t - group_norm) ** 2 / (2.0 * step))
+    index = np.arange(ORACLE_GRID, dtype=np.float64)
+    ts, vals, quad = (np.empty(ORACLE_GRID) for _ in range(3))
+    lo, hi = np.empty_like(x), np.empty_like(x)
+    for i in range(x.size):
+        top = 2.0 * x[i] + 1.0
+        np.multiply(index, top / (ORACLE_GRID - 1), out=ts)
+        ts[-1] = top  # ts is now bit-equal to np.linspace(0, top, ORACLE_GRID)
+        k = int(np.argmin(_oracle_objective(spec.kind, ts, x[i], st[i], eps[i],
+                                            vals, quad)))
+        lo[i] = ts[max(k - 1, 0)]
+        hi[i] = ts[min(k + 1, ORACLE_GRID - 1)]
 
-    while hi_b - lo_b > refine_tol:
-        m1 = lo_b + (hi_b - lo_b) / 3.0
-        m2 = hi_b - (hi_b - lo_b) / 3.0
-        if f(m1) <= f(m2):
-            hi_b = m2
-        else:
-            lo_b = m1
-    return 0.5 * (lo_b + hi_b)
+    f1, f2, scratch = (np.empty_like(x) for _ in range(3))
+    while True:
+        live = hi - lo > ORACLE_REFINE_TOL
+        if not live.any():
+            break
+        third = (hi - lo) / 3.0
+        m1 = lo + third
+        m2 = hi - third
+        left = (_oracle_objective(spec.kind, m1, x, st, eps, f1, scratch)
+                <= _oracle_objective(spec.kind, m2, x, st, eps, f2, scratch))
+        hi = np.where(live & left, m2, hi)
+        lo = np.where(live & ~left, m1, lo)
+    result.reshape(-1)[active] = 0.5 * (lo + hi)
+    return result
 
 
 def prox_oracle_l1_minus_2(group_norms_in: np.ndarray, step: float,
-                           n_random_starts: int = 4, seed: int = 0) -> np.ndarray:
+                           seed: int = 0) -> np.ndarray:
     """Multi-start bound-constrained descent on the joint objective
     step*(sum(t) - ||t||) + 0.5*||t - x||^2 over t >= 0."""
     x = np.asarray(group_norms_in, dtype=np.float64)
@@ -287,7 +323,7 @@ def prox_oracle_l1_minus_2(group_norms_in: np.ndarray, step: float,
 
     rng = np.random.default_rng(seed)
     starts = [x, np.maximum(x - step, 1e-6)]
-    for _ in range(n_random_starts):
+    for _ in range(ORACLE_RANDOM_STARTS):
         starts.append(np.abs(x + rng.normal(0.0, 0.3 + 0.3 * step, x.shape)))
     best = None
     for t0 in starts:

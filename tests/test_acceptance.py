@@ -63,7 +63,12 @@ def test_criterion_1_prox_oracle_equivalence():
     results = verify.prox_suite(cases=1000, seed=2024, tol=1e-6)
     elapsed = time.perf_counter() - t0
     worst = max(r.max_deviation for r in results)
-    ok = all(r.passed for r in results) and elapsed < 30.0
+    # per-kind max deviations of this draw as the per-case oracle computed
+    # them; solving the cases in batches must not move them
+    pinned = [5.688702264805556e-08, 3.630038847290962e-08,
+              5.968644778420185e-08, 2.013916383658554e-08]
+    ok = (all(r.passed for r in results) and elapsed < 30.0
+          and [r.max_deviation for r in results] == pinned)
     report(1, "prox-oracle equivalence",
            ok, f"max |closed - oracle| = {worst:.2e}, runtime {elapsed:.1f}s")
 

@@ -501,6 +501,15 @@ class TestCliVerify:
         assert by_name["prox_l1"].failures
         assert by_name["prox_l_half"].passed
 
+    @pytest.mark.parametrize("name", ["prox_l1", "prox_l1_minus_2"])
+    def test_nan_prox_detected(self, monkeypatch, name):
+        monkeypatch.setattr(regularizers, name, lambda a, scheme, step: np.full_like(a, np.nan))
+        from hingenet import verify
+        by_name = {r.name: r for r in verify.prox_suite(cases=5, seed=0)}
+        assert not by_name[name].passed
+        assert len(by_name[name].failures) == 5
+        assert np.isnan(by_name[name].max_deviation)
+
     def test_exit_code_contract(self, monkeypatch):
         from hingenet import verify
 

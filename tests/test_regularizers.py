@@ -143,6 +143,11 @@ class TestProxOracle:
         spec = RegularizerSpec("l1", 0.0)
         assert prox_oracle(3.7, spec, 1.0) == 3.7
 
+    def test_lambda_zero_batch_identity(self, rng):
+        norms = rng.uniform(0.0, 4.0, 20)
+        out = prox_oracle(norms, RegularizerSpec("logsum", 0.0), rng.uniform(0.0, 2.0, 20))
+        assert np.array_equal(out, norms)
+
     def test_l1_case(self):
         spec = RegularizerSpec("l1", 1.0)
         assert abs(prox_oracle(5.0, spec, 1.0) - 4.0) <= 1e-6
@@ -150,6 +155,35 @@ class TestProxOracle:
     def test_l_half_below_cutoff(self):
         spec = RegularizerSpec("l_half", 1.0)
         assert prox_oracle(0.9, spec, 1.0) <= 1e-6
+
+    @pytest.mark.parametrize("norm,step", [
+        (1.0, -0.5), (1.0, np.nan), (1.0, np.inf),
+        (-1.0, 0.5), (np.nan, 0.5), (np.inf, 0.5)])
+    def test_bad_input_rejected(self, norm, step):
+        spec = RegularizerSpec("l1", 1.0)
+        with pytest.raises(ParameterError):
+            prox_oracle(norm, spec, step)
+        with pytest.raises(ParameterError):  # anywhere in a batch
+            prox_oracle([2.0, norm, 3.0], spec, [0.5, step, 1.0])
+
+    def test_logsum_epsilon_checked_per_entry(self):
+        spec = RegularizerSpec("logsum", 1.0, epsilon=0.5)
+        prox_oracle([1.0, 2.0], spec, [1.0, 0.5])  # 0.5 < sqrt(0.5)
+        with pytest.raises(ParameterError):
+            prox_oracle([1.0, 2.0, 3.0], spec, [1.0, 0.25, 1.0])  # 0.5 == sqrt(0.25)
+
+    @pytest.mark.parametrize("kind", ["l1", "l_half", "logsum"])
+    def test_batch_equals_single_calls(self, rng, kind):
+        steps = rng.uniform(0.01, 2.0, 50)
+        norms = rng.uniform(0.0, 4.0, 50) * np.sqrt(steps)
+        norms[::7] = 0.0
+        steps[3::11] = 0.0
+        spec = RegularizerSpec(kind, 1.0)
+        batch = prox_oracle(norms, spec, steps)
+        singles = np.array([prox_oracle(n, spec, s) for n, s in zip(norms, steps)])
+        assert batch.shape == (50,)
+        assert np.array_equal(batch, singles)
+        assert np.array_equal(batch[steps == 0.0], norms[steps == 0.0])
 
 
 KINDS_AND_OPS = [
@@ -162,16 +196,14 @@ KINDS_AND_OPS = [
 class TestProperties:
     @pytest.mark.parametrize("kind,op", KINDS_AND_OPS)
     def test_closed_form_matches_oracle(self, rng, kind, op):
-        spec = RegularizerSpec(kind, 1.0)
-        worst = 0.0
-        for _ in range(150):
-            step = float(rng.uniform(0.01, 2.0))
-            norm = float(rng.uniform(0.0, 4.0) * np.sqrt(step))
-            a, scheme = group_matrix(rng, [norm])
-            got = group_norms(op(a, scheme, step), scheme)[0]
-            want = prox_oracle(norm, spec, step)
-            worst = max(worst, abs(got - want))
-        assert worst <= 1e-6
+        steps, norms, got = np.empty(150), np.empty(150), np.empty(150)
+        for i in range(150):
+            steps[i] = rng.uniform(0.01, 2.0)
+            norms[i] = rng.uniform(0.0, 4.0) * np.sqrt(steps[i])
+            a, scheme = group_matrix(rng, [norms[i]])
+            got[i] = group_norms(op(a, scheme, float(steps[i])), scheme)[0]
+        want = prox_oracle(norms, RegularizerSpec(kind, 1.0), steps)
+        assert np.abs(got - want).max() <= 1e-6
 
     def test_l1_minus_2_matches_joint_oracle(self, rng):
         worst = 0.0
