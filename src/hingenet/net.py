@@ -8,7 +8,11 @@ the skip path. All parameters are float64 numpy arrays. Only the caching
 forward (`cache=True`, the default) keeps what backward needs; an
 inference forward (`cache=False`) drops every layer's cache, so a conv's
 patch matrix is freed as soon as its output exists, and a backward after
-it raises.
+it raises. It also runs its batch in slices of `Network.inference_batch`
+samples, the most that keep every nominal patch matrix of the layer table
+within `INFERENCE_PATCH_BYTES` (at least one). Its logits equal caching
+forwards of the same slices bit for bit; a whole-batch forward can differ
+in the last bit where BLAS rounds a row by the row count of its product.
 
 Layer table: `layer_table` lists every conv of an `ArchSpec` in checkpoint
 order with its nominal geometry, the layer it reads, its hinge position
@@ -48,6 +52,8 @@ from .linalg import matmul
 WEIGHT = "weight"   # updated by plain SGD, subject to weight decay
 BIAS = "bias"       # updated by plain SGD, no decay
 HINGE = "hinge"     # the sparsity-inducing matrices, updated by prox steps
+
+INFERENCE_PATCH_BYTES = 8 * 2 ** 20  # largest patch matrix of an inference slice
 
 
 def im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int) -> np.ndarray:
@@ -421,6 +427,8 @@ class Network:
         self.pool = GlobalAvgPool()
         self.head = head
         self.set_layers(layers)
+        widest = max(e.meta.out_h * e.meta.out_w * e.meta.patch_size for e in arch.table)
+        self.inference_batch = max(1, INFERENCE_PATCH_BYTES // (8 * widest))  # float64
 
     def set_layers(self, layers: dict) -> None:
         """Assemble the stem and the blocks from convolutions keyed by
@@ -436,7 +444,14 @@ class Network:
 
     def forward(self, x: np.ndarray, cache: bool = True) -> np.ndarray:
         """Logits of a batch. With `cache=False` no layer keeps anything
-        for a backward pass: the inference forward."""
+        for a backward pass (the inference forward), and the batch runs in
+        slices of `inference_batch` samples whose logits are concatenated."""
+        n = self.inference_batch
+        if cache or len(x) <= n:
+            return self._logits(x, cache)
+        return np.concatenate([self._logits(x[s:s + n], False) for s in range(0, len(x), n)])
+
+    def _logits(self, x: np.ndarray, cache: bool) -> np.ndarray:
         h = self.stem_relu.forward(self.stem.forward(x, cache), cache)
         for blk in self.blocks:
             h = blk.forward(h, cache)

@@ -93,19 +93,14 @@ def train(net: Network, dataset, epochs: int, lr: float, batch_size: int = 32,
           log=None):
     """Train in place; returns per-epoch metrics. Fully determined by the
     seed. With a teacher, batches are scored by the distillation loss. The
-    teacher is frozen, so its logits on the training split are computed
-    once per run, before the first epoch, and indexed per batch. Each
-    epoch is one `sgd_epoch` stepping `SgdMomentum`."""
+    teacher is frozen, so its logits on the training split come from one
+    inference forward per run, before the first epoch, and are indexed per
+    batch. Each epoch is one `sgd_epoch` stepping `SgdMomentum`."""
     opt = SgdMomentum(net, lr, momentum, weight_decay)
     rng = np.random.default_rng(seed)
     history = []
     if teacher is not None and epochs > 0:
-        # Slices of the training batch size keep the teacher's patch
-        # matrices as small as the student's.
-        x = dataset.x_train
-        teacher_logits = np.concatenate(
-            [teacher.forward(x[start:start + batch_size], cache=False)
-             for start in range(0, len(x), batch_size)])
+        teacher_logits = teacher.forward(dataset.x_train, cache=False)
 
     def score(logits, idx):
         if teacher is None:

@@ -105,15 +105,15 @@ def prox_suite(cases: int = 1000, seed: int = 2024, tol: float = 1e-6) -> list:
 
 def finite_difference_check(model, x, y, loss_fn, rng, samples_per_param: int = 3,
                             h: float = 1e-5):
-    """Relative deviation between analytic gradients and central differences
-    for randomly sampled entries of every parameter tensor."""
+    """The worst relative deviation between analytic gradients and central
+    differences over randomly sampled entries of every parameter tensor,
+    and where it is; a NaN deviation is the worst."""
     model.zero_grads()
     logits = model.forward(x)
     _, dlogits = loss_fn(logits)
     model.backward(dlogits)
 
-    worst = 0.0
-    worst_param = None
+    rels, where = [], []
     for name, kind, layer, attr in model.params():
         p = getattr(layer, attr)
         analytic = getattr(layer, f"grad_{attr}")
@@ -128,11 +128,10 @@ def finite_difference_check(model, x, y, loss_fn, rng, samples_per_param: int = 
             lm, _ = loss_fn(model.forward(x, cache=False))
             flat[idx] = orig
             fd = (lp - lm) / (2.0 * h)
-            rel = abs(aflat[idx] - fd) / (abs(aflat[idx]) + 1e-8)
-            if rel > worst:
-                worst = rel
-                worst_param = (name, int(idx))
-    return worst, worst_param
+            rels.append(abs(aflat[idx] - fd) / (abs(aflat[idx]) + 1e-8))
+            where.append((name, int(idx)))
+    worst = int(np.argmax(rels))  # the first NaN, if there is one
+    return float(rels[worst]), where[worst]
 
 
 def grad_suite(seed: int = 7, tol: float = 1e-4) -> list:
@@ -217,9 +216,7 @@ def equivalence_suite(cases: int = 100, seed: int = 11, tol: float = 1e-10,
     forward within `tol`, and the compacted report's gamma must equal the
     hypothetical compression ratio."""
     rng = np.random.default_rng(seed)
-    worst_dev = 0.0
-    worst_gamma = 0.0
-    failures = []
+    devs, gdevs, failures = [], [], []
     for case in range(cases):
         model = random_masked_model(rng)
         hypothetical = compression_ratio(model, None)
@@ -227,11 +224,14 @@ def equivalence_suite(cases: int = 100, seed: int = 11, tol: float = 1e-10,
         dev = compaction.verify_equivalence(model, compact_model.network,
                                             n_inputs=8, seed=int(rng.integers(2 ** 31)))
         gdev = abs(compact_model.report.gamma - hypothetical)
-        worst_dev = max(worst_dev, dev)
-        worst_gamma = max(worst_gamma, gdev)
-        if dev > tol or gdev > gamma_tol:
+        devs.append(dev)
+        gdevs.append(gdev)
+        if not (dev <= tol and gdev <= gamma_tol):  # a NaN deviation fails too
             failures.append({"case": case, "deviation": dev, "gamma_dev": gdev,
                              "arch": str(model.arch)})
+    # np.max keeps a NaN where the builtin max may drop it
+    worst_dev = float(np.max(devs, initial=0.0))
+    worst_gamma = float(np.max(gdevs, initial=0.0))
     return [SuiteResult("compaction_equivalence", worst_dev <= tol, worst_dev,
                         tol, cases, failures),
             SuiteResult("compaction_gamma", worst_gamma <= gamma_tol, worst_gamma,

@@ -7,7 +7,7 @@ import pytest
 
 from hingenet import checkpoint, cli, regularizers
 from hingenet.config import ConfigError, load_config, parse_config
-from hingenet.net import attach_hinges, build_network, network_from_tensors
+from hingenet.net import Network, attach_hinges, build_network, network_from_tensors
 from hingenet.train import evaluate
 
 TINY_CONFIG = {
@@ -509,6 +509,27 @@ class TestCliVerify:
         assert not by_name[name].passed
         assert len(by_name[name].failures) == 5
         assert np.isnan(by_name[name].max_deviation)
+
+    def test_nan_gradient_detected(self, monkeypatch):
+        def nan_backward(model, dlogits):
+            for _, _, layer, attr in model.params():
+                getattr(layer, f"grad_{attr}")[...] = np.nan
+        monkeypatch.setattr(Network, "backward", nan_backward)
+        from hingenet import verify
+        results = verify.grad_suite()
+        assert [r.name for r in results] == ["grad_cross_entropy", "grad_distill",
+                                             "grad_plain_chain"]
+        for r in results:
+            assert r.line().startswith(f"{r.name}: FAIL (cases=1, max deviation nan")
+            assert r.failures
+
+    def test_nan_gamma_deviation_detected(self, monkeypatch):
+        from hingenet import verify
+        monkeypatch.setattr(verify, "compression_ratio", lambda model, threshold: np.nan)
+        by_name = {r.name: r for r in verify.equivalence_suite(cases=3)}
+        assert by_name["compaction_equivalence"].passed
+        assert not by_name["compaction_gamma"].passed
+        assert np.isnan(by_name["compaction_gamma"].max_deviation)
 
     def test_exit_code_contract(self, monkeypatch):
         from hingenet import verify

@@ -226,6 +226,66 @@ class TestInferenceForward:
             layer.backward(np.ones_like(y))
 
 
+def sliced_case(kind):
+    """A 32x32 net whose widest patch matrix, block0's 16 channels x 9 taps
+    x 1024 positions in float64 (1.18 MB a sample), lets 7 samples into an
+    8 MiB inference slice: a baseline, a hinged or a compacted net."""
+    arch = ArchSpec(1, 32, 32, 4, 16, (BlockDef("basic", 16, 1), BlockDef("basic", 32, 2)))
+    model = build_network(arch, seed=4)
+    if kind == "baseline":
+        return model
+    attach_hinges(model, init="svd", first_kind="columns")
+    if kind == "hinged":
+        return model
+    for _, layer in model.hinged_layers():
+        layer.mask[[0, 2, 3]] = False
+    return compact(model).network
+
+
+def record_stem_batches(monkeypatch, model):
+    """The batch sizes the stem sees from now on."""
+    sizes, stem_forward = [], model.stem.forward
+
+    def recorded(x, cache=True):
+        sizes.append(len(x))
+        return stem_forward(x, cache)
+    monkeypatch.setattr(model.stem, "forward", recorded)
+    return sizes
+
+
+class TestSlicedInference:
+    """The inference forward runs its batch in slices of `inference_batch`
+    samples. It is bit-equal to caching forwards of the same slices. Against
+    one-sample forwards it agrees to rounding only: BLAS's product of a few
+    rows can depend on the row count in the last bit (a one-row product is a
+    matrix-vector call), and the head multiplies one row per sample."""
+
+    @pytest.mark.parametrize("kind", ["baseline", "hinged", "compacted"])
+    def test_slices_equal_caching_forwards(self, rng, monkeypatch, kind):
+        model = sliced_case(kind)
+        assert model.inference_batch == 7
+        x = rng.normal(size=(17, 1, 32, 32))
+        sizes = record_stem_batches(monkeypatch, model)
+        got = model.forward(x, cache=False)
+        assert sizes == [7, 7, 3]
+        assert all(part._cache is None for part in caching_parts(model))
+        per_slice = np.concatenate([model.forward(x[s:s + 7]) for s in (0, 7, 14)])
+        per_sample = np.concatenate([model.forward(x[i:i + 1]) for i in range(17)])
+        assert np.array_equal(got, per_slice)
+        np.testing.assert_allclose(got, per_sample, rtol=0, atol=1e-12)
+
+    def test_sample_over_budget_runs_alone(self, rng, monkeypatch):
+        # block0.conv: 32 channels x 9 taps x 4096 positions x 8 bytes = 9.4 MB
+        model = build_network(ArchSpec(1, 64, 64, 3, 32, (BlockDef("plain", 8),)), seed=2)
+        assert model.inference_batch == 1
+        x = rng.normal(size=(3, 1, 64, 64))
+        sizes = record_stem_batches(monkeypatch, model)
+        got = model.forward(x, cache=False)
+        assert sizes == [1, 1, 1]
+        assert all(part._cache is None for part in caching_parts(model))
+        assert np.array_equal(got, np.concatenate([model.forward(x[i:i + 1]) for i in range(3)]))
+
+
 # (name, source, hinge position, protected) per conv, in checkpoint order
 TABLE_CASES = {
     "plain": (small_plain_arch(), [

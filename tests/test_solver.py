@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from hingenet import cost, data, hinge, linalg, net, solver, train
+from hingenet import compaction, cost, data, hinge, linalg, losses, net, solver, train
 from hingenet.net import attach_hinges, build_network
 from hingenet.regularizers import RegularizerSpec, prox_oracle
 from hingenet.solver import (CompressionConfig, adjust_learning_rates,
@@ -351,6 +351,36 @@ def test_train_then_phase_golden_sha256():
         h.update(np.ascontiguousarray(arr).tobytes())
     h.update(json.dumps([history, records], sort_keys=True).encode())
     assert h.hexdigest() == "1b4b4c3797d844ccf32d71e42847744c23e92e001167b9b828993eba36df7493"
+
+
+def test_distilled_finetune_golden_sha256():
+    """Two distilled finetune epochs of a compacted student against its
+    briefly trained, frozen teacher, then `evaluate`, on the shipped toy
+    geometry. Both splits are larger than one inference slice (28 samples
+    for this net) and the test split is larger than one 128-sample loss
+    block: the student's tensors, the history and the evaluate result are
+    pinned bit for bit. The digest was recorded before the inference
+    forward ran its batch in slices."""
+    arch = net.ArchSpec(1, 16, 16, 4, 16, (net.BlockDef("basic", 16, 1),
+                                           net.BlockDef("basic", 32, 2)))
+    ds = data.SyntheticDataset(seed=5, classes=4, n_train=64, n_test=160,
+                               channels=1, height=16, width=16)
+    teacher = build_network(arch, seed=5)
+    train.train(teacher, ds, epochs=2, lr=0.05, batch_size=32, seed=5)
+    student = build_network(arch, seed=6)
+    attach_hinges(student, init="svd", first_kind="columns")
+    for _, layer in student.hinged_layers():
+        layer.mask[[0, 3]] = False
+    student = compaction.compact(student).network
+    history = train.train(student, ds, epochs=2, lr=0.01, batch_size=32, seed=7,
+                          teacher=teacher, distill_cfg=losses.DistillConfig(0.4, 4.0))
+    result = train.evaluate(student, ds.x_test, ds.y_test)
+    h = hashlib.sha256()
+    for name, arr in student.state_tensors().items():
+        h.update(name.encode())
+        h.update(np.ascontiguousarray(arr).tobytes())
+    h.update(json.dumps([history, result], sort_keys=True).encode())
+    assert h.hexdigest() == "de451eba8e4ef984a1ae2a731c6330ef205cebdcfa649403277bc05532999246"
 
 
 def test_config_validation():
