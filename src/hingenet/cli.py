@@ -10,6 +10,7 @@ line instead of a traceback).
 """
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -92,14 +93,14 @@ def cmd_compress(args) -> int:
     cfg = load_config(args.config)
     _check_outputs(out=args.out, report=args.report)
     if args.target_ratio is not None:
-        if not 0.0 < args.target_ratio < 1.0:
-            raise ConfigError("--target-ratio must be in (0, 1)")
-        cfg.compress.target_ratio = args.target_ratio
+        try:
+            cfg.compress = dataclasses.replace(cfg.compress, target_ratio=args.target_ratio)
+        except ValueError as exc:
+            raise ConfigError(f"--target-ratio {args.target_ratio}: {exc}") from exc
     target = cfg.compress.target_ratio
     dataset = cfg.make_dataset()
     model, modes = net.network_from_tensors(cfg.arch, checkpoint.load(args.ckpt))
-    if modes is not None or any(isinstance(layer, net.HingedConv2d)
-                                for layer in model.layers.values()):
+    if modes is not None or any(layer.a is not None for layer in model.layers.values()):
         raise checkpoint.CheckpointError(
             f"{args.ckpt} is not a baseline checkpoint; compress needs one")
     net.attach_hinges(model, init=cfg.hinge_init,
@@ -124,7 +125,7 @@ def cmd_compress(args) -> int:
                               "gamma_final": state.gamma_c},
         "gamma_floor": floor,
     }
-    if target < floor and floor - target > SEARCH_CRITERION:
+    if floor - target > SEARCH_CRITERION:
         report["infeasible"] = True
         if args.report:
             _write_json(args.report, report)

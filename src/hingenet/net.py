@@ -1,18 +1,19 @@
 """A small CNN with hand-written reverse-mode gradients.
 
-Convolution is realized as one matrix product over im2col patches, so a
-hinged layer is literally `patches @ W @ A` and the compression math and
-the network math share the same code path. Blocks are either a plain
-conv+relu or a residual pair of 3x3 convs with an optional projection on
-the skip path. All parameters are float64 numpy arrays. Only the caching
-forward (`cache=True`, the default) keeps what backward needs; an
-inference forward (`cache=False`) drops every layer's cache, so a conv's
-patch matrix is freed as soon as its output exists, and a backward after
-it raises. It also runs its batch in slices of `Network.inference_batch`
-samples, the most that keep every nominal patch matrix of the layer table
-within `INFERENCE_PATCH_BYTES` (at least one). Its logits equal caching
-forwards of the same slices bit for bit; a whole-batch forward can differ
-in the last bit where BLAS rounds a row by the row count of its product.
+Every convolution is one `Conv2d`, `patches @ W [@ A] + b` over im2col
+patches, so the compression math and the network math share one forward
+and one backward; `HingedConv2d` adds only the compression state (group
+scheme and mask). Blocks are either a plain conv+relu or a residual pair
+of 3x3 convs with an optional projection on the skip path. All parameters
+are float64 numpy arrays. Only the caching forward (`cache=True`, the
+default) keeps what backward needs; an inference forward (`cache=False`)
+drops every layer's cache, so a conv's patch matrix is freed as soon as
+its output exists, and a backward after it raises. It also runs its batch
+in slices of `Network.inference_batch` samples, the most that keep every
+nominal patch matrix of the layer table within `INFERENCE_PATCH_BYTES` (at
+least one). Its logits equal caching forwards of the same slices bit for
+bit; a whole-batch forward can differ in the last bit where BLAS rounds a
+row by the row count of its product.
 
 Layer table: `layer_table` lists every conv of an `ArchSpec` in checkpoint
 order with its nominal geometry, the layer it reads, its hinge position
@@ -114,20 +115,32 @@ def _patch_rows(w: np.ndarray, meta: ConvMeta, inverse: bool = False) -> np.ndar
 
 
 class Conv2d:
-    """Convolution stored as a (patch_size x out_channels) matrix plus bias."""
+    """Convolution `patches @ w [@ a] + b`: `w` is (patch_size x rank), and
+    the optional `a` (rank x out_channels) is a hinge or a kept decomposed pair."""
 
     def __init__(self, meta: ConvMeta, w: np.ndarray | None = None,
-                 b: np.ndarray | None = None, rng: np.random.Generator | None = None):
+                 a: np.ndarray | None = None, b: np.ndarray | None = None,
+                 rng: np.random.Generator | None = None):
         self.meta = meta
         if w is None:
             std = np.sqrt(2.0 / meta.patch_size)
             w = rng.normal(0.0, std, size=(meta.patch_size, meta.out_channels))
         self.w = np.ascontiguousarray(w, dtype=np.float64)
+        self.a = None if a is None else np.ascontiguousarray(a, dtype=np.float64)
+        a_shape = None if a is None else self.a.shape
+        rank = a_shape[0] if a is not None and self.a.ndim == 2 else meta.out_channels
+        if (self.w.shape != (meta.patch_size, rank)
+                or a_shape not in (None, (rank, meta.out_channels))):
+            raise linalg.DimensionError(
+                f"filter {self.w.shape} and hinge {a_shape} do not map "
+                f"{meta.in_channels} input channels x {meta.kernel_h * meta.kernel_w} "
+                f"taps to {meta.out_channels} outputs")
         self.b = (np.zeros(meta.out_channels) if b is None
                   else np.ascontiguousarray(b, dtype=np.float64))
         self.grad_w = np.zeros_like(self.w)
+        self.grad_a = None if a is None else np.zeros_like(self.a)
         self.grad_b = np.zeros_like(self.b)
-        self.needs_input_grad = True  # the stem turns this off
+        self.needs_input_grad = True  # `Network` turns this off for the stem
         self._cache = None
 
     def forward(self, x: np.ndarray, cache: bool = True) -> np.ndarray:
@@ -135,59 +148,46 @@ class Conv2d:
         self._cache = None  # free the previous batch's patches before unfolding
         col = im2col(x, m.kernel_h, m.kernel_w, m.stride, m.padding)
         w = _patch_rows(self.w, m)
-        z = matmul(col, w) + self.b
-        if cache:
-            self._cache = (x.shape, col, w)
+        pre = matmul(col, w)
+        z = pre + self.b if self.a is None else matmul(pre, self.a) + self.b
+        if cache:  # backward needs `pre` only for grad_a
+            self._cache = (x.shape, col, w, None if self.a is None else pre)
         b = x.shape[0]
         return z.reshape(b, m.out_h, m.out_w, m.out_channels).transpose(0, 3, 1, 2)
 
     def backward(self, dy: np.ndarray) -> np.ndarray | None:
-        x_shape, col, w = _cached(self)
+        x_shape, col, w, pre = _cached(self)
         m = self.meta
         dz = dy.transpose(0, 2, 3, 1).reshape(-1, m.out_channels)
-        self.grad_w += _patch_rows(matmul(col.T, dz), m, inverse=True)
         self.grad_b += dz.sum(axis=0)
+        if self.a is not None:
+            self.grad_a += matmul(pre.T, dz)
+            dz = matmul(dz, self.a.T)  # the gradient of `pre`
+        self.grad_w += _patch_rows(matmul(col.T, dz), m, inverse=True)
         if not self.needs_input_grad:
             return None
         return col2im(dz, w, x_shape, m.kernel_h, m.kernel_w, m.stride, m.padding)
 
     def params(self, prefix: str):
         yield f"{prefix}/W", WEIGHT, self, "w"
+        if self.a is not None:
+            yield f"{prefix}/A", HINGE, self, "a"
         yield f"{prefix}/b", BIAS, self, "b"
 
 
-class HingedConv2d:
-    """Convolution followed by its hinge: `patches @ w @ a + b`.
-
-    `w` is (patch_size x rank), `a` is (rank x out_channels); a freshly
-    attached layer has rank == out_channels and a square `a`. `scheme` and
-    `mask` exist only while the layer is being compressed; a decomposed
-    compact layer reuses this class with scheme=None and a rectangular `a`.
-    """
+class HingedConv2d(Conv2d):
+    """A conv whose square hinge `a` is under compression: it adds only a
+    group `scheme` and a `mask` of alive groups. A compacted network has none."""
 
     def __init__(self, meta: ConvMeta, w: np.ndarray, a: np.ndarray,
-                 b: np.ndarray | None = None,
-                 scheme: linalg.GroupScheme | None = None,
-                 mask: np.ndarray | None = None):
-        self.meta = meta
-        self.w = np.ascontiguousarray(w, dtype=np.float64)
-        self.a = np.ascontiguousarray(a, dtype=np.float64)
-        if self.w.shape[0] != meta.patch_size:
-            raise linalg.DimensionError(
-                f"filter rows {self.w.shape[0]} != patch size {meta.patch_size}")
-        if self.w.shape[1] != self.a.shape[0] or self.a.shape[1] != meta.out_channels:
-            raise linalg.DimensionError(
-                f"hinge shapes {self.w.shape} x {self.a.shape} do not produce "
-                f"{meta.out_channels} outputs")
-        self.b = (np.zeros(meta.out_channels) if b is None
-                  else np.ascontiguousarray(b, dtype=np.float64))
+                 b: np.ndarray | None = None, *, scheme: linalg.GroupScheme):
+        super().__init__(meta, w, a, b)
         self.scheme = scheme
-        self.mask = mask if mask is not None else (
-            np.ones(scheme.group_count, dtype=bool) if scheme is not None else None)
-        self.grad_w = np.zeros_like(self.w)
-        self.grad_a = np.zeros_like(self.a)
-        self.grad_b = np.zeros_like(self.b)
-        self._cache = None
+        self.mask = np.ones(scheme.group_count, dtype=bool)
+
+    # perfbench/tracing.py wraps both names per class (tests/test_perfbench_bindings.py)
+    forward = Conv2d.forward
+    backward = Conv2d.backward
 
     def group_norms(self) -> np.ndarray:
         return linalg.group_norms(self.a, self.scheme)
@@ -201,33 +201,6 @@ class HingedConv2d:
         self.a = hinge.apply_mask(self.a, self.scheme, self.mask)
         if self.scheme.kind == linalg.COLUMNS:
             self.b = self.b * self.mask.astype(np.float64)
-
-    def forward(self, x: np.ndarray, cache: bool = True) -> np.ndarray:
-        m = self.meta
-        self._cache = None  # free the previous batch's patches before unfolding
-        col = im2col(x, m.kernel_h, m.kernel_w, m.stride, m.padding)
-        w = _patch_rows(self.w, m)
-        pre = matmul(col, w)
-        z = matmul(pre, self.a) + self.b
-        if cache:
-            self._cache = (x.shape, col, w, pre)
-        b = x.shape[0]
-        return z.reshape(b, m.out_h, m.out_w, m.out_channels).transpose(0, 3, 1, 2)
-
-    def backward(self, dy: np.ndarray) -> np.ndarray:
-        x_shape, col, w, pre = _cached(self)
-        m = self.meta
-        dz = dy.transpose(0, 2, 3, 1).reshape(-1, m.out_channels)
-        self.grad_a += matmul(pre.T, dz)
-        self.grad_b += dz.sum(axis=0)
-        dpre = matmul(dz, self.a.T)
-        self.grad_w += _patch_rows(matmul(col.T, dpre), m, inverse=True)
-        return col2im(dpre, w, x_shape, m.kernel_h, m.kernel_w, m.stride, m.padding)
-
-    def params(self, prefix: str):
-        yield f"{prefix}/W", WEIGHT, self, "w"
-        yield f"{prefix}/A", HINGE, self, "a"
-        yield f"{prefix}/b", BIAS, self, "b"
 
 
 class ReLU:
@@ -418,7 +391,8 @@ def layer_table(arch: ArchSpec):
 class Network:
     """Stem conv -> blocks -> global average pool -> linear classifier.
 
-    `layers` maps every name in `arch.table` to its convolution.
+    `layers` maps every name in `arch.table` to its convolution. The stem
+    reads the network input, so it computes no input gradient.
     """
 
     def __init__(self, arch: ArchSpec, layers: dict, head):
@@ -427,6 +401,7 @@ class Network:
         self.pool = GlobalAvgPool()
         self.head = head
         self.set_layers(layers)
+        self.stem.needs_input_grad = False
         widest = max(e.meta.out_h * e.meta.out_w * e.meta.patch_size for e in arch.table)
         self.inference_batch = max(1, INFERENCE_PATCH_BYTES // (8 * widest))  # float64
 
@@ -470,7 +445,7 @@ class Network:
 
     def hinged_layers(self):
         return [(name, layer) for name, layer in self.named_layers()
-                if isinstance(layer, HingedConv2d) and layer.scheme is not None]
+                if isinstance(layer, HingedConv2d)]
 
     def hinged_basic_pairs(self):
         """(block name, conv1, conv2) for every basic block whose convs are
@@ -502,7 +477,7 @@ class Network:
                 out[f"{name}/mode"] = np.array([byte], dtype=np.uint8)
             for key, _, _, attr in layer.params(name):
                 out[key] = getattr(layer, attr)
-            if getattr(layer, "mask", None) is not None:
+            if isinstance(layer, HingedConv2d):
                 out[f"{name}/mask"] = layer.mask.astype(np.uint8)
         return out
 
@@ -541,14 +516,10 @@ def _checked_layer(entry, tensors, layers, compacted):
     in_ch = (layers[entry.source].meta.out_channels if entry.source is not None
              else nominal.in_channels)
     meta = replace(nominal, in_channels=in_ch, out_channels=out_ch)
-    rank = a.shape[0] if a is not None and a.ndim == 2 else out_ch
-    if w.shape != (meta.patch_size, rank) or (a is not None and a.shape != (rank, out_ch)):
-        raise checkpoint.CheckpointError(
-            f"{name}: filter {w.shape} and hinge {None if a is None else a.shape} do not map "
-            f"{in_ch} input channels x {meta.kernel_h * meta.kernel_w} taps to {out_ch} outputs")
-    if a is not None:
-        return mode, HingedConv2d(meta, w, a, b=b)
-    return mode, Conv2d(meta, w=w, b=b)
+    try:
+        return mode, Conv2d(meta, w, a, b)
+    except linalg.DimensionError as exc:
+        raise checkpoint.CheckpointError(f"{name}: {exc}") from exc
 
 
 def network_from_tensors(arch: ArchSpec, tensors):
@@ -565,7 +536,6 @@ def network_from_tensors(arch: ArchSpec, tensors):
     for entry in arch.table:
         modes[entry.name], layers[entry.name] = _checked_layer(entry, tensors, layers,
                                                                compacted)
-    layers["stem"].needs_input_grad = False
     head_in = layers[arch.output].meta.out_channels
     head_w, head_b = _tensor(tensors, "head/W"), _tensor(tensors, "head/b")
     if head_w.shape != (head_in, arch.classes) or head_b.shape != (arch.classes,):
@@ -588,9 +558,7 @@ def build_network(arch: ArchSpec, seed: int) -> Network:
     # depend on this order.
     for _, block in itertools.groupby(arch.table, key=lambda e: e.name.partition(".")[0]):
         for entry in sorted(block, key=lambda e: e.position is not None):
-            conv = Conv2d(entry.meta, rng=rng)
-            conv.needs_input_grad = entry.source is not None
-            layers[entry.name] = conv
+            layers[entry.name] = Conv2d(entry.meta, rng=rng)
     head = Linear(layers[arch.output].meta.out_channels, arch.classes, rng=rng)
     return Network(arch, layers, head)
 

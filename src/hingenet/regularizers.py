@@ -1,9 +1,10 @@
 """Group-sparsity regularizers and their closed-form proximal operators.
 
-Each operator acts on the L2 norms of the groups of a matrix: the group
-direction is preserved and only its norm shrinks (possibly to exactly
-zero). The scalar norm maps are exposed separately so the vector operators
-are the scalar maps composed with the unit direction by construction.
+`prox` is the one group prox: it maps the L2 norm of each group of a
+matrix through the kind's norm map (jointly over the layer for l1-l2) and
+rescales the group, so only its norm shrinks (possibly to exactly zero).
+The norm maps are exposed so the matrix prox is a map composed with the
+unit direction by construction. `prox_l1` and the other three call it.
 
 `prox_oracle` is an independent numeric solver for the same scalar
 problems; it is the ground truth the closed forms are checked against. It
@@ -153,53 +154,42 @@ def _apply_norm_factors(a, scheme, old_norms, new_norms):
     return scale_groups(a, scheme, factors)
 
 
-def prox_l1(a: np.ndarray, scheme: GroupScheme, step: float) -> np.ndarray:
+def prox(a: np.ndarray, scheme: GroupScheme, spec: RegularizerSpec,
+         step: float) -> np.ndarray:
+    """Group prox of `spec.kind` (`spec.lam` is not read) at `step`, the
+    full shrinkage strength (regularization factor times learning rate)."""
     if step < 0:
         raise ParameterError("step must be non-negative")
+    if spec.kind == LOGSUM:
+        if step == 0.0:
+            return np.array(a, dtype=np.float64, copy=True)
+        eps = logsum_epsilon(step, spec.epsilon)
     norms = group_norms(a, scheme)
-    new = np.array([l1_norm_map(n, step) for n in norms])
+    if spec.kind == L1_MINUS_2:
+        new = l1_minus_2_norm_map(norms, step)
+    elif spec.kind == LOGSUM:
+        new = np.array([logsum_norm_map(n, step, eps) for n in norms])
+    else:
+        norm_map = l1_norm_map if spec.kind == L1 else l_half_norm_map
+        new = np.array([norm_map(n, step) for n in norms])
     return _apply_norm_factors(a, scheme, norms, new)
+
+
+def prox_l1(a: np.ndarray, scheme: GroupScheme, step: float) -> np.ndarray:
+    return prox(a, scheme, RegularizerSpec(L1, 0.0), step)
 
 
 def prox_l_half(a: np.ndarray, scheme: GroupScheme, step: float) -> np.ndarray:
-    if step < 0:
-        raise ParameterError("step must be non-negative")
-    norms = group_norms(a, scheme)
-    new = np.array([l_half_norm_map(n, step) for n in norms])
-    return _apply_norm_factors(a, scheme, norms, new)
+    return prox(a, scheme, RegularizerSpec(L_HALF, 0.0), step)
 
 
 def prox_l1_minus_2(a: np.ndarray, scheme: GroupScheme, step: float) -> np.ndarray:
-    if step < 0:
-        raise ParameterError("step must be non-negative")
-    norms = group_norms(a, scheme)
-    new = l1_minus_2_norm_map(norms, step)
-    return _apply_norm_factors(a, scheme, norms, new)
+    return prox(a, scheme, RegularizerSpec(L1_MINUS_2, 0.0), step)
 
 
 def prox_logsum(a: np.ndarray, scheme: GroupScheme, step: float,
                 epsilon: float | None = None) -> np.ndarray:
-    if step < 0:
-        raise ParameterError("step must be non-negative")
-    if step == 0.0:
-        return np.array(a, dtype=np.float64, copy=True)
-    eps = logsum_epsilon(step, epsilon)
-    norms = group_norms(a, scheme)
-    new = np.array([logsum_norm_map(n, step, eps) for n in norms])
-    return _apply_norm_factors(a, scheme, norms, new)
-
-
-def prox(a: np.ndarray, scheme: GroupScheme, spec: RegularizerSpec,
-         step: float) -> np.ndarray:
-    """Dispatch on spec.kind; `step` is the full shrinkage strength
-    (regularization factor times learning rate)."""
-    if spec.kind == L1:
-        return prox_l1(a, scheme, step)
-    if spec.kind == L_HALF:
-        return prox_l_half(a, scheme, step)
-    if spec.kind == L1_MINUS_2:
-        return prox_l1_minus_2(a, scheme, step)
-    return prox_logsum(a, scheme, step, spec.epsilon)
+    return prox(a, scheme, RegularizerSpec(LOGSUM, 0.0, epsilon), step)
 
 
 def regularizer_value(a: np.ndarray, scheme: GroupScheme,

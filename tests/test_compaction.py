@@ -42,7 +42,7 @@ class TestCompactPrune:
         model, layer = one_hinge_net(rng, "columns")
         conv, plan = compacted_conv(model)
         assert plan.mode == hinge.PRUNE
-        assert isinstance(conv, Conv2d)
+        assert type(conv) is Conv2d and conv.a is None
         assert np.array_equal(conv.w, layer.w @ layer.a)
         assert plan.alive_out_idx.tolist() == list(range(8))
 
@@ -81,7 +81,7 @@ class TestCompactDecompose:
         model, layer = one_hinge_net(rng, "rows")
         conv, plan = compacted_conv(model)
         assert plan.mode == hinge.DECOMPOSE and not plan.kept_pair
-        assert isinstance(conv, Conv2d)
+        assert type(conv) is Conv2d and conv.a is None
         assert np.array_equal(conv.w, layer.w @ layer.a)
 
     def test_rank_one(self, rng):
@@ -90,7 +90,7 @@ class TestCompactDecompose:
         layer.mask[3] = True
         conv, plan = compacted_conv(model)
         assert plan.kept_pair and plan.rank == 1
-        assert isinstance(conv, HingedConv2d)
+        assert type(conv) is Conv2d and conv.a is not None
         assert conv.w.shape == (27, 1) and conv.a.shape == (1, 8)
         assert np.array_equal(conv.w, layer.w[:, [3]])
         assert np.array_equal(conv.a, layer.a[[3]])
@@ -204,8 +204,8 @@ class TestPropagate:
             if plan.mode == "decompose":
                 assert not plan.kept_pair
         for blk in cm.network.blocks:
-            assert isinstance(blk.conv1, Conv2d)
-            assert isinstance(blk.conv2, Conv2d)
+            assert type(blk.conv1) is Conv2d and blk.conv1.a is None
+            assert type(blk.conv2) is Conv2d and blk.conv2.a is None
 
 
 class TestVerifyEquivalence:
@@ -265,7 +265,8 @@ class TestSerialization:
             cm = compact(model)
             model, modes = cm.network, cm.modes
             assert {hinge.PRUNE, hinge.DECOMPOSE} <= set(modes.values())
-            assert any(isinstance(layer, HingedConv2d) for layer in model.layers.values())
+            assert any(layer.a is not None for layer in model.layers.values())
+            assert not any(isinstance(layer, HingedConv2d) for layer in model.layers.values())
         first, second = tmp_path / "first.hngw", tmp_path / "second.hngw"
         checkpoint.save(first, model.state_tensors(modes))
         rebuilt, read_modes = network_from_tensors(model.arch, checkpoint.load(first))
@@ -289,7 +290,7 @@ class TestSerialization:
         "rows-not-whole-kernels", "input-channels", "pruned-protected",
         "wider-than-nominal", "unknown-mode", "baseline-narrow-conv",
         "baseline-missing-head-b", "head-mode-unknown", "head-mode-pruned",
-        "head-mode-missing"])
+        "head-mode-missing", "hinge-rank-mismatch"])
     def test_compact_checkpoint_must_fit_arch(self, corrupt):
         arch = small_residual_arch(channels=(6, 8))
         model = build_network(arch, seed=16)
@@ -308,6 +309,8 @@ class TestSerialization:
             tensors["block0.conv1/mode"] = np.array([1], dtype=np.uint8)
             tensors["block0.conv1/W"] = np.hstack([tensors["block0.conv1/W"]] * 2)
             tensors["block0.conv1/b"] = np.hstack([tensors["block0.conv1/b"]] * 2)
+        elif corrupt == "hinge-rank-mismatch":   # a rank-3 A after a full-width W
+            tensors["block0.conv1/A"] = np.ones((3, tensors["block0.conv1/b"].size))
         elif corrupt == "unknown-mode":
             tensors["stem/mode"] = np.array([7], dtype=np.uint8)
         elif corrupt == "head-mode-missing":

@@ -292,6 +292,21 @@ def test_regularizer_failing_in_phase(pipeline, capsys, regularizer, code, prefi
     assert not out.exists()
 
 
+@pytest.mark.parametrize("ratio", ["1.5", "0", "nan"])
+def test_bad_target_ratio_is_usage_error(pipeline, capsys, ratio):
+    """`--target-ratio` goes through the compress config's own range rule:
+    outside (0, 1) it ends in exit 2 with one line naming the flag, before
+    any work."""
+    out = pipeline["tmp"] / "bad_target.hngw"
+    capsys.readouterr()
+    rc = cli.main(["compress", "--config", pipeline["cfg"], "--ckpt", str(pipeline["base"]),
+                   "--target-ratio", ratio, "--out", str(out)])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == cli.EXIT_USAGE
+    assert len(err) == 1 and err[0].startswith("error: --target-ratio")
+    assert not out.exists()
+
+
 def test_unexpected_exception_is_internal_error(monkeypatch, capsys):
     """Any other exception escaping a subcommand ends in the last-resort
     code with one line, not exit 1 (verification failure) and a traceback."""
@@ -528,8 +543,10 @@ class TestCliVerify:
         monkeypatch.setattr(verify, "compression_ratio", lambda model, threshold: np.nan)
         by_name = {r.name: r for r in verify.equivalence_suite(cases=3)}
         assert by_name["compaction_equivalence"].passed
+        assert by_name["compaction_equivalence"].failures == []
         assert not by_name["compaction_gamma"].passed
         assert np.isnan(by_name["compaction_gamma"].max_deviation)
+        assert [f["case"] for f in by_name["compaction_gamma"].failures] == [0, 1, 2]
 
     def test_exit_code_contract(self, monkeypatch):
         from hingenet import verify

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import small_plain_arch, small_residual_arch
-from hingenet import losses, net
+from hingenet import linalg, losses, net
 from hingenet.hinge import FIRST_IN_BASIC, SECOND_IN_BASIC, STANDALONE, ConvMeta
 from hingenet.compaction import compact
 from hingenet.net import (ArchSpec, BlockDef, Conv2d, GlobalAvgPool, HingedConv2d, Linear,
@@ -96,27 +96,32 @@ class TestConv:
         # the gradient comes back channels-last: channels are the unit stride
         assert dx.strides[1] == dx.itemsize
 
-    @pytest.mark.parametrize("hinged", [False, True])
-    def test_grad_w_rows_in_stored_order(self, rng, hinged):
+    @pytest.mark.parametrize("hinge", [False, True, "kept-pair"])
+    def test_grad_w_rows_in_stored_order(self, rng, hinge):
         # finite differences through the (c, kh, kw) naive oracle: grad_w must
-        # come back in the stored row order whatever order im2col uses inside
+        # come back in the stored row order whatever order im2col uses inside.
+        # hinge: False a plain conv, True a square hinge under compression,
+        # "kept-pair" a compacted rank-2 pair
         meta = ConvMeta(2, 3, 3, 3, 2, 1, 3, 3)
         x = rng.normal(size=(2, 2, 5, 5))
         g = rng.normal(size=(2, 3, 3, 3))
-        a = rng.normal(size=(3, 3))
+        rank = 2 if hinge == "kept-pair" else 3
+        a = rng.normal(size=(rank, 3))
         b = rng.normal(size=3)
-        w = rng.normal(size=(18, 3))
-        layer = (HingedConv2d(meta, w, a, b=b) if hinged
-                 else Conv2d(meta, w=w, b=b))
+        w = rng.normal(size=(18, rank))
+        if hinge is True:
+            layer = HingedConv2d(meta, w, a, b, scheme=linalg.GroupScheme(linalg.ROWS, (3, 3)))
+        else:
+            layer = Conv2d(meta, w, a if hinge else None, b)
         layer.forward(x)
         layer.backward(g)
 
         def loss(w_mat):
-            return np.sum(g * naive_conv(x, w_mat @ a if hinged else w_mat, b, meta))
+            return np.sum(g * naive_conv(x, w_mat @ a if hinge else w_mat, b, meta))
 
         h = 1e-6
         fd = np.zeros_like(w)
-        for r, c in itertools.product(range(18), range(3)):
+        for r, c in itertools.product(range(18), range(rank)):
             step = np.zeros_like(w)
             step[r, c] = h
             fd[r, c] = (loss(w + step) - loss(w - step)) / (2 * h)
@@ -127,10 +132,10 @@ class TestConv:
         w = rng.normal(size=(18, 5))
         a = rng.normal(size=(5, 5))
         b = rng.normal(size=5)
-        hinged = HingedConv2d(meta, w, a, b=b)
+        pair = Conv2d(meta, w, a, b)
         plain = Conv2d(meta, w=w @ a, b=b)
         x = rng.normal(size=(3, 2, 8, 8))
-        assert np.abs(hinged.forward(x) - plain.forward(x)).max() <= 1e-12
+        assert np.abs(pair.forward(x) - plain.forward(x)).max() <= 1e-12
 
 
 class TestNetworkForward:
@@ -183,7 +188,8 @@ def inference_case(kind):
     for _, layer in model.hinged_layers():
         layer.mask[[0, 2, 3]] = False
     compacted = compact(model).network
-    assert any(isinstance(layer, HingedConv2d) for layer in compacted.layers.values())
+    assert any(layer.a is not None for layer in compacted.layers.values())
+    assert not any(isinstance(layer, HingedConv2d) for layer in compacted.layers.values())
     return compacted
 
 
@@ -208,13 +214,17 @@ class TestInferenceForward:
         with pytest.raises(RuntimeError, match="backward called before forward"):
             model.backward(np.ones_like(cached))
 
-    @pytest.mark.parametrize("kind", ["conv", "hinged", "linear", "relu", "pool"])
+    @pytest.mark.parametrize("kind", ["conv", "hinged", "kept-pair", "linear", "relu", "pool"])
     def test_backward_after_inference_forward_raises(self, rng, kind):
         meta = ConvMeta(2, 3, 3, 3, 1, 1, 4, 4)
+        scheme = linalg.GroupScheme(linalg.ROWS, (3, 3))
         layer, x = {
             "conv": (Conv2d(meta, rng=rng), rng.normal(size=(2, 2, 4, 4))),
-            "hinged": (HingedConv2d(meta, rng.normal(size=(18, 3)), rng.normal(size=(3, 3))),
+            "hinged": (HingedConv2d(meta, rng.normal(size=(18, 3)), rng.normal(size=(3, 3)),
+                                    scheme=scheme),
                        rng.normal(size=(2, 2, 4, 4))),
+            "kept-pair": (Conv2d(meta, rng.normal(size=(18, 2)), rng.normal(size=(2, 3))),
+                          rng.normal(size=(2, 2, 4, 4))),
             "linear": (Linear(5, 3, rng=rng), rng.normal(size=(2, 5))),
             "relu": (ReLU(), rng.normal(size=(2, 5))),
             "pool": (GlobalAvgPool(), rng.normal(size=(2, 3, 4, 4))),
@@ -426,7 +436,7 @@ class TestGradients:
         meta = ConvMeta(4, 3, 1, 1, 1, 0, 1, 1)
         w = rng.normal(size=(4, 3))
         a = rng.normal(size=(3, 3))
-        layer = HingedConv2d(meta, w, a)
+        layer = Conv2d(meta, w, a)
         x = rng.normal(size=(6, 4, 1, 1))
         out = layer.forward(x)
         dz = rng.normal(size=out.shape)
