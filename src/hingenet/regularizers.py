@@ -11,15 +11,16 @@ problems; it is the ground truth the closed forms are checked against. It
 solves a whole batch of (norm, step) cases in one call: a dense grid search
 per case in buffers allocated once per call, then ternary refinement of
 every case in lockstep, each case stopping on its own bracket width.
-`prox_oracle_l1_minus_2` is a multi-start descent for the coupled l1-l2
-case, one layer per call.
+`prox_oracle_l1_minus_2` solves a batch of coupled l1-l2 layers in one
+call: six starts per layer, all descending in lockstep by unit-step
+projected gradient on the joint objective alone, each start stopping on its
+own tolerance. Neither oracle knows the closed form it checks.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .linalg import GroupScheme, NumericError, group_norms, scale_groups
 
@@ -215,6 +216,9 @@ def regularizer_value(a: np.ndarray, scheme: GroupScheme,
 ORACLE_GRID = 100_000       # grid points per scalar problem
 ORACLE_REFINE_TOL = 1e-9    # bracket width at which ternary refinement stops
 ORACLE_RANDOM_STARTS = 4    # random starts of the joint l1-l2 descent
+ORACLE_STEP_TOL = 1e-15     # l1-l2 descent stops once no entry moves more
+                            # than this times (1 + the case's largest norm)
+ORACLE_MAX_ITERATIONS = 10_000  # a start still moving after this is NaN
 
 
 # Objective of the scalar oracle under the (t - x)^2 / (2*step)
@@ -295,31 +299,74 @@ def prox_oracle(norms, spec: RegularizerSpec, steps) -> np.ndarray:
     return result
 
 
-def prox_oracle_l1_minus_2(group_norms_in: np.ndarray, step: float,
-                           seed: int = 0) -> np.ndarray:
-    """Multi-start bound-constrained descent on the joint objective
-    step*(sum(t) - ||t||) + 0.5*||t - x||^2 over t >= 0."""
-    x = np.asarray(group_norms_in, dtype=np.float64)
-    if step == 0.0:
-        return x.copy()
+def _l1_minus_2_objective(t, x, step):
+    """step*(sum(t) - ||t||) + 0.5*||t - x||^2 of each row of `t`."""
+    return (step * (t.sum(axis=1) - np.linalg.norm(t, axis=1))
+            + 0.5 * np.sum((t - x) ** 2, axis=1))
 
-    def obj(t):
-        return step * (t.sum() - np.linalg.norm(t)) + 0.5 * np.sum((t - x) ** 2)
 
-    def grad(t):
-        nt = np.linalg.norm(t)
-        direction = t / nt if nt > 0 else np.zeros_like(t)
-        return step * (1.0 - direction) + (t - x)
+def _l1_minus_2_gradient(t, x, step):
+    norm = np.linalg.norm(t, axis=1)[:, None]
+    direction = np.divide(t, norm, out=np.zeros_like(t), where=norm > 0)
+    return step[:, None] * (1.0 - direction) + (t - x)
 
-    rng = np.random.default_rng(seed)
-    starts = [x, np.maximum(x - step, 1e-6)]
-    for _ in range(ORACLE_RANDOM_STARTS):
-        starts.append(np.abs(x + rng.normal(0.0, 0.3 + 0.3 * step, x.shape)))
-    best = None
-    for t0 in starts:
-        res = minimize(obj, t0, jac=grad, method="L-BFGS-B",
-                       bounds=[(0.0, None)] * x.size,
-                       options={"ftol": 1e-16, "gtol": 1e-13, "maxiter": 1000})
-        if best is None or res.fun < best.fun:
-            best = res
-    return np.asarray(best.x, dtype=np.float64)
+
+def prox_oracle_l1_minus_2(cases, steps, seeds) -> list:
+    """Numerically minimize step*(sum(t) - ||t||) + 0.5*||t - x||^2 over
+    t >= 0 for every case x (a vector of group norms) with its step.
+
+    Each case has six starts: x, max(x - step, 1e-6) and four random starts
+    drawn from its own seed. Every start of every case runs unit-step
+    projected gradient descent in lockstep, the cases bucketed by group
+    count, and leaves the loop once no entry moves by more than
+    ORACLE_STEP_TOL * (1 + max(x)). A start still moving after
+    ORACLE_MAX_ITERATIONS steps is NaN, and so is its case; otherwise a
+    case returns the start of lowest objective. Near a minimizer t* the
+    descent contracts by about step/||t*|| per iteration, so a case whose
+    minimizer barely exceeds the step in norm can reach the cap. All
+    operations act on a case's own rows, so its result does not depend on
+    the rest of the batch. A case with a zero step returns its norms. A
+    negative or non-finite norm or step anywhere in the batch is a
+    ParameterError.
+    """
+    xs = [np.asarray(c, dtype=np.float64) for c in cases]
+    steps = np.asarray(steps, dtype=np.float64)
+    if not np.all(np.isfinite(steps) & (steps >= 0.0)):
+        raise ParameterError("step must be finite and non-negative")
+    if not all(np.all(np.isfinite(x) & (x >= 0.0)) for x in xs):
+        raise ParameterError("group norm must be finite and non-negative")
+    result = [x.copy() for x in xs]
+    buckets = {}
+    for i, x in enumerate(xs):
+        if steps[i] > 0.0:
+            buckets.setdefault(x.size, []).append(i)
+
+    starts_per_case = 2 + ORACLE_RANDOM_STARTS
+    for members in buckets.values():
+        t, x, step = [], [], []
+        for i in members:
+            rng = np.random.default_rng(seeds[i])
+            t += [xs[i], np.maximum(xs[i] - steps[i], 1e-6)]
+            t += [np.abs(xs[i] + rng.normal(0.0, 0.3 + 0.3 * steps[i], xs[i].shape))
+                  for _ in range(ORACLE_RANDOM_STARTS)]
+            x += [xs[i]] * starts_per_case
+            step += [steps[i]] * starts_per_case
+        t, x, step = np.array(t), np.array(x), np.array(step)
+
+        live = np.arange(len(t))
+        for _ in range(ORACLE_MAX_ITERATIONS):
+            if live.size == 0:
+                break
+            cur, x_live = t[live], x[live]
+            new = np.maximum(cur - _l1_minus_2_gradient(cur, x_live, step[live]), 0.0)
+            t[live] = new
+            moved = np.abs(new - cur).max(axis=1)
+            live = live[moved > ORACLE_STEP_TOL * (1.0 + x_live.max(axis=1))]
+        t[live] = np.nan
+
+        # argmin returns the first NaN, so an unconverged start fails its case
+        objective = _l1_minus_2_objective(t, x, step).reshape(len(members), -1)
+        best = np.argmin(objective, axis=1)
+        for k, i in enumerate(members):
+            result[i] = t[k * starts_per_case + best[k]]
+    return result

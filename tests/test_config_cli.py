@@ -1,5 +1,8 @@
 import json
+import os
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -305,6 +308,15 @@ def test_bad_target_ratio_is_usage_error(pipeline, capsys, ratio):
     assert rc == cli.EXIT_USAGE
     assert len(err) == 1 and err[0].startswith("error: --target-ratio")
     assert not out.exists()
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # importing scipy.optimize costs every process about 0.3 s and 49 MB
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = "import sys, hingenet.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout == "False\n"
 
 
 def test_unexpected_exception_is_internal_error(monkeypatch, capsys):

@@ -1,7 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from hingenet import regularizers as reg
+from hingenet import verify
 from hingenet.linalg import ROWS, GroupScheme, group_norms
 from hingenet.regularizers import (DegenerateGroupsError, ParameterError,
                                    RegularizerSpec, prox_l1, prox_l1_minus_2,
@@ -186,6 +189,109 @@ class TestProxOracle:
         assert np.array_equal(batch[steps == 0.0], norms[steps == 0.0])
 
 
+def l1_minus_2_objective(t, x, step):
+    return step * (t.sum() - np.linalg.norm(t)) + 0.5 * np.sum((t - x) ** 2)
+
+
+def l1_minus_2_by_support_enumeration(x, step):
+    """Exact minimum of the l1-l2 prox objective over t >= 0.
+
+    A minimizer is zero off its support S and stationary on it:
+    t_i * (1 - step/r) = x_i - step with r = ||t_S||. For r > step this gives
+    t_S = (x_S - step) * (1 + step/||x_S - step||), feasible when every
+    x_i > step. For r < step it gives t_S = (step - x_S) * r/(step - r) with
+    r = step - ||step - x_S||, feasible when every x_i < step and
+    ||step - x_S|| < step; a singleton carries no penalty, so there it is
+    t_i = x_i. r == step needs every x_i == step, which random draws miss.
+    The feasible stationary point of lowest objective is the minimum.
+    """
+    candidates = [np.zeros_like(x)]
+    for size in range(1, x.size + 1):
+        for support in map(list, itertools.combinations(range(x.size), size)):
+            xs = x[support]
+            if size == 1:
+                points = [xs]
+            else:
+                points = []
+                if np.all(xs > step):
+                    points.append((xs - step) * (1.0 + step / np.linalg.norm(xs - step)))
+                gap = np.linalg.norm(step - xs)
+                if np.all(xs < step) and gap < step:
+                    points.append((step - xs) * (step - gap) / gap)
+            for point in points:
+                t = np.zeros_like(x)
+                t[support] = point
+                candidates.append(t)
+    return min(candidates, key=lambda t: l1_minus_2_objective(t, x, step))
+
+
+def l1_minus_2_starts(x, step, seed):
+    rng = np.random.default_rng(seed)
+    return [x, np.maximum(x - step, 1e-6)] + [
+        np.abs(x + rng.normal(0.0, 0.3 + 0.3 * step, x.shape)) for _ in range(4)]
+
+
+class TestProxOracleL1Minus2:
+    @pytest.mark.parametrize("norm,step,message", [
+        (1.0, -0.5, "step"), (1.0, np.nan, "step"), (1.0, np.inf, "step"),
+        (-1.0, 0.5, "group norm"), (np.nan, 0.5, "group norm"),
+        (np.inf, 0.5, "group norm")])
+    def test_bad_input_rejected(self, norm, step, message):
+        wording = f"^{message} must be finite and non-negative$"
+        with pytest.raises(ParameterError, match=wording):
+            prox_oracle_l1_minus_2([[2.0, norm]], [step], [0])
+        with pytest.raises(ParameterError, match=wording):  # anywhere in a batch
+            prox_oracle_l1_minus_2([[1.0, 2.0], [2.0, 3.0, norm], [3.0, 1.0]],
+                                   [0.5, step, 1.0], [0, 1, 2])
+
+    def test_zero_step_returns_norms(self):
+        out = prox_oracle_l1_minus_2([[3.0, 4.0], [0.5, 2.0, 1.0]], [0.0, 1.0], [0, 1])
+        assert np.array_equal(out[0], [3.0, 4.0])
+        assert np.abs(out[1] - [0.0, 2.0, 0.0]).max() <= 1e-12
+
+    def test_matches_support_enumeration(self):
+        rng = np.random.default_rng(99)
+        cases, steps, seeds = [], [], []
+        for _ in range(200):
+            g = int(rng.integers(2, 9))
+            step = float(rng.uniform(0.05, 1.0))
+            norms = rng.uniform(0.0, 3.0, g) * np.sqrt(step)
+            if norms.max() <= step:
+                norms[int(rng.integers(g))] = step * float(rng.uniform(1.5, 3.0))
+            cases.append(norms)
+            steps.append(step)
+            seeds.append(int(rng.integers(2 ** 31)))
+        want = [l1_minus_2_by_support_enumeration(x, s) for x, s in zip(cases, steps)]
+        got = prox_oracle_l1_minus_2(cases, steps, seeds)
+        assert max(np.abs(o - w).max() for o, w in zip(got, want)) <= 1e-12
+        closed = [reg.l1_minus_2_norm_map(x, s) for x, s in zip(cases, steps)]
+        assert max(np.abs(c - w).max() for c, w in zip(closed, want)) <= 1e-12
+
+    def test_batch_changes_no_case(self, monkeypatch):
+        solve = reg.prox_oracle_l1_minus_2
+        batches = []
+
+        def recording(cases, steps, seeds):
+            batches.append((cases, steps, seeds, solve(cases, steps, seeds)))
+            return batches[-1][-1]
+        monkeypatch.setattr(reg, "prox_oracle_l1_minus_2", recording)
+        verify.prox_suite()
+        [(cases, steps, seeds, batch)] = batches
+        assert len(batch) == 1000
+        for x, step, seed, t in zip(cases, steps, seeds, batch):
+            assert np.array_equal(solve([x], [step], [seed])[0], t)
+            assert all(l1_minus_2_objective(t, x, step) <= l1_minus_2_objective(t0, x, step)
+                       for t0 in l1_minus_2_starts(x, step, seed))
+
+    def test_unconverged_start_fails_its_case(self, monkeypatch):
+        monkeypatch.setattr(reg, "ORACLE_MAX_ITERATIONS", 1)
+        [out] = prox_oracle_l1_minus_2([[3.0, 4.0]], [1.0], [0])
+        assert out.shape == (2,) and np.all(np.isnan(out))
+        by_name = {r.name: r for r in verify.prox_suite(cases=5, seed=0)}
+        assert not by_name["prox_l1_minus_2"].passed
+        assert np.isnan(by_name["prox_l1_minus_2"].max_deviation)
+
+
 KINDS_AND_OPS = [
     ("l1", prox_l1),
     ("l_half", prox_l_half),
@@ -206,7 +312,7 @@ class TestProperties:
         assert np.abs(got - want).max() <= 1e-6
 
     def test_l1_minus_2_matches_joint_oracle(self, rng):
-        worst = 0.0
+        cases, steps, seeds, got = [], [], [], []
         for _ in range(60):
             g = int(rng.integers(2, 9))
             step = float(rng.uniform(0.05, 1.0))
@@ -214,10 +320,12 @@ class TestProperties:
             if norms.max() <= step:
                 norms[0] = 2.0 * step
             a, scheme = group_matrix(rng, norms)
-            got = group_norms(prox_l1_minus_2(a, scheme, step), scheme)
-            want = prox_oracle_l1_minus_2(norms, step, seed=int(rng.integers(2 ** 31)))
-            worst = max(worst, np.abs(got - want).max())
-        assert worst <= 1e-6
+            got.append(group_norms(prox_l1_minus_2(a, scheme, step), scheme))
+            cases.append(norms)
+            steps.append(step)
+            seeds.append(int(rng.integers(2 ** 31)))
+        want = prox_oracle_l1_minus_2(cases, steps, seeds)
+        assert max(np.abs(c - o).max() for c, o in zip(got, want)) <= 1e-6
 
     @pytest.mark.parametrize("kind,op", KINDS_AND_OPS + [
         ("l1_minus_2", lambda a, s, st: prox_l1_minus_2(a, s, st))])
