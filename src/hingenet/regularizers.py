@@ -8,9 +8,11 @@ unit direction by construction. `prox_l1` and the other three call it.
 
 `prox_oracle` is an independent numeric solver for the same scalar
 problems; it is the ground truth the closed forms are checked against. It
-solves a whole batch of (norm, step) cases in one call: a dense grid search
-per case in buffers allocated once per call, then ternary refinement of
-every case in lockstep, each case stopping on its own bracket width.
+solves a whole batch of (norm, step) cases in one call: a grid search that
+skips each interval whose lower bound (which rests on every scalar penalty
+being nondecreasing) is above the best interval end, yet returns the index
+a dense scan returns, then ternary refinement of every case in lockstep,
+each case stopping on its own bracket width.
 `prox_oracle_l1_minus_2` solves a batch of coupled l1-l2 layers in one
 call: six starts per layer, all descending in lockstep by unit-step
 projected gradient on the joint objective alone, each start stopping on its
@@ -221,33 +223,70 @@ ORACLE_STEP_TOL = 1e-15     # l1-l2 descent stops once no entry moves more
 ORACLE_MAX_ITERATIONS = 10_000  # a start still moving after this is NaN
 
 
-# Objective of the scalar oracle under the (t - x)^2 / (2*step)
-# normalization, written into `out` with `quad` as scratch. The half
-# thresholding operator is the exact prox of sqrt(t)/2 under this
-# normalization (equivalently of sqrt(t) against (t-x)^2/step); the /2 keeps
-# the oracle consistent with the closed form's 54^(1/3)/4 cutoff.
-def _oracle_objective(kind, t, x, step, epsilon, out, quad):
-    np.subtract(t, x, out=quad)
-    np.square(quad, out=quad)
-    quad /= 2.0 * step
+_ORACLE_INTERVAL = 100  # grid steps per interval of the bounded search
+_ORACLE_CHUNK = 4       # cases searched together; bounds the search's buffers
+_ORACLE_MARGIN = 1e-12  # relative rounding margin on an interval's bound
+
+# Penalty and objective of the scalar oracle under the (t - x)^2 / (2*step)
+# normalization. The half thresholding operator is the exact prox of
+# sqrt(t)/2 under this normalization (equivalently of sqrt(t) against
+# (t-x)^2/step); the /2 keeps the oracle consistent with the closed form's
+# 54^(1/3)/4 cutoff. Each penalty is nondecreasing in t >= 0.
+def _oracle_penalty(kind, t, epsilon):
     if kind == L1:
-        return np.add(t, quad, out=out)
+        return t
     if kind == L_HALF:
-        np.sqrt(t, out=out)
-        out *= 0.5
-    else:
-        np.divide(t, epsilon, out=out)
-        np.log1p(out, out=out)
-    out += quad
-    return out
+        return np.sqrt(t) * 0.5
+    return np.log1p(t / epsilon)
+
+
+def _oracle_objective(kind, t, x, step, epsilon):
+    return _oracle_penalty(kind, t, epsilon) + np.square(t - x) / (2.0 * step)
+
+
+def _grid_points(index, top):
+    """Points `index` of np.linspace(0, top, ORACLE_GRID), bit for bit."""
+    return np.where(index == ORACLE_GRID - 1, top, index * (top / (ORACLE_GRID - 1)))
+
+
+def _grid_argmin(kind, x, step, epsilon, top):
+    """First index of the objective's minimum over each case's grid
+    np.linspace(0, top, ORACLE_GRID), as a dense scan finds it. As the
+    penalty is nondecreasing, the objective on an interval [t_a, t_b] is at
+    least penalty(t_a) plus the quadratic's minimum there. Only intervals
+    whose bound is within a rounding margin of the best end are evaluated
+    inside; every point of the others lies strictly above the minimum."""
+    ends = np.append(np.arange(0, ORACLE_GRID - 1, _ORACLE_INTERVAL), ORACLE_GRID - 1)
+    inside = np.arange(1, _ORACLE_INTERVAL)
+    k = np.empty(x.size, dtype=np.int64)
+    for c in range(0, x.size, _ORACLE_CHUNK):
+        xc, sc, ec, tc = (a[c:c + _ORACLE_CHUNK, None] for a in (x, step, epsilon, top))
+        ts = _grid_points(ends, tc)
+        vals = _oracle_objective(kind, ts, xc, sc, ec)
+        best = vals.min(axis=1)
+        ta, tb = ts[:, :-1], ts[:, 1:]
+        bound = _oracle_penalty(kind, ta, ec) + np.square(np.clip(xc, ta, tb) - xc) / (2.0 * sc)
+        slack = _ORACLE_MARGIN * (1.0 + np.abs(best))
+        rows, cols = np.nonzero(bound <= (best + slack)[:, None])
+        index = ends[cols, None] + inside
+        ts = _grid_points(index, tc[rows])
+        inner = _oracle_objective(kind, ts, xc[rows], sc[rows], ec[rows])
+        np.minimum.at(best, rows, inner.min(axis=1))
+        first = np.where(vals == best[:, None], ends, ORACLE_GRID).min(axis=1)
+        index = np.where(inner == best[rows, None], index, ORACLE_GRID)
+        np.minimum.at(first, rows, index.min(axis=1))
+        k[c:c + _ORACLE_CHUNK] = first
+    return k
 
 
 def prox_oracle(norms, spec: RegularizerSpec, steps) -> np.ndarray:
     """Numerically minimize penalty(t) + (t - norm)^2/(2*step) over t >= 0
-    for every (norm, step) pair of the broadcast inputs, by a dense grid
-    search per case followed by ternary refinement of all cases in lockstep.
-    Each case takes exactly the steps it would take alone. A negative or
-    non-finite norm or step anywhere in the batch is a ParameterError.
+    for every (norm, step) pair of the broadcast inputs: the first minimum
+    over np.linspace(0, 2*norm + 1, ORACLE_GRID), found without a dense scan
+    by a search that needs each penalty nondecreasing, then ternary
+    refinement of all cases in lockstep. Each case takes exactly the steps
+    it would take alone. A negative or non-finite norm or step anywhere in
+    the batch is a ParameterError.
 
     This is the pre-build verification oracle for the scalar closed forms
     (l1, l_half, logsum). The coupled l1-l2 case needs the joint oracle
@@ -271,19 +310,10 @@ def prox_oracle(norms, spec: RegularizerSpec, steps) -> np.ndarray:
     else:
         eps = np.ones_like(st)  # read by the logsum objective only
 
-    index = np.arange(ORACLE_GRID, dtype=np.float64)
-    ts, vals, quad = (np.empty(ORACLE_GRID) for _ in range(3))
-    lo, hi = np.empty_like(x), np.empty_like(x)
-    for i in range(x.size):
-        top = 2.0 * x[i] + 1.0
-        np.multiply(index, top / (ORACLE_GRID - 1), out=ts)
-        ts[-1] = top  # ts is now bit-equal to np.linspace(0, top, ORACLE_GRID)
-        k = int(np.argmin(_oracle_objective(spec.kind, ts, x[i], st[i], eps[i],
-                                            vals, quad)))
-        lo[i] = ts[max(k - 1, 0)]
-        hi[i] = ts[min(k + 1, ORACLE_GRID - 1)]
-
-    f1, f2, scratch = (np.empty_like(x) for _ in range(3))
+    top = 2.0 * x + 1.0
+    k = _grid_argmin(spec.kind, x, st, eps, top)
+    lo = _grid_points(np.maximum(k - 1, 0), top)
+    hi = _grid_points(np.minimum(k + 1, ORACLE_GRID - 1), top)
     while True:
         live = hi - lo > ORACLE_REFINE_TOL
         if not live.any():
@@ -291,8 +321,8 @@ def prox_oracle(norms, spec: RegularizerSpec, steps) -> np.ndarray:
         third = (hi - lo) / 3.0
         m1 = lo + third
         m2 = hi - third
-        left = (_oracle_objective(spec.kind, m1, x, st, eps, f1, scratch)
-                <= _oracle_objective(spec.kind, m2, x, st, eps, f2, scratch))
+        left = (_oracle_objective(spec.kind, m1, x, st, eps)
+                <= _oracle_objective(spec.kind, m2, x, st, eps))
         hi = np.where(live & left, m2, hi)
         lo = np.where(live & ~left, m1, lo)
     result.reshape(-1)[active] = 0.5 * (lo + hi)

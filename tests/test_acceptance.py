@@ -64,9 +64,10 @@ def test_criterion_1_prox_oracle_equivalence():
     results = verify.prox_suite(cases=1000, seed=2024, tol=1e-6)
     elapsed = time.process_time() - t0
     worst = max(r.max_deviation for r in results)
-    # per-kind max deviations of this draw: the scalar ones as the per-case
-    # oracle computed them, which solving the cases in batches must not move;
-    # the l1-l2 one as the lockstep projected-gradient oracle computes it
+    # per-kind max deviations of this draw: the scalar ones as the dense
+    # per-case grid scan computed them, which the bounded grid search must
+    # not move; the l1-l2 one as the lockstep projected-gradient oracle
+    # computes it
     pinned = [5.688702264805556e-08, 3.630038847290962e-08,
               5.968644778420185e-08, 1.9206858326015208e-14]
     ok = (all(r.passed for r in results) and elapsed < 30.0

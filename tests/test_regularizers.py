@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -187,6 +188,114 @@ class TestProxOracle:
         assert batch.shape == (50,)
         assert np.array_equal(batch, singles)
         assert np.array_equal(batch[steps == 0.0], norms[steps == 0.0])
+
+
+def dense_prox_oracle(norms, kind, steps, epsilon=None):
+    """The scalar prox oracle with a dense grid scan: the first argmin over
+    every point of np.linspace(0, 2x+1, ORACLE_GRID), then the oracle's
+    ternary refinement of all cases in lockstep."""
+    x, st = np.asarray(norms, float), np.asarray(steps, float)
+    eps = (np.array([reg.logsum_epsilon(float(s), epsilon) for s in st])
+           if kind == "logsum" else np.ones_like(st))
+
+    def objective(t, x, st, eps):
+        if kind == "l1":
+            penalty = t
+        elif kind == "l_half":
+            penalty = np.sqrt(t) * 0.5
+        else:
+            penalty = np.log1p(t / eps)
+        return penalty + np.square(t - x) / (2.0 * st)
+
+    lo, hi = np.empty_like(x), np.empty_like(x)
+    for i in range(x.size):
+        ts = np.linspace(0.0, 2.0 * x[i] + 1.0, reg.ORACLE_GRID)
+        k = int(np.argmin(objective(ts, x[i], st[i], eps[i])))
+        lo[i], hi[i] = ts[max(k - 1, 0)], ts[min(k + 1, reg.ORACLE_GRID - 1)]
+    while True:
+        live = hi - lo > reg.ORACLE_REFINE_TOL
+        if not live.any():
+            return 0.5 * (lo + hi)
+        third = (hi - lo) / 3.0
+        m1, m2 = lo + third, hi - third
+        left = objective(m1, x, st, eps) <= objective(m2, x, st, eps)
+        hi = np.where(live & left, m2, hi)
+        lo = np.where(live & ~left, m1, lo)
+
+
+@pytest.fixture(scope="module")
+def suite_batches():
+    """The scalar oracle batches of verify.prox_suite (seed 2024), by kind."""
+    solve, batches = reg.prox_oracle, {}
+
+    def recording(norms, spec, steps):
+        batches[spec.kind] = (np.array(norms), spec, np.array(steps))
+        return solve(norms, spec, steps)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(reg, "prox_oracle", recording)
+        verify.prox_suite()
+    return batches
+
+
+SCALAR_KINDS = ["l1", "l_half", "logsum"]
+
+
+class TestProxOracleBoundedSearch:
+    """The bounded grid search must return what a dense scan returns."""
+
+    @pytest.mark.parametrize("kind", SCALAR_KINDS)
+    def test_suite_draws_equal_dense_scan(self, suite_batches, kind):
+        norms, spec, steps = suite_batches[kind]
+        assert norms.size == 1000
+        assert np.array_equal(prox_oracle(norms, spec, steps),
+                              dense_prox_oracle(norms, kind, steps))
+
+    @pytest.mark.parametrize("kind", SCALAR_KINDS)
+    def test_extreme_draws_equal_dense_scan(self, kind):
+        rng = np.random.default_rng(77)
+        steps = 10.0 ** rng.uniform(-6.0, 2.0, 300)
+        norms = rng.uniform(0.0, 6.0, 300) * np.sqrt(steps)
+        norms[::10] = 0.0
+        norms[1::10] = 6.0 * np.sqrt(steps[1::10])
+        spec = RegularizerSpec(kind, 1.0)
+        assert np.array_equal(prox_oracle(norms, spec, steps),
+                              dense_prox_oracle(norms, kind, steps))
+
+    def test_logsum_epsilon_just_below_sqrt_step(self):
+        rng = np.random.default_rng(78)
+        epsilon = 0.1
+        steps = (epsilon * (1.0 + 10.0 ** rng.uniform(-12.0, -3.0, 200))) ** 2
+        norms = rng.uniform(0.0, 6.0, 200) * np.sqrt(steps)
+        spec = RegularizerSpec("logsum", 1.0, epsilon=epsilon)
+        assert np.array_equal(prox_oracle(norms, spec, steps),
+                              dense_prox_oracle(norms, "logsum", steps, epsilon))
+
+    @pytest.mark.parametrize("kind", SCALAR_KINDS)
+    def test_grid_argmin_equals_dense_scan_up_to_the_last_point(self, rng, kind):
+        # prox_oracle's grid ends at 2x + 1, past every minimizer; a shorter
+        # grid puts the minimum at its end, the last grid point included
+        steps = 10.0 ** rng.uniform(-6.0, 0.0, 60)
+        norms = rng.uniform(0.5, 6.0, 60) * np.sqrt(steps)
+        tops = norms * np.concatenate([rng.uniform(0.05, 0.5, 30), rng.uniform(0.5, 3.0, 30)])
+        eps = 0.5 * np.sqrt(steps)
+        got = reg._grid_argmin(kind, norms, steps, eps, tops)
+        want = [np.argmin(reg._oracle_objective(kind, np.linspace(0.0, top, reg.ORACLE_GRID),
+                                                x, st, e))
+                for x, st, e, top in zip(norms, steps, eps, tops)]
+        assert np.array_equal(got, want)
+        assert np.count_nonzero(got == reg.ORACLE_GRID - 1) >= 20
+
+    @pytest.mark.parametrize("kind", SCALAR_KINDS)
+    def test_peak_memory_bounded(self, suite_batches, kind):
+        # a dense scan holds three 100 000-point buffers (3.2 MiB measured)
+        norms, spec, steps = suite_batches[kind]
+        tracemalloc.start()
+        try:
+            prox_oracle(norms, spec, steps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2 ** 20
 
 
 def l1_minus_2_objective(t, x, step):
