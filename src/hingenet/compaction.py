@@ -28,13 +28,13 @@ class StructuralError(RuntimeError):
     """Two models that should agree have diverging shapes."""
 
 
-def _conv_tensors(layer, plan, in_idx: np.ndarray) -> dict:
+def _conv_tensors(layer, plan) -> dict:
     """W, A for a kept pair, and b of one compacted conv. W keeps the
-    kernel-sized row blocks of the alive input channels (rows are
+    kernel-sized row blocks of the plan's alive input channels (rows are
     channel-major), selected after W@A for a pruned layer and before a
     decomposed pair is merged back."""
     k = layer.meta.kernel_h * layer.meta.kernel_w
-    rows = (in_idx[:, None] * k + np.arange(k)).ravel()
+    rows = (plan.alive_in_idx[:, None] * k + np.arange(k)).ravel()
     if plan.mode == UNTOUCHED:
         return {"W": layer.w[rows], "b": layer.b.copy()}
     alive = np.flatnonzero(layer.mask)
@@ -65,17 +65,13 @@ def compact(net: Network) -> CompactModel:
     for _, layer in net.hinged_layers():
         layer.apply_mask()
     plans = build_plan(net, threshold=None)
-    by_name = {p.name: p for p in plans}
     tensors = {f"{p.name}/mode": np.array([MODE_BYTES[p.mode]], dtype=np.uint8)
                for p in plans}
-    for entry in net.arch.table:
-        in_idx = (by_name[entry.source].alive_out_idx if entry.source is not None
-                  else np.arange(net.arch.input_channels))
-        for key, t in _conv_tensors(net.layers[entry.name], by_name[entry.name],
-                                    in_idx).items():
-            tensors[f"{entry.name}/{key}"] = t
-    in_idx = by_name[net.arch.output].alive_out_idx
-    tensors.update({"head/W": net.head.w[in_idx, :], "head/b": net.head.b.copy()})
+    *convs, head = plans
+    for plan in convs:
+        for key, t in _conv_tensors(net.layers[plan.name], plan).items():
+            tensors[f"{plan.name}/{key}"] = t
+    tensors.update({"head/W": net.head.w[head.alive_in_idx, :], "head/b": net.head.b.copy()})
     network, _ = network_from_tensors(net.arch, tensors)
     return CompactModel(network=network, report=report_from_plan(plans, net), plans=plans)
 

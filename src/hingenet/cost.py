@@ -66,6 +66,7 @@ class LayerPlan:
     params: int
     flops_original: int
     alive_out_idx: np.ndarray | None = field(default=None, repr=False)
+    alive_in_idx: np.ndarray | None = field(default=None, repr=False)  # source's alive outputs
 
 
 @dataclass
@@ -100,7 +101,7 @@ def _plan_conv(name, meta, in_idx):
     return LayerPlan(name, UNTOUCHED, len(in_idx), meta.out_channels, None, False,
                      flops, conv_params(meta, len(in_idx), meta.out_channels),
                      conv_flops(meta, meta.in_channels, meta.out_channels),
-                     alive_out_idx=np.arange(meta.out_channels))
+                     alive_out_idx=np.arange(meta.out_channels), alive_in_idx=in_idx)
 
 
 def _plan_hinged(name, layer, in_idx, threshold):
@@ -117,7 +118,7 @@ def _plan_hinged(name, layer, in_idx, threshold):
         flops = conv_flops(meta, len(in_idx), len(alive_idx))
         params = conv_params(meta, len(in_idx), len(alive_idx))
         return LayerPlan(name, PRUNE, len(in_idx), len(alive_idx), None, False,
-                         flops, params, orig, alive_out_idx=alive_idx)
+                         flops, params, orig, alive_out_idx=alive_idx, alive_in_idx=in_idx)
     rank = len(alive_idx)
     kept = decompose_saves(meta, rank, in_alive=len(in_idx))
     if kept:
@@ -128,7 +129,7 @@ def _plan_hinged(name, layer, in_idx, threshold):
         params = conv_params(meta, len(in_idx), meta.out_channels)
     return LayerPlan(name, DECOMPOSE, len(in_idx), meta.out_channels, rank, kept,
                      flops, params, orig,
-                     alive_out_idx=np.arange(meta.out_channels))
+                     alive_out_idx=np.arange(meta.out_channels), alive_in_idx=in_idx)
 
 
 def build_plan(net: Network, threshold: float | None = None) -> list:
@@ -150,12 +151,13 @@ def build_plan(net: Network, threshold: float | None = None) -> list:
             raise ValueError(f"{entry.name}: its output joins a skip connection, so it "
                              "may not be pruned; it must use row groups")
         plans[entry.name] = plan
-    head_in = len(plans[net.arch.output].alive_out_idx)
+    head_idx = plans[net.arch.output].alive_out_idx
+    head_in = len(head_idx)
     head_full = net.head.w.shape[0]
     classes = net.head.w.shape[1]
     head = LayerPlan("head", UNTOUCHED, head_in, classes, None, False,
                      2 * head_in * classes, head_in * classes + classes,
-                     2 * head_full * classes, alive_out_idx=None)
+                     2 * head_full * classes, alive_in_idx=head_idx)
     return list(plans.values()) + [head]
 
 

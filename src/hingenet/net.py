@@ -16,10 +16,14 @@ bit; a whole-batch forward can differ in the last bit where BLAS rounds a
 row by the row count of its product.
 
 Layer table: `layer_table` lists every conv of an `ArchSpec` in checkpoint
-order with its nominal geometry, the layer it reads, its hinge position
-and whether a skip protects its output. Building, hinging, cost planning,
-compaction and checkpoint reading all iterate that table; block classes
-only run forward and backward.
+order with its nominal geometry, the layer it reads, its hinge position,
+whether a skip protects its output, the skip its output joins before its
+relu and whether a relu follows it. `ArchSpec.order` is the same table in
+evaluation order, each skip projection before its block's convs. Building,
+hinging, cost planning, compaction and checkpoint reading iterate the
+table, and `Network` runs the order: one loop forward, the same loop
+reversed backward, with no block objects. The forward drops each output
+after its last reader, counted from the table.
 
 Checkpoints: `Network.state_tensors` writes every checkpoint and
 `network_from_tensors` reads every one back, baseline or compacted; it
@@ -40,8 +44,7 @@ one place that permutes them, so the checkpoint format and its meaning are
 unchanged.
 """
 
-import itertools
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -258,51 +261,6 @@ class Linear:
         yield f"{prefix}/b", BIAS, self, "b"
 
 
-class PlainBlock:
-    """conv -> relu, no skip."""
-
-    def __init__(self, conv):
-        self.conv = conv
-        self.relu = ReLU()
-
-    def forward(self, x, cache: bool = True):
-        return self.relu.forward(self.conv.forward(x, cache), cache)
-
-    def backward(self, dy):
-        return self.conv.backward(self.relu.backward(dy))
-
-
-class BasicBlock:
-    """Residual pair of 3x3 convs: y = relu(conv2(relu(conv1(x))) + skip(x)).
-
-    The skip is the identity when shapes already match, otherwise a 1x1
-    projection conv. Because the block output joins the skip sum, its
-    channel count must survive compression unchanged.
-    """
-
-    def __init__(self, conv1, conv2, downsample=None):
-        self.conv1 = conv1
-        self.conv2 = conv2
-        self.downsample = downsample
-        self.relu1 = ReLU()
-        self.relu2 = ReLU()
-
-    def forward(self, x, cache: bool = True):
-        h = self.relu1.forward(self.conv1.forward(x, cache), cache)
-        f = self.conv2.forward(h, cache)
-        s = self.downsample.forward(x, cache) if self.downsample is not None else x
-        return self.relu2.forward(f + s, cache)
-
-    def backward(self, dy):
-        dsum = self.relu2.backward(dy)
-        dx = self.conv1.backward(self.relu1.backward(self.conv2.backward(dsum)))
-        if self.downsample is not None:
-            dx = dx + self.downsample.backward(dsum)
-        else:
-            dx = dx + dsum
-        return dx
-
-
 @dataclass(frozen=True)
 class BlockDef:
     kind: str            # "plain" | "basic"
@@ -318,6 +276,8 @@ class LayerEntry:
     source: str | None       # the layer whose output it reads; None: the network input
     position: str | None     # hinge position; None for the stem and skip projections
     protected: bool          # its output joins a residual sum or an identity skip
+    skip: str | None = None  # the layer whose output joins its output before the relu
+    relu: bool = True        # False only for a skip projection
 
 
 @dataclass(frozen=True)
@@ -329,18 +289,22 @@ class ArchSpec:
     stem_channels: int
     blocks: tuple = field(default_factory=tuple)
     table: tuple = field(init=False, repr=False, compare=False)   # see layer_table
+    order: tuple = field(init=False, repr=False, compare=False)
     output: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        table, output = layer_table(self)
+        table, order, output = layer_table(self)
         object.__setattr__(self, "table", table)
+        object.__setattr__(self, "order", order)
         object.__setattr__(self, "output", output)
 
 
 def layer_table(arch: ArchSpec):
     """Every convolution of `arch` in checkpoint order, with its geometry,
-    its input, its hinge position and whether a skip protects its output;
-    and the name of the layer the head reads.
+    its input, its hinge position, whether a skip protects its output, the
+    skip its output joins and whether a relu follows; the same entries in
+    evaluation order (a block's skip projection before its convs, the
+    order the init draws in); and the name of the layer the head reads.
 
     This is the one place that knows the block structure; `ArchSpec` builds
     it once. A block's output is that of its last conv, so an identity
@@ -348,9 +312,10 @@ def layer_table(arch: ArchSpec):
     """
     if len(arch.blocks) < 1 or arch.classes < 1:
         raise ValueError("architecture needs at least one block and one class")
-    entries = {}
+    entries, order = {}, []
 
-    def add(name, source, out_ch, kernel, stride, position=None, protected=False):
+    def add(name, source, out_ch, kernel, stride, position=None, protected=False,
+            skip=None, relu=True):
         if source is None:
             in_ch, h, w = arch.input_channels, arch.input_h, arch.input_w
         else:
@@ -365,7 +330,8 @@ def layer_table(arch: ArchSpec):
         if out_h < 1 or out_w < 1:
             raise ValueError(f"{name}: output would be {out_h}x{out_w}")
         meta = ConvMeta(in_ch, out_ch, kernel, kernel, stride, pad, out_h, out_w)
-        entries[name] = LayerEntry(name, meta, source, position, protected)
+        entries[name] = LayerEntry(name, meta, source, position, protected, skip, relu)
+        order.append(name)
 
     add("stem", None, arch.stem_channels, 3, 1)
     out = "stem"
@@ -377,45 +343,42 @@ def layer_table(arch: ArchSpec):
             continue
         if bd.kind != "basic":
             raise ValueError(f"unsupported block kind {bd.kind!r}")
+        down = bd.stride != 1 or entries[out].meta.out_channels != bd.channels
+        skip = f"{p}.down" if down else out
         add(f"{p}.conv1", out, bd.channels, 3, bd.stride, hinge.FIRST_IN_BASIC)
         add(f"{p}.conv2", f"{p}.conv1", bd.channels, 3, 1, hinge.SECOND_IN_BASIC,
-            protected=True)
-        if bd.stride != 1 or entries[out].meta.out_channels != bd.channels:
-            add(f"{p}.down", out, bd.channels, 1, bd.stride, protected=True)
+            protected=True, skip=skip)
+        if down:
+            add(skip, out, bd.channels, 1, bd.stride, protected=True, relu=False)
+            order.insert(-2, order.pop())  # evaluated before the block's convs
         else:
             entries[out] = replace(entries[out], protected=True)
         out = f"{p}.conv2"
-    return tuple(entries.values()), out
+    return tuple(entries.values()), tuple(entries[name] for name in order), out
 
 
 class Network:
     """Stem conv -> blocks -> global average pool -> linear classifier.
 
-    `layers` maps every name in `arch.table` to its convolution. The stem
-    reads the network input, so it computes no input gradient.
+    `layers` maps every name in `arch.table` to its convolution, and
+    `relus` every entry that a relu follows to that relu. The forward runs
+    `arch.order`: each conv reads its source's output, adds its skip's
+    and applies its relu; the backward runs the same order reversed. The
+    stem reads the network input, so it computes no input gradient.
     """
 
     def __init__(self, arch: ArchSpec, layers: dict, head):
         self.arch = arch
-        self.stem_relu = ReLU()
+        self.layers = dict(layers)
+        self.relus = {e.name: ReLU() for e in arch.order if e.relu}
         self.pool = GlobalAvgPool()
         self.head = head
-        self.set_layers(layers)
-        self.stem.needs_input_grad = False
+        self.layers["stem"].needs_input_grad = False
+        # how many readers each output has: the head, its convs and its skips
+        self._readers = Counter([arch.output] + [e.source for e in arch.order]
+                                + [e.skip for e in arch.order if e.skip is not None])
         widest = max(e.meta.out_h * e.meta.out_w * e.meta.patch_size for e in arch.table)
         self.inference_batch = max(1, INFERENCE_PATCH_BYTES // (8 * widest))  # float64
-
-    def set_layers(self, layers: dict) -> None:
-        """Assemble the stem and the blocks from convolutions keyed by
-        table name."""
-        self.layers = dict(layers)
-        self.stem = self.layers["stem"]
-        self.blocks = []
-        for i, bd in enumerate(self.arch.blocks):
-            conv, conv1, conv2, down = (self.layers.get(f"block{i}.{part}")
-                                        for part in ("conv", "conv1", "conv2", "down"))
-            self.blocks.append(PlainBlock(conv) if bd.kind == "plain"
-                               else BasicBlock(conv1, conv2, down))
 
     def forward(self, x: np.ndarray, cache: bool = True) -> np.ndarray:
         """Logits of a batch. With `cache=False` no layer keeps anything
@@ -427,16 +390,37 @@ class Network:
         return np.concatenate([self._logits(x[s:s + n], False) for s in range(0, len(x), n)])
 
     def _logits(self, x: np.ndarray, cache: bool) -> np.ndarray:
-        h = self.stem_relu.forward(self.stem.forward(x, cache), cache)
-        for blk in self.blocks:
-            h = blk.forward(h, cache)
-        return self.head.forward(self.pool.forward(h, cache), cache)
+        # each output is dropped after its last reader and each pre-relu
+        # sum at once, so later patch matrices reuse the freed memory
+        outs, left = {None: x}, self._readers.copy()
+
+        def read(name):
+            left[name] -= 1
+            return outs[name] if left[name] else outs.pop(name)
+
+        for entry in self.arch.order:
+            y = self.layers[entry.name].forward(read(entry.source), cache)
+            if entry.skip is not None:
+                y = y + read(entry.skip)
+            if entry.relu:
+                y = self.relus[entry.name].forward(y, cache)
+            outs[entry.name] = y
+        return self.head.forward(self.pool.forward(read(self.arch.output), cache), cache)
 
     def backward(self, dlogits: np.ndarray) -> np.ndarray:
-        dh = self.pool.backward(self.head.backward(dlogits))
-        for blk in reversed(self.blocks):
-            dh = blk.backward(dh)
-        return self.stem.backward(self.stem_relu.backward(dh))
+        grads = {self.arch.output: self.pool.backward(self.head.backward(dlogits))}
+
+        def add(name, d):
+            grads[name] = grads[name] + d if name in grads else d
+
+        for entry in reversed(self.arch.order):
+            d = grads.pop(entry.name)
+            if entry.relu:
+                d = self.relus[entry.name].backward(d)
+            if entry.skip is not None:
+                add(entry.skip, d)
+            add(entry.source, self.layers[entry.name].backward(d))
+        return grads.pop(None)
 
     def named_layers(self):
         for entry in self.arch.table:
@@ -552,13 +536,9 @@ def network_from_tensors(arch: ArchSpec, tensors):
 def build_network(arch: ArchSpec, seed: int) -> Network:
     """Baseline network: plain convolutions everywhere, seeded init."""
     rng = np.random.default_rng(seed)
-    layers = {}
-    # Weights are drawn block by block, a block's skip projection before
-    # its convs although the table lists it last: the seeded baselines
-    # depend on this order.
-    for _, block in itertools.groupby(arch.table, key=lambda e: e.name.partition(".")[0]):
-        for entry in sorted(block, key=lambda e: e.position is not None):
-            layers[entry.name] = Conv2d(entry.meta, rng=rng)
+    # drawn in evaluation order, a block's skip projection before its convs
+    # although the table lists it last: the seeded baselines depend on it
+    layers = {entry.name: Conv2d(entry.meta, rng=rng) for entry in arch.order}
     head = Linear(layers[arch.output].meta.out_channels, arch.classes, rng=rng)
     return Network(arch, layers, head)
 
@@ -577,6 +557,8 @@ def attach_hinges(net: Network, init: str = hinge.SVD_INIT,
     """
     kinds = {hinge.FIRST_IN_BASIC: first_kind or linalg.ROWS,
              hinge.STANDALONE: plain_kind or linalg.COLUMNS}
+    # the plain convs go together after the last SVD: freed between SVDs, they
+    # leave glibc a heap it trims and faults back in on every later compress
     layers = dict(net.layers)
     for entry in net.arch.table:
         if entry.position is None:
@@ -587,5 +569,5 @@ def attach_hinges(net: Network, init: str = hinge.SVD_INIT,
         n = conv.meta.out_channels
         layers[entry.name] = HingedConv2d(conv.meta, w_new, a_new, b=conv.b.copy(),
                                           scheme=linalg.GroupScheme(kind, (n, n)))
-    net.set_layers(layers)
+    net.layers = layers
     return net

@@ -103,7 +103,7 @@ def prox_suite(cases: int = 1000, seed: int = 2024, tol: float = 1e-6) -> list:
 # Gradient suite.
 # --------------------------------------------------------------------------
 
-def finite_difference_check(model, x, y, loss_fn, rng, samples_per_param: int = 3,
+def finite_difference_check(model, x, loss_fn, rng, samples_per_param: int = 3,
                             h: float = 1e-5):
     """The worst relative deviation between analytic gradients and central
     differences over randomly sampled entries of every parameter tensor,
@@ -134,32 +134,23 @@ def finite_difference_check(model, x, y, loss_fn, rng, samples_per_param: int = 
     return float(rels[worst]), where[worst]
 
 
-def grad_suite(seed: int = 7, tol: float = 1e-4) -> list:
-    """Finite differences over every layer type: plain conv (stem and skip
-    projection), both hinged convs of a residual pair, a pruned plain
-    block, the linear head, and both loss functions."""
-    rng = np.random.default_rng(seed)
+def _grad_cases(rng, seed):
+    """(name, model, input, loss) per gradient case. A generator: each
+    case draws its data from `rng` only after the previous case's check
+    has drawn its samples, the order the suite's figures rest on."""
     arch = net.ArchSpec(2, 8, 8, 3, 4,
                         (net.BlockDef("basic", 4, 1), net.BlockDef("basic", 6, 2)))
     model = net.build_network(arch, seed=seed)
-    model.stem.needs_input_grad = True
+    model.layers["stem"].needs_input_grad = True
     net.attach_hinges(model, init="svd")
     x = rng.normal(size=(4, 2, 8, 8))
     y = rng.integers(0, 3, size=4)
-
-    results = []
-    worst, which = finite_difference_check(
-        model, x, y, lambda lg: losses.cross_entropy(lg, y), rng, samples_per_param=4)
-    results.append(SuiteResult("grad_cross_entropy", worst <= tol, worst, tol, 1,
-                               [] if worst <= tol else [{"param": which}]))
+    yield "grad_cross_entropy", model, x, lambda lg: losses.cross_entropy(lg, y)
 
     teacher_logits = rng.normal(size=(4, 3))
     cfg = losses.DistillConfig(0.4, 4.0)
-    worst, which = finite_difference_check(
-        model, x, y, lambda lg: losses.distill_loss(lg, teacher_logits, y, cfg),
-        rng, samples_per_param=4)
-    results.append(SuiteResult("grad_distill", worst <= tol, worst, tol, 1,
-                               [] if worst <= tol else [{"param": which}]))
+    yield ("grad_distill", model, x,
+           lambda lg: losses.distill_loss(lg, teacher_logits, y, cfg))
 
     # plain pruned chain exercises column-group hinges
     arch2 = net.ArchSpec(1, 8, 8, 3, 4, (net.BlockDef("plain", 5),))
@@ -167,11 +158,19 @@ def grad_suite(seed: int = 7, tol: float = 1e-4) -> list:
     net.attach_hinges(model2, init="identity")
     x2 = rng.normal(size=(4, 1, 8, 8))
     y2 = rng.integers(0, 3, size=4)
-    worst, which = finite_difference_check(
-        model2, x2, y2, lambda lg: losses.cross_entropy(lg, y2), rng,
-        samples_per_param=4)
-    results.append(SuiteResult("grad_plain_chain", worst <= tol, worst, tol, 1,
-                               [] if worst <= tol else [{"param": which}]))
+    yield "grad_plain_chain", model2, x2, lambda lg: losses.cross_entropy(lg, y2)
+
+
+def grad_suite(seed: int = 7, tol: float = 1e-4) -> list:
+    """Finite differences over every layer type: plain conv (stem and skip
+    projection), both hinged convs of a residual pair, a pruned plain
+    block, the linear head, and both loss functions."""
+    rng = np.random.default_rng(seed)
+    results = []
+    for name, model, x, loss_fn in _grad_cases(rng, seed):
+        worst, which = finite_difference_check(model, x, loss_fn, rng, samples_per_param=4)
+        results.append(SuiteResult(name, worst <= tol, worst, tol, 1,
+                                   [] if worst <= tol else [{"param": which}]))
     return results
 
 

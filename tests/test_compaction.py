@@ -124,11 +124,11 @@ class TestPropagate:
     def test_plain_chain_input_rows_removed(self, rng):
         model = build_network(small_plain_arch(channels=(4, 6)), seed=2)
         attach_hinges(model, init="identity", plain_kind="columns")
-        first = model.blocks[0].conv
+        first = model.layers["block0.conv"]
         first.mask[[1, 3]] = False
         first.apply_mask()
         cm = compact(model)
-        second = cm.network.blocks[1].conv
+        second = cm.network.layers["block1.conv"]
         # 2 of 4 channels pruned: next conv loses the matching kernel rows
         assert second.meta.in_channels == 2
         assert second.w.shape[0] == 2 * 9
@@ -137,7 +137,7 @@ class TestPropagate:
     def test_head_input_adjusted(self, rng):
         model = build_network(small_plain_arch(channels=(5, 4)), seed=3)
         attach_hinges(model, init="identity", plain_kind="columns")
-        last = model.blocks[1].conv
+        last = model.layers["block1.conv"]
         last.mask[[0, 2]] = False
         last.apply_mask()
         cm = compact(model)
@@ -147,24 +147,24 @@ class TestPropagate:
     def test_basic_block_output_shape_unchanged(self, rng):
         model = build_network(small_residual_arch(), seed=4)
         attach_hinges(model, init="svd")
-        conv2 = model.blocks[0].conv2
+        conv2 = model.layers["block0.conv2"]
         conv2.mask[rng.choice(conv2.scheme.group_count, 2, replace=False)] = False
         conv2.apply_mask()
         cm = compact(model)
-        out_meta = (cm.network.blocks[0].conv2.meta)
+        out_meta = cm.network.layers["block0.conv2"].meta
         assert out_meta.out_channels == conv2.meta.out_channels
         assert verify_equivalence(model, cm.network, 16, seed=5) <= 1e-10
 
     def test_first_conv_columns_shrinks_second_conv_input(self, rng):
         model = build_network(small_residual_arch(), seed=5)
         attach_hinges(model, init="identity", first_kind="columns")
-        conv1 = model.blocks[0].conv1
+        conv1 = model.layers["block0.conv1"]
         conv1.mask[[0, 1]] = False
         conv1.apply_mask()
         cm = compact(model)
-        blk = cm.network.blocks[0]
-        assert blk.conv1.meta.out_channels == conv1.meta.out_channels - 2
-        assert blk.conv2.meta.in_channels == conv1.meta.out_channels - 2
+        compact_layers = cm.network.layers
+        assert compact_layers["block0.conv1"].meta.out_channels == conv1.meta.out_channels - 2
+        assert compact_layers["block0.conv2"].meta.in_channels == conv1.meta.out_channels - 2
         assert verify_equivalence(model, cm.network, 16, seed=6) <= 1e-10
 
     def test_plain_into_identity_skip_forced_to_rows(self, rng):
@@ -173,7 +173,7 @@ class TestPropagate:
                                     net_module.BlockDef("basic", 6, 1)))
         model = net_module.build_network(arch, seed=13)
         attach_hinges(model, init="identity", plain_kind="columns")
-        plain_conv = model.blocks[0].conv
+        plain_conv = model.layers["block0.conv"]
         assert plain_conv.scheme.kind == linalg.ROWS  # columns overridden
         plain_conv.mask[[1, 4]] = False
         plain_conv.apply_mask()
@@ -186,7 +186,7 @@ class TestPropagate:
                                     net_module.BlockDef("basic", 6, 1)))
         model = net_module.build_network(arch, seed=14)
         attach_hinges(model, init="identity")
-        plain_conv = model.blocks[0].conv
+        plain_conv = model.layers["block0.conv"]
         plain_conv.scheme = linalg.GroupScheme(linalg.COLUMNS, (6, 6))  # bypass the guard
         plain_conv.mask = np.ones(6, dtype=bool)
         plain_conv.mask[2] = False
@@ -203,9 +203,9 @@ class TestPropagate:
         for plan in cm.plans:
             if plan.mode == "decompose":
                 assert not plan.kept_pair
-        for blk in cm.network.blocks:
-            assert type(blk.conv1) is Conv2d and blk.conv1.a is None
-            assert type(blk.conv2) is Conv2d and blk.conv2.a is None
+        for name in ("block0.conv1", "block0.conv2", "block1.conv1", "block1.conv2"):
+            layer = cm.network.layers[name]
+            assert type(layer) is Conv2d and layer.a is None
 
 
 class TestVerifyEquivalence:

@@ -120,7 +120,7 @@ def test_failing_prox_stops_before_any_parameter_moves(spec, error):
 @pytest.mark.parametrize("value", [np.inf, np.nan])
 def test_evaluate_non_finite_weight_raises(value):
     model, ds = tiny_setup()
-    model.stem.w[0, 0] = value
+    model.layers["stem"].w[0, 0] = value
     with pytest.raises(NumericError):
         train.evaluate(model, ds.x_test, ds.y_test)
 
