@@ -4,12 +4,14 @@ A square sparsity-inducing matrix is appended to each convolution; driving
 its column groups to zero prunes filters, driving its row groups to zero
 yields a low-rank decomposition. Proximal-gradient optimization with layer
 balancing, gradient-based learning-rate adjustment and factor annealing
-compresses to a target FLOP ratio; a binary threshold search fits the
-ratio exactly; distillation finetuning recovers accuracy.
+compresses to a target FLOP ratio, every layer costing the weights it
+keeps; a bisection over the sorted alive group norms picks the nullifying
+threshold whose ratio is closest to the target; distillation finetuning
+recovers accuracy.
 """
 
 from .compaction import CompactModel, compact, verify_equivalence
-from .cost import CostReport, compression_ratio, decompose_saves
+from .cost import CostReport, compression_ratio
 from .data import SyntheticDataset
 from .losses import DistillConfig, cross_entropy, distill_loss
 from .net import ArchSpec, BlockDef, Network, attach_hinges, build_network
@@ -25,5 +27,5 @@ __all__ = [
     "RegularizerSpec", "CompressionConfig", "CompressionState",
     "run_compression", "binary_search_threshold", "apply_threshold",
     "CompactModel", "compact", "verify_equivalence",
-    "CostReport", "compression_ratio", "decompose_saves",
+    "CostReport", "compression_ratio",
 ]

@@ -73,7 +73,7 @@ def compact(net: Network) -> CompactModel:
             tensors[f"{plan.name}/{key}"] = t
     tensors.update({"head/W": net.head.w[head.alive_in_idx, :], "head/b": net.head.b.copy()})
     network, _ = network_from_tensors(net.arch, tensors)
-    return CompactModel(network=network, report=report_from_plan(plans, net), plans=plans)
+    return CompactModel(network=network, report=report_from_plan(plans), plans=plans)
 
 
 @quiet_overflow()

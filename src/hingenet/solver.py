@@ -12,10 +12,10 @@ adjusted by the gradient-norm ratio, and the factor anneals once a layer's
 groups have shrunk far enough. The loop stops when the ratio is within the
 stop margin of the target.
 
-The binary search afterwards moves a threshold up or down with a step that
-halves whenever the ratio crosses the target, returning the best threshold
-seen; the ratio is a monotone staircase in the threshold, so exact
-closeness may be unattainable and the result carries an exactness flag.
+The threshold search afterwards bisects the sorted alive group norms: the
+ratio is a non-increasing staircase in the threshold that steps only at
+those norms, so the search returns the step closest to the target. Exact
+closeness may be unattainable, and the result carries an exactness flag.
 """
 
 import math
@@ -25,7 +25,7 @@ import numpy as np
 
 from . import hinge, losses
 from .cost import compression_ratio
-from .linalg import group_norms, quiet_overflow
+from .linalg import NumericError, group_norms, quiet_overflow
 from .net import HINGE, WEIGHT, Network
 from .regularizers import RegularizerSpec, prox
 from .train import sgd_epoch
@@ -95,8 +95,9 @@ def adjust_learning_rates(pairs, grad_sums: dict, eta: float, m: float,
                           prev_rho: dict, warn=None) -> tuple[dict, dict]:
     """Per-matrix learning rates for the next epoch. For each residual
     pair, rho is the ratio of mean gradient group norms (first over second
-    matrix) and the first matrix's lr is eta / rho^m. Returns the lr per
-    matrix id and the rho per block."""
+    matrix) and the first matrix's lr is eta / rho^m; an lr that is not
+    finite, or is zero, raises NumericError. Returns the lr per matrix id
+    and the rho per block."""
     lr_map = {}
     rho_map = {}
     for block_name, conv1, conv2 in pairs:
@@ -112,7 +113,14 @@ def adjust_learning_rates(pairs, grad_sums: dict, eta: float, m: float,
         else:
             rho = mean1 / mean2
         rho_map[block_name] = rho
-        lr_map[id(conv1)] = eta / rho ** m
+        try:
+            lr = eta / rho ** m
+        except (OverflowError, ZeroDivisionError):
+            lr = math.nan
+        if not math.isfinite(lr) or lr == 0.0:
+            raise NumericError(f"{block_name}: learning rate eta / rho^m is zero or not "
+                               f"finite (rho {rho:.6g}, compress.m {m:g})")
+        lr_map[id(conv1)] = lr
         lr_map[id(conv2)] = eta
     return lr_map, rho_map
 
@@ -192,46 +200,40 @@ def run_compression(net: Network, dataset, config: CompressionConfig,
     return state
 
 
-SEARCH_MAX_ITERS = 200  # threshold probes before the best one seen is returned
-
-
 @dataclass
 class ThresholdSearchResult:
     threshold: float
     gamma: float
     exact: bool
-    iterations: int
-    visited: list
+    iterations: int   # compression-ratio probes
 
 
 def binary_search_threshold(net: Network, target: float,
                             criterion: float = 0.005) -> ThresholdSearchResult:
-    """Find the nullifying threshold whose compression ratio is closest to
-    `target`. The step moves the threshold toward the target ratio and is
-    halved whenever the ratio crosses it; because the ratio is a staircase,
-    the search returns the best visited threshold with an exactness flag.
-    The first probe is the median alive group norm."""
+    """The nullifying threshold whose compression ratio is closest to
+    `target`, ties to the smaller threshold. The ratio is a non-increasing
+    staircase that steps only at alive group norms, so the candidates are
+    the sorted unique alive norms, then the next float above the largest
+    (the masks of an infinite threshold, but finite). Bisection finds the
+    first candidate at or below the target in at most ceil(log2 n) + 1
+    probes; the answer is it or its predecessor. `exact` says whether the
+    ratio is within `criterion` of the target."""
     if criterion <= 0:
         raise ValueError("criterion must be positive")
-    alive_norms = np.concatenate([
-        layer.group_norms()[layer.mask] for _, layer in net.hinged_layers()])
-    t = float(np.median(alive_norms)) if alive_norms.size else 0.0
-    s = t / 2.0 if t > 0 else 0.5
-    visited = []
-    best = None
-    prev_gamma = None
-    for iteration in range(SEARCH_MAX_ITERS):
-        gamma = compression_ratio(net, t)
-        visited.append((t, gamma))
-        if best is None or abs(gamma - target) < abs(best[1] - target):
-            best = (t, gamma)
-        if abs(gamma - target) <= criterion:
-            return ThresholdSearchResult(t, gamma, True, iteration + 1, visited)
-        if prev_gamma is not None and (prev_gamma >= target) == (gamma < target):
-            s /= 2.0
-        prev_gamma = gamma
-        t = t + s if gamma > target else max(t - s, 0.0)
-    return ThresholdSearchResult(best[0], best[1], False, SEARCH_MAX_ITERS, visited)
+    norms = np.unique(np.concatenate([
+        layer.group_norms()[layer.mask] for _, layer in net.hinged_layers()]))
+    candidates = np.append(norms, np.nextafter(norms[-1], np.inf))
+    # ratio(candidates[lo]) > target >= ratio(candidates[hi]); the ends
+    # -1 and n stand for ratios above and below every target
+    lo, hi, gammas = -1, len(candidates), {}
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        gammas[mid] = compression_ratio(net, float(candidates[mid]))
+        lo, hi = (mid, hi) if gammas[mid] > target else (lo, mid)
+    if lo < 0 or (hi < len(candidates) and target - gammas[hi] < gammas[lo] - target):
+        lo = hi
+    return ThresholdSearchResult(float(candidates[lo]), gammas[lo],
+                                 abs(gammas[lo] - target) <= criterion, len(gammas))
 
 
 def apply_threshold(net: Network, threshold: float) -> None:

@@ -18,3 +18,13 @@ def small_residual_arch(channels=(4, 6), input_channels=1, size=8, classes=3):
 def small_plain_arch(channels=(5, 4), input_channels=2, size=8, classes=3):
     blocks = tuple(net.BlockDef("plain", c) for c in channels)
     return net.ArchSpec(input_channels, size, size, classes, channels[0], blocks)
+
+
+def staircase(model):
+    """The exhaustive reference for the threshold search: the compression
+    ratio at threshold 0, just above every group norm and at infinity, in
+    threshold order. Every ratio a threshold can reach is among them."""
+    from hingenet import cost
+    norms = np.unique(np.concatenate([l.group_norms() for _, l in model.hinged_layers()]))
+    thresholds = np.concatenate([[0.0], np.nextafter(norms, np.inf), [np.inf]])
+    return [cost.compression_ratio(model, t) for t in thresholds]

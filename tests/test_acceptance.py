@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import staircase
 from hingenet import cli, cost, data, linalg, net, solver, train, verify
 from hingenet.config import load_config
 from hingenet.linalg import ROWS, GroupScheme, group_norms
@@ -154,21 +155,15 @@ def test_criterion_6_threshold_search(toy_pipeline):
                                         checkpoint.load(toy_pipeline["baseline_ckpt"]))
     attach_hinges(model, init=cfg.hinge_init)
 
-    norms = np.concatenate([l.group_norms() for _, l in model.hinged_layers()])
-    candidates = np.concatenate([[0.0], np.sort(np.unique(norms)) + 1e-9, [np.inf]])
-    achievable = sorted({cost.compression_ratio(model, t) for t in candidates})
+    achievable = set(staircase(model))
 
     t0 = time.perf_counter()
     details = []
     ok = True
     for target in (0.75, 0.5, 0.25):
         res = solver.binary_search_threshold(model, target, criterion=0.005)
-        best = min(achievable, key=lambda g: abs(g - target))
-        if res.exact:
-            hit = abs(res.gamma - target) <= 0.005
-        else:
-            hit = abs(res.gamma - best) <= 1e-12  # provably closest step
-        ok &= hit
+        best = min(achievable, key=lambda g: (abs(g - target), -g))
+        ok &= res.gamma == best and res.exact == (abs(best - target) <= 0.005)
         details.append(f"{target}->{res.gamma:.4f}{'*' if res.exact else ''}")
     elapsed = time.perf_counter() - t0
     ok &= elapsed < 60.0

@@ -8,17 +8,8 @@ from conftest import small_plain_arch, small_residual_arch
 from hingenet import checkpoint, cost, hinge, linalg, verify
 from hingenet import net as net_module
 from hingenet.compaction import StructuralError, compact, verify_equivalence
-from hingenet.hinge import ConvMeta
 from hingenet.net import (Conv2d, HingedConv2d, attach_hinges, build_network,
                           network_from_tensors)
-
-
-def hinged_layer(rng, patch=12, n=8, kind="columns"):
-    meta = ConvMeta(3, n, 2, 2, 1, 0, 4, 4)
-    w = rng.normal(size=(patch, n))
-    a = rng.normal(size=(n, n))
-    scheme = linalg.GroupScheme(kind, (n, n))
-    return HingedConv2d(meta, w, a, b=rng.normal(size=n), scheme=scheme)
 
 
 def one_hinge_net(rng, kind, n=8):
@@ -104,14 +95,19 @@ class TestCompactDecompose:
         assert np.abs(conv.w @ conv.a - layer.w @ layer.a).max() <= 1e-12
 
     def test_pair_cost_matches_saves_verdict(self, rng):
-        layer = hinged_layer(rng, kind="rows", n=16)
-        layer.mask[rng.choice(16, 5, replace=False)] = False
-        layer.apply_mask()
-        rank = int(layer.mask.sum())
-        meta = layer.meta
-        pair = cost.pair_flops(meta, meta.in_channels, rank)
-        merged = cost.conv_flops(meta, meta.in_channels, meta.out_channels)
-        assert (pair < merged) == cost.decompose_saves(meta, rank)
+        """At every rank, compaction keeps the pair exactly when its two
+        tensors hold fewer weights than the merged filter, and the plan
+        prices what it stores."""
+        model, layer = one_hinge_net(rng, "rows", n=16)
+        merged = layer.w.size   # a 27 x 16 filter
+        for rank in range(16, 0, -1):
+            layer.mask = np.arange(16) < rank
+            conv, plan = compacted_conv(model)
+            pair = layer.w[:, layer.mask].size + layer.a[layer.mask].size
+            assert plan.kept_pair == (pair < merged) == (conv.a is not None), rank
+            kept = conv.w.size + (conv.a.size if conv.a is not None else 0)
+            assert kept == min(pair, merged)
+            assert plan.flops == 2 * layer.meta.spatial * kept
 
 
 class TestPropagate:

@@ -272,6 +272,23 @@ def test_huge_learning_rate_is_numeric_error(pipeline, capsys, stage):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("m", [5000, -5000])
+def test_extreme_lr_exponent_is_numeric_error(pipeline, capsys, m):
+    """`eta / rho^m` overflowing or reaching zero ends in exit 3 with one
+    `numeric error:` line naming the block and `compress.m`."""
+    tmp = pipeline["tmp"]
+    out = tmp / "extreme_m.hngw"
+    cfg = write_config(tmp, _with("compress", m=m), name="extreme_m.json")
+    capsys.readouterr()
+    rc = cli.main(["compress", "--config", cfg, "--ckpt", str(pipeline["base"]),
+                   "--out", str(out)])
+    *progress, err = capsys.readouterr().err.splitlines()
+    assert rc == cli.EXIT_NUMERIC
+    assert err.startswith("numeric error: block") and "compress.m" in err
+    assert all(line.startswith("{") for line in progress)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("regularizer,code,prefix", [
     ({"kind": "l1_minus_2", "lambda": 1e6}, cli.EXIT_NUMERIC, "numeric error: l1-l2"),
     ({"kind": "logsum", "epsilon": 1.0}, cli.EXIT_USAGE, "error: logsum epsilon"),

@@ -3,48 +3,71 @@ import hashlib
 import numpy as np
 import pytest
 
-from conftest import small_plain_arch, small_residual_arch
+from conftest import small_plain_arch, small_residual_arch, staircase
 from hingenet import cost
-from hingenet.hinge import ConvMeta
 from hingenet.net import ArchSpec, BlockDef, attach_hinges, build_network
+
+
+def wide_plain(kind):
+    """A 16-channel stem and one plain 16 -> 32, 3x3 conv at 8x8 (patch
+    144) hinged with `kind` groups, and that conv."""
+    model = build_network(ArchSpec(1, 8, 8, 3, 16, (BlockDef("plain", 32),)), seed=0)
+    attach_hinges(model, init="svd", plain_kind=kind)
+    return model, model.layers["block0.conv"]
+
+
+def plans_of(model, threshold=None):
+    return {p.name: p for p in cost.build_plan(model, threshold)}
 
 
 class TestConvFlops:
     def test_stated_convention(self):
         # 2 * in * kh * kw * out * spatial
-        meta = ConvMeta(16, 32, 3, 3, 1, 1, 8, 8)
-        assert cost.conv_flops(meta, 16, 32) == 2 * 16 * 9 * 32 * 64 == 589_824
+        model, _ = wide_plain("columns")
+        plan = plans_of(model)["block0.conv"]
+        assert plan.flops == plan.flops_original == 2 * 16 * 9 * 32 * 64 == 589_824
 
     def test_linearity_in_out_channels(self):
-        meta = ConvMeta(16, 32, 3, 3, 1, 1, 8, 8)
-        assert cost.conv_flops(meta, 16, 16) * 2 == cost.conv_flops(meta, 16, 32)
+        model, layer = wide_plain("columns")
+        layer.mask[16:] = False
+        plans = plans_of(model)
+        assert plans["block0.conv"].flops * 2 == plans["block0.conv"].flops_original
+        assert plans["head"].alive_in == 16   # the pruned outputs leave the head too
 
     def test_one_by_one(self):
-        meta = ConvMeta(4, 4, 1, 1, 1, 0, 1, 1)
-        assert cost.conv_flops(meta, 4, 4) == 32
+        # the head is the same rule at one position
+        model, _ = wide_plain("columns")
+        head = plans_of(model)["head"]
+        assert head.flops == 2 * 32 * 3 and head.params == 32 * 3 + 3
 
     def test_alive_bounds(self):
-        meta = ConvMeta(4, 4, 1, 1, 1, 0, 1, 1)
-        with pytest.raises(ValueError):
-            cost.conv_flops(meta, 5, 4)
+        model = build_network(small_residual_arch(), seed=5)
+        attach_hinges(model, init="svd", first_kind="columns")
+        nominal = {e.name: e.meta.out_channels for e in model.arch.table}
+        nominal["head"] = model.arch.classes
+        for threshold in (0.0, 1.0, np.inf):
+            for p in cost.build_plan(model, threshold):
+                assert 1 <= p.alive_out <= nominal[p.name]
+                assert p.rank is None or 1 <= p.rank <= nominal[p.name]
+                assert p.flops <= p.flops_original
 
 
 class TestDecomposeSaves:
     def test_boundary_144_32(self):
-        meta = ConvMeta(16, 32, 3, 3, 1, 1, 8, 8)  # patch 144, out 32
-        # pair saves iff rank < 144*32/(144+32) = 26.18...
-        assert cost.decompose_saves(meta, 16)
-        assert cost.decompose_saves(meta, 26)
-        assert not cost.decompose_saves(meta, 27)
+        model, layer = wide_plain("rows")
+        # the pair is kept iff rank < 144*32/(144+32) = 26.18...
+        for rank, kept in ((16, True), (26, True), (27, False)):
+            layer.mask[:] = np.arange(32) < rank
+            plan = plans_of(model)["block0.conv"]
+            assert (plan.rank, plan.kept_pair) == (rank, kept)
+            weights = rank * (144 + 32) if kept else 144 * 32
+            assert plan.flops == 2 * weights * 64 and plan.params == weights + 32
 
     def test_full_rank_never_saves(self):
-        meta = ConvMeta(2, 6, 3, 3, 1, 1, 8, 8)
-        assert not cost.decompose_saves(meta, 6)
-
-    def test_rank_validation(self):
-        meta = ConvMeta(2, 6, 3, 3, 1, 1, 8, 8)
-        with pytest.raises(ValueError):
-            cost.decompose_saves(meta, 0)
+        model, _ = wide_plain("rows")
+        plan = plans_of(model)["block0.conv"]
+        assert plan.mode == "decompose" and not plan.kept_pair
+        assert plan.flops == plan.flops_original
 
 
 def model_digest(model):
@@ -79,9 +102,7 @@ class TestCompressionRatio:
     def test_staircase_monotone_non_increasing(self, rng):
         model = build_network(small_residual_arch(), seed=3)
         attach_hinges(model, init="svd")
-        norms = np.concatenate([l.group_norms() for _, l in model.hinged_layers()])
-        thresholds = np.concatenate([[0.0], np.sort(np.unique(norms)) + 1e-12, [np.inf]])
-        gammas = [cost.compression_ratio(model, t) for t in thresholds]
+        gammas = staircase(model)
         assert all(g1 >= g2 - 1e-15 for g1, g2 in zip(gammas, gammas[1:]))
         assert gammas[0] == pytest.approx(1.0)
 
@@ -113,18 +134,32 @@ class TestCompressionRatio:
 
 class TestParams:
     def test_params_mirror_flops_without_spatial(self):
-        meta = ConvMeta(16, 32, 3, 3, 1, 1, 8, 8)
-        assert cost.conv_params(meta, 16, 32) == 16 * 9 * 32 + 32
-        assert cost.pair_params(meta, 16, 5) == 16 * 9 * 5 + 5 * 32 + 32
+        model = build_network(small_residual_arch(), seed=8)
+        attach_hinges(model, init="svd", first_kind="columns")
+        for p in cost.build_plan(model, threshold=1.0):
+            positions = model.layers[p.name].meta.spatial if p.name != "head" else 1
+            assert p.flops == 2 * positions * (p.params - p.alive_out)
 
-    def test_report_params_match_stored_tensor_walk(self, rng):
-        from hingenet import compaction
-        model = build_network(small_residual_arch(), seed=7)
-        attach_hinges(model, init="svd")
-        for _, layer in model.hinged_layers():
-            layer.mask[rng.choice(layer.scheme.group_count, 2, replace=False)] = False
-            layer.apply_mask()
-        cm = compaction.compact(model)
-        walk = sum(t.size for name, t in cm.network.state_tensors().items()
-                   if not name.endswith("/mask"))
-        assert walk == cm.report.params_compressed
+    def test_report_params_match_stored_tensor_walk(self):
+        """Over random masked models, each layer's plan prices the tensors
+        compaction stores: flops are 2 * positions * (W.size + A.size), and
+        params add b.size. The original count is the baseline's tensors."""
+        from hingenet import compaction, verify
+        rng = np.random.default_rng(7)
+        seen = set()
+        for _ in range(12):
+            model = verify.random_masked_model(rng)
+            cm = compaction.compact(model)
+            seen |= {(p.mode, p.kept_pair) for p in cm.plans}
+            tensors = cm.network.state_tensors(cm.modes)
+            for p in cm.plans:
+                positions = model.layers[p.name].meta.spatial if p.name != "head" else 1
+                weights = sum(tensors[f"{p.name}/{key}"].size
+                              for key in ("W", "A") if f"{p.name}/{key}" in tensors)
+                assert p.flops == 2 * positions * weights, p.name
+                assert p.params == weights + tensors[f"{p.name}/b"].size, p.name
+            walk = sum(t.size for name, t in tensors.items() if not name.endswith("/mode"))
+            assert walk == cm.report.params_compressed
+            baseline = build_network(model.arch, seed=0).state_tensors()
+            assert cm.report.params_original == sum(t.size for t in baseline.values())
+        assert len(seen) == 4   # untouched, pruned, kept pair and merged back

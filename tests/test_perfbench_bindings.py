@@ -7,17 +7,18 @@ from pathlib import Path
 
 import pytest
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
 
 
-def _tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def _perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  ROOT / "perfbench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-TRACED = _tracing().TRACED
+TRACED = _perfbench("tracing").TRACED
 
 
 @pytest.mark.parametrize("metric", sorted(TRACED))
@@ -34,3 +35,18 @@ def test_traced_targets_exist(metric):
 def test_batch_generator_exists():
     # install() also counts samples through train.batches
     assert callable(importlib.import_module("hingenet.train").batches)
+
+
+@pytest.mark.parametrize("workload", ["toy-pipeline", "wide-compress", "verify"])
+def test_workload_argv_parse(workload, tmp_path):
+    """Every CLI call a benchmark iteration makes parses, so a renamed flag
+    fails here rather than at bench time."""
+    from hingenet import cli
+    workloads = _perfbench("workloads")
+    assert isinstance(cli.SEARCH_CRITERION, float)
+    inputs = workloads.setup(workload, 0, tmp_path, ROOT)
+    ops = workloads.iteration(inputs)
+    assert ops
+    for op in ops:
+        args = cli.build_parser().parse_args(op.argv)
+        assert args.command == op.argv[0]

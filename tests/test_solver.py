@@ -1,10 +1,12 @@
 import copy
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
 
+from conftest import small_residual_arch, staircase
 from hingenet import compaction, cost, data, hinge, linalg, losses, net, solver, train
 from hingenet.net import attach_hinges, build_network
 from hingenet.regularizers import RegularizerSpec, prox_oracle
@@ -281,43 +283,61 @@ class TestBinarySearch:
         attach_hinges(model, init="svd", plain_kind="columns")
         return model
 
-    def sweep(self, model):
-        norms = np.concatenate([l.group_norms() for _, l in model.hinged_layers()])
-        candidates = np.concatenate([[0.0], np.sort(np.unique(norms)) + 1e-9, [np.inf]])
-        return sorted({cost.compression_ratio(model, t) for t in candidates})
+    @pytest.fixture(params=["trained-plain-columns", "residual-rows", "identity-ties"])
+    def search_model(self, request, rng):
+        if request.param == "trained-plain-columns":
+            return self.hinged_model(rng)
+        # rows: decomposed pairs, merged back at high rank; identity: every
+        # group norm is 1, so only the candidate above it reaches the floor
+        model = build_network(small_residual_arch(), seed=3)
+        attach_hinges(model, init="svd" if request.param == "residual-rows" else "identity")
+        return model
 
-    def test_immediate_return_when_within_criterion(self, rng):
-        model = self.hinged_model(rng)
-        alive = np.concatenate([l.group_norms()[l.mask] for _, l in model.hinged_layers()])
-        first_probe = float(np.median(alive))
-        target = cost.compression_ratio(model, first_probe)
+    @staticmethod
+    def closest(achievable, target):
+        # ties go to the smaller threshold, which is the larger ratio
+        return min(achievable, key=lambda g: (abs(g - target), -g))
+
+    def test_every_step_and_midpoint_returns_closest_step(self, search_model):
+        model = search_model
+        steps = sorted(set(staircase(model)), reverse=True)
+        assert len(steps) > 1
+        midpoints = [(g1 + g2) / 2 for g1, g2 in zip(steps, steps[1:])]
+        for target in steps + midpoints:
+            res = binary_search_threshold(model, target, criterion=0.005)
+            assert res.gamma == self.closest(steps, target), target
+            assert cost.compression_ratio(model, res.threshold) == res.gamma
+            assert res.exact == (abs(res.gamma - target) <= 0.005)
+
+    @pytest.mark.parametrize("target", [1.5, 0.9, 0.75, 0.6, 0.5, 0.3, 0.0])
+    def test_probes_at_most_log2_candidates_plus_one(self, search_model, monkeypatch,
+                                                     target):
+        model = search_model
+        n = len(np.unique(np.concatenate(
+            [l.group_norms()[l.mask] for _, l in model.hinged_layers()]))) + 1
+        probes = []
+
+        def counted(net, threshold):
+            probes.append(threshold)
+            return cost.compression_ratio(net, threshold)
+
+        monkeypatch.setattr(solver, "compression_ratio", counted)
         res = binary_search_threshold(model, target, criterion=0.005)
-        assert res.exact and res.iterations == 1
-        assert res.threshold == first_probe
+        assert res.iterations == len(probes) <= math.ceil(math.log2(n)) + 1
+        assert np.isfinite(res.threshold) and res.threshold in probes
 
     @pytest.mark.parametrize("target", [0.75, 0.5, 0.3])
     def test_hits_target_or_closest_staircase_step(self, rng, target):
         model = self.hinged_model(rng)
         res = binary_search_threshold(model, target, criterion=0.005)
-        achievable = self.sweep(model)
-        best = min(achievable, key=lambda g: abs(g - target))
-        if res.exact:
-            assert abs(res.gamma - target) <= 0.005
-        else:
-            assert res.gamma == pytest.approx(best, abs=1e-12)
+        assert res.gamma == self.closest(set(staircase(model)), target)
 
     def test_infeasible_target_returns_floor(self, rng):
         model = self.hinged_model(rng)
         floor = cost.compression_ratio(model, np.inf)
         res = binary_search_threshold(model, floor / 2, criterion=0.005)
         assert not res.exact
-        assert res.gamma == pytest.approx(floor, abs=1e-12)
-
-    def test_returned_gamma_is_best_visited(self, rng):
-        model = self.hinged_model(rng)
-        res = binary_search_threshold(model, 0.6, criterion=1e-9)
-        deviations = [abs(g - 0.6) for _, g in res.visited]
-        assert abs(res.gamma - 0.6) <= min(deviations) + 1e-15
+        assert res.gamma == floor and np.isfinite(res.threshold)
 
     def test_criterion_validation(self, rng):
         model = self.hinged_model(rng)
