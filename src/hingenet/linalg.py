@@ -29,15 +29,16 @@ def as_matrix(a) -> np.ndarray:
     return a
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Matrix product with shape checking.
 
     Delegates to the BLAS behind numpy; for a fixed environment the
     reduction order (and hence the bit pattern of the result) is stable
-    across runs. Strided operands such as `col.T` go to BLAS as they are,
-    without a contiguous copy. The result is not checked for finiteness:
-    the training, compression and evaluation loops check their losses,
-    gradients and logits once per step, under `quiet_overflow`.
+    across runs. Transposed operands go to BLAS uncopied; `(dz.T @ col).T`
+    gives the bits of `col.T @ dz` faster. `out`, if given, receives the
+    product. The result is not checked for finiteness: the training,
+    compression and evaluation loops check their losses, gradients and
+    logits once per step, under `quiet_overflow`.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -46,7 +47,7 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             f"matmul: expected 2-D matrices, got ndim={a.ndim} and ndim={b.ndim}")
     if a.shape[1] != b.shape[0]:
         raise DimensionError(f"matmul: inner dims differ, {a.shape} x {b.shape}")
-    return a @ b
+    return np.matmul(a, b, out=out)
 
 
 def quiet_overflow():

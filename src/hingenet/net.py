@@ -36,12 +36,15 @@ and viewed as NCHW. `im2col` reads its input through the free
 order; `col2im` returns an NCHW view of channels-last memory, so neither
 direction makes a layout copy. `col2im` is the whole conv input gradient:
 it multiplies the output gradient by one kernel tap's filter rows at a
-time and adds each product into that tap's window, so the
-(B*out_h*out_w, kh*kw*C) patch-gradient matrix is never built. Stored `W`
-rows keep the (c, kh, kw) order that the checkpoints, the SVD in
-`hinge.attach` and compaction's row restriction use; `_patch_rows` is the
-one place that permutes them, so the checkpoint format and its meaning are
-unchanged.
+time into one (B*out_h*out_w, C) buffer and adds it into that tap's
+window, so the (B*out_h*out_w, kh*kw*C) patch-gradient matrix is never
+built. Weight gradients are the products `(dz.T @ col).T`: the same dot
+products as `col.T @ dz`, bit for bit, in the orientation BLAS runs
+faster. The bias add, the skip sum and the relu run in place on the
+output the conv just made, which no cache holds. Stored `W` rows keep the
+(c, kh, kw) order that the checkpoints, the SVD in `hinge.attach` and
+compaction's row restriction use; `_patch_rows` is the one place that
+permutes them, so the checkpoint format and its meaning are unchanged.
 """
 
 from collections import Counter, OrderedDict
@@ -89,12 +92,13 @@ def col2im(dz: np.ndarray, w: np.ndarray, x_shape, kh: int, kw: int, stride: int
     out_h = (h + 2 * pad - kh) // stride + 1
     out_w = (w_in + 2 * pad - kw) // stride + 1
     dxp = np.zeros((b, h + 2 * pad, w_in + 2 * pad, c), dtype=np.float64)
+    dtap = np.empty((dz.shape[0], c))  # every tap's product, in turn
     for i in range(kh):
         i_end = i + stride * out_h
         for j in range(kw):
             j_end = j + stride * out_w
             tap = (i * kw + j) * c
-            dtap = matmul(dz, w[tap:tap + c].T)
+            matmul(dz, w[tap:tap + c].T, out=dtap)
             dxp[:, i:i_end:stride, j:j_end:stride] += dtap.reshape(b, out_h, out_w, c)
     return dxp[:, pad:pad + h, pad:pad + w_in].transpose(0, 3, 1, 2)
 
@@ -152,7 +156,8 @@ class Conv2d:
         col = im2col(x, m.kernel_h, m.kernel_w, m.stride, m.padding)
         w = _patch_rows(self.w, m)
         pre = matmul(col, w)
-        z = pre + self.b if self.a is None else matmul(pre, self.a) + self.b
+        z = pre if self.a is None else matmul(pre, self.a)
+        z += self.b  # `z` is fresh: `pre` is cached only when `a` follows it
         if cache:  # backward needs `pre` only for grad_a
             self._cache = (x.shape, col, w, None if self.a is None else pre)
         b = x.shape[0]
@@ -163,10 +168,10 @@ class Conv2d:
         m = self.meta
         dz = dy.transpose(0, 2, 3, 1).reshape(-1, m.out_channels)
         self.grad_b += dz.sum(axis=0)
-        if self.a is not None:
-            self.grad_a += matmul(pre.T, dz)
+        if self.a is not None:  # weight gradients as `(dz.T @ col).T`: module docstring
+            self.grad_a += matmul(dz.T, pre).T
             dz = matmul(dz, self.a.T)  # the gradient of `pre`
-        self.grad_w += _patch_rows(matmul(col.T, dz), m, inverse=True)
+        self.grad_w += _patch_rows(matmul(dz.T, col).T, m, inverse=True)
         if not self.needs_input_grad:
             return None
         return col2im(dz, w, x_shape, m.kernel_h, m.kernel_w, m.stride, m.padding)
@@ -211,9 +216,11 @@ class ReLU:
         self._cache = None
 
     def forward(self, x, cache: bool = True):
+        """Consumes `x`: zeroes its negative entries in place, returns it."""
         mask = x > 0
         self._cache = mask if cache else None
-        return x * mask
+        x *= mask
+        return x
 
     def backward(self, dy):
         return dy * _cached(self)
@@ -252,7 +259,7 @@ class Linear:
 
     def backward(self, dy):
         x = _cached(self)
-        self.grad_w += matmul(x.T, dy)
+        self.grad_w += matmul(dy.T, x).T
         self.grad_b += dy.sum(axis=0)
         return matmul(dy, self.w.T)
 
@@ -401,7 +408,7 @@ class Network:
         for entry in self.arch.order:
             y = self.layers[entry.name].forward(read(entry.source), cache)
             if entry.skip is not None:
-                y = y + read(entry.skip)
+                y += read(entry.skip)  # y is the conv's fresh output
             if entry.relu:
                 y = self.relus[entry.name].forward(y, cache)
             outs[entry.name] = y

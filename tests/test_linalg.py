@@ -44,6 +44,17 @@ class TestMatmul:
         assert np.abs(matmul(a.T, b.T) - naive_matmul(a.T, b.T)).max() <= 1e-12
         assert np.abs(matmul(a.T[::2], b.T) - naive_matmul(a.T[::2], b.T)).max() <= 1e-12
 
+    def test_out_buffer_gets_the_same_bits_and_shape_checks_hold(self, rng):
+        a = rng.normal(size=(40, 12))
+        b = rng.normal(size=(9, 12)).T
+        out = np.full((40, 9), np.nan)
+        assert matmul(a, b, out=out) is out
+        assert np.array_equal(out, a @ b)
+        with pytest.raises(DimensionError):
+            matmul(a, b.T, out=out)
+        with pytest.raises(DimensionError):
+            matmul(a[0], b, out=out)
+
     @pytest.mark.parametrize("shape", [(3,), (2, 3, 3)])
     def test_non_matrix_operand_rejected(self, shape):
         with pytest.raises(DimensionError):
