@@ -98,7 +98,8 @@ def cmd_compress(args) -> int:
         except ValueError as exc:
             raise ConfigError(f"--target-ratio {args.target_ratio}: {exc}") from exc
     target = cfg.compress.target_ratio
-    dataset = cfg.make_dataset()
+    # only the phase's epochs read the data
+    dataset = cfg.make_dataset() if cfg.compress.max_epochs > 0 else None
     model, modes = net.network_from_tensors(cfg.arch, checkpoint.load(args.ckpt))
     if modes is not None or any(layer.a is not None for layer in model.layers.values()):
         raise checkpoint.CheckpointError(

@@ -18,6 +18,9 @@ class ConfigError(ValueError):
     """Malformed run configuration."""
 
 
+_INT64_MIN, _INT64_MAX = -2 ** 63, 2 ** 63 - 1
+
+
 def _check_keys(section, allowed: set, where: str):
     if not isinstance(section, dict):
         raise ConfigError(f"{where} must be a JSON object, got {section!r}")
@@ -29,12 +32,15 @@ def _check_keys(section, allowed: set, where: str):
 def _number(value, where: str, integer: bool = False, low: float | None = 0,
             strict: bool = False):
     """Type and range check of one config number; returns it unchanged.
+    Every integer must fit in int64, the sizes numpy builds arrays from.
     `low` is the smallest allowed value (excluded when `strict`); None
     leaves the range to the code that uses the value."""
     if (isinstance(value, bool) or not isinstance(value, int if integer else (int, float))
-            or not (integer or math.isfinite(value))):
+            or (isinstance(value, float) and not math.isfinite(value))):
         kind = "an integer" if integer else "a finite number"
         raise ConfigError(f"{where} must be {kind}, got {value!r}")
+    if isinstance(value, int) and not _INT64_MIN <= value <= _INT64_MAX:
+        raise ConfigError(f"{where} must fit in a 64-bit integer, got {value!r}")
     if low is not None and (value < low or (strict and value == low)):
         raise ConfigError(f"{where} must be {'>' if strict else '>='} {low}, got {value!r}")
     return value
@@ -156,7 +162,7 @@ def _parse_regularizer(section: dict) -> RegularizerSpec:
     values = _checked(section, {"lambda": {}, "epsilon": _POSITIVE}, "compress.regularizer",
                       other_keys={"kind"})
     kind = section.get("kind", "l1")
-    if kind not in DEFAULT_LAMBDA:
+    if not isinstance(kind, str) or kind not in DEFAULT_LAMBDA:
         raise ConfigError(f"unknown regularizer kind {kind!r}")
     try:
         return RegularizerSpec(kind=kind, lam=float(values.get("lambda", DEFAULT_LAMBDA[kind])),
@@ -215,6 +221,6 @@ def load_config(path) -> RunConfig:
             doc = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer of too many digits
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     return parse_config(doc)

@@ -115,11 +115,15 @@ def group_norms(a: np.ndarray, scheme: GroupScheme) -> np.ndarray:
     """L2 norm of each group of entries of `a`; length == scheme.group_count."""
     a = as_matrix(a)
     scheme.check_matrix(a)
-    return np.linalg.norm(a, axis=scheme.axis)
+    # the formula `np.linalg.norm(a, axis=...)` runs for real input (numpy
+    # 2.4), so the same bits without its per-call argument handling;
+    # tests/test_linalg.py pins the equality
+    return np.sqrt(np.add.reduce(a * a, axis=scheme.axis))
 
 
 def scale_groups(a: np.ndarray, scheme: GroupScheme, factors: np.ndarray) -> np.ndarray:
     """Return a copy of `a` with each group multiplied by its factor."""
     a = as_matrix(a)
     scheme.check_matrix(a)
-    return a * np.expand_dims(np.asarray(factors, dtype=np.float64), scheme.axis)
+    f = np.asarray(factors, dtype=np.float64)
+    return a * (f[None, :] if scheme.axis == 0 else f[:, None])

@@ -75,11 +75,15 @@ def im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int) -> np.ndarray
         xp[:, pad:pad + h, pad:pad + w] = xs
     else:
         xp = xs
-    # (b, oh', ow', c, kh, kw) strided view; the reshape gathers the patches
-    # in one copy that reads runs of kw*c contiguous values
-    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
-    windows = windows[:, ::stride, ::stride]
-    return windows.transpose(0, 1, 2, 4, 5, 3).reshape(b * out_h * out_w, kh * kw * c)
+    # one read-only (b, out_h, out_w, kh, kw, c) strided view, the conv
+    # stride folded into the first two spatial strides; the reshape gathers
+    # the patches in one copy that reads runs of kw*c contiguous values, or
+    # is a view when no copy is needed (1x1 stride 1, channels-last memory)
+    sb, sh, sw, sc = xp.strides
+    windows = np.lib.stride_tricks.as_strided(
+        xp, (b, out_h, out_w, kh, kw, c), (sb, stride * sh, stride * sw, sh, sw, sc),
+        writeable=False)
+    return windows.reshape(b * out_h * out_w, kh * kw * c)
 
 
 def col2im(dz: np.ndarray, w: np.ndarray, x_shape, kh: int, kw: int, stride: int,

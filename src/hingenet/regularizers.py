@@ -150,10 +150,9 @@ def l1_minus_2_norm_map(norms: np.ndarray, step: float) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 def _apply_norm_factors(a, scheme, old_norms, new_norms):
-    factors = np.ones_like(old_norms)
-    nz = old_norms > 0
-    factors[nz] = new_norms[nz] / old_norms[nz]
-    factors[~nz] = 0.0  # zero groups stay zero
+    # zero groups stay zero: their factor is 0, not 0/0
+    factors = np.divide(new_norms, old_norms, out=np.zeros_like(old_norms),
+                        where=old_norms > 0)
     return scale_groups(a, scheme, factors)
 
 

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -8,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hingenet import checkpoint, cli, regularizers
+from hingenet import checkpoint, cli, data, regularizers
 from hingenet.config import ConfigError, load_config, parse_config
 from hingenet.net import Network, attach_hinges, build_network, network_from_tensors
 from hingenet.train import evaluate
@@ -146,8 +148,32 @@ def _with(section, **values):
     return doc
 
 
+def _with_key(path, value):
+    """TINY_CONFIG with the value at `path` (keys and list indices) replaced."""
+    doc = json.loads(json.dumps(TINY_CONFIG))
+    *outer, last = path
+    section = doc
+    for key in outer:
+        section = section[key]
+    section[last] = value
+    return doc
+
+
 WIDE_PLAIN_ARCH = dict(TINY_CONFIG["arch"], stem_channels=1,
                        blocks=[{"kind": "plain", "channels": 16}])
+
+# every key that sizes an array; numpy cannot hold 2**63 or more as int64
+SIZE_KEYS = [("arch", "classes"), ("arch", "stem_channels"), ("arch", "input", "channels"),
+             ("arch", "input", "height"), ("arch", "input", "width"),
+             ("arch", "blocks", 0, "channels"), ("arch", "blocks", 0, "stride"),
+             ("data", "n_train"), ("data", "n_test"), ("train", "batch_size"),
+             ("compress", "batch_size")]
+OVERSIZED = [(path, 2 ** e) for path in SIZE_KEYS for e in (63, 70)]
+
+
+def _key_name(path):
+    """How config errors name the key at `path`, e.g. arch.blocks[0].channels."""
+    return re.sub(r"\.(\d+)", r"[\1]", ".".join(map(str, path)))
 
 
 @pytest.mark.parametrize("doc", [
@@ -159,8 +185,14 @@ WIDE_PLAIN_ARCH = dict(TINY_CONFIG["arch"], stem_channels=1,
     _with("train", batch_size=0),
     _with("data", n_train=0),
     _with("train", epochs=-1),
-], ids=["stride-0", "channels-0", "svd-wide-filter", "seed-string", "epochs-string",
-        "batch-size-0", "n-train-0", "epochs-negative"])
+    _with("compress", regularizer={"kind": ["l1"]}),
+    _with("compress", regularizer={"kind": {"l1": 1}}),
+    _with("train", lr=10 ** 400),   # an integer no float holds
+] + [_with_key(path, value) for path, value in OVERSIZED],
+    ids=["stride-0", "channels-0", "svd-wide-filter", "seed-string", "epochs-string",
+         "batch-size-0", "n-train-0", "epochs-negative", "regularizer-kind-list",
+         "regularizer-kind-object", "lr-10**400"]
+    + [f"{_key_name(path)}-2**{value.bit_length() - 1}" for path, value in OVERSIZED])
 def test_bad_config_value_is_usage_error(tmp_path, capsys, doc):
     cfg = write_config(tmp_path, doc)
     rc = cli.main(["train", "--config", cfg, "--out", str(tmp_path / "o.hngw")])
@@ -169,6 +201,23 @@ def test_bad_config_value_is_usage_error(tmp_path, capsys, doc):
     assert len(err.splitlines()) == 1 and err.startswith("error:")
     assert "Traceback" not in err
     assert not (tmp_path / "o.hngw").exists()
+
+
+@pytest.mark.parametrize("path,value", OVERSIZED)
+def test_oversized_integer_error_names_its_key(path, value):
+    with pytest.raises(ConfigError,
+                       match=rf"^{re.escape(_key_name(path))} must fit in a 64-bit integer"):
+        parse_config(_with_key(path, value))
+
+
+def test_integer_of_too_many_digits_is_usage_error(tmp_path, capsys):
+    # Python refuses to parse an integer literal of more than 4300 digits
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"seed": 1' + "0" * 5000 + "}")
+    rc = cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "o.hngw")])
+    err = capsys.readouterr().err
+    assert rc == cli.EXIT_USAGE
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
 
 
 @pytest.fixture(scope="module")
@@ -370,6 +419,24 @@ class TestCliCompress:
         assert report["compression_phase"]["epochs"] == 0
         schema_path = Path(cli.__file__).parent / "schemas" / "report.schema.json"
         jsonschema.validate(report, json.loads(schema_path.read_text()))
+
+    def test_phase_free_compress_builds_no_dataset(self, tmp_path, monkeypatch):
+        """With `compress.max_epochs: 0` nothing reads the data, so none is
+        synthesized. The report and checkpoint are pinned bit for bit; the
+        digest was recorded while the dataset was still built."""
+        doc = dict(TINY_CONFIG, compress=dict(TINY_CONFIG["compress"], max_epochs=0))
+        cfg = write_config(tmp_path, doc)
+        base, out, rep = tmp_path / "base.hngw", tmp_path / "c.hngw", tmp_path / "r.json"
+        checkpoint.save(base, build_network(load_config(cfg).arch, seed=7).state_tensors())
+
+        def no_dataset(self):
+            raise AssertionError("phase-free compress synthesized a dataset")
+        monkeypatch.setattr(data.SyntheticDataset, "__post_init__", no_dataset)
+        rc = cli.main(["compress", "--config", cfg, "--ckpt", str(base),
+                       "--out", str(out), "--report", str(rep)])
+        assert rc == 0
+        digest = hashlib.sha256(out.read_bytes() + rep.read_bytes()).hexdigest()
+        assert digest == "19741592f3db619601de989006b9251668951df40f1919da21b8d77c4c4b8624"
 
     def test_report_content(self, pipeline):
         report = json.loads(Path(pipeline["report"]).read_text())

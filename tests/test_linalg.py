@@ -210,6 +210,23 @@ class TestGroups:
         assert np.array_equal(out[:, 2], 2 * a[:, 2])
         assert np.array_equal(out[:, 0], a[:, 0])
 
+    @pytest.mark.parametrize("kind", [COLUMNS, ROWS])
+    def test_helpers_give_the_bits_of_the_numpy_formulas(self, rng, kind):
+        # entries from subnormal to overflowing, zero groups and non-finite ones
+        a = rng.normal(size=(6, 8)) * 10.0 ** rng.integers(-160, 160, size=(6, 8))
+        a[:, 0] = 0.0
+        a[1, :] = 0.0
+        a[2, 3], a[3, 4], a[4, 5] = np.inf, -np.inf, np.nan
+        a[5, 6] = 5e-324
+        scheme = GroupScheme(kind, a.shape)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.array_equal(group_norms(a, scheme), np.linalg.norm(a, axis=scheme.axis),
+                                  equal_nan=True)
+            factors = np.concatenate([[0.0, np.inf, np.nan, -2.0], rng.normal(size=4)])
+            factors = factors[:scheme.group_count]
+            assert np.array_equal(scale_groups(a, scheme, factors),
+                                  a * np.expand_dims(factors, scheme.axis), equal_nan=True)
+
     def test_scheme_shape_check(self):
         with pytest.raises(DimensionError):
             group_norms(np.zeros((3, 3)), GroupScheme(COLUMNS, (2, 2)))

@@ -83,6 +83,27 @@ class TestConv:
             patch = xp[n, :, 2 * i:2 * i + 3, 2 * j:2 * j + 3]
             assert np.array_equal(col[n, i, j], patch.transpose(1, 2, 0).ravel())
 
+    @pytest.mark.parametrize("kernel,stride,pad,channels,layout", list(itertools.product(
+        (1, 3), (1, 2), (0, 1), (1, 3), ("nchw", "channels-last"))))
+    def test_im2col_equals_loop_built_patches(self, rng, kernel, stride, pad, channels,
+                                              layout):
+        x = rng.normal(size=(2, channels, 5, 6))
+        if layout == "channels-last":
+            x = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+        xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+        out_h = (5 + 2 * pad - kernel) // stride + 1
+        out_w = (6 + 2 * pad - kernel) // stride + 1
+        want = np.array([[xp[n, c, i * stride + di, j * stride + dj]
+                          for di in range(kernel) for dj in range(kernel)
+                          for c in range(channels)]
+                         for n in range(2) for i in range(out_h) for j in range(out_w)])
+        col = im2col(x, kernel, kernel, stride, pad)
+        assert col.shape == want.shape and col.flags.c_contiguous
+        assert np.array_equal(col, want)
+        if (kernel, stride, pad, layout) == (1, 1, 0, "channels-last"):
+            # the patch matrix is the input itself, so it must not be writable
+            assert np.shares_memory(col, x) and not col.flags.writeable
+
     @pytest.mark.parametrize("stride,pad", [(1, 1), (2, 1), (2, 0)])
     def test_layout_of_input_does_not_change_result(self, rng, stride, pad):
         x = rng.normal(size=(2, 3, 7, 7))

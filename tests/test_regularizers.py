@@ -6,7 +6,7 @@ import pytest
 
 from hingenet import regularizers as reg
 from hingenet import verify
-from hingenet.linalg import ROWS, GroupScheme, group_norms
+from hingenet.linalg import COLUMNS, ROWS, GroupScheme, group_norms
 from hingenet.regularizers import (DegenerateGroupsError, ParameterError,
                                    RegularizerSpec, prox_l1, prox_l1_minus_2,
                                    prox_l_half, prox_logsum, prox_oracle,
@@ -459,6 +459,21 @@ class TestProperties:
             a, scheme = group_matrix(rng, [n])
             outs.append(group_norms(op(a, scheme, step), scheme)[0])
         assert np.all(np.diff(outs) >= -1e-12)
+
+    @pytest.mark.parametrize("kind", [COLUMNS, ROWS])
+    def test_norm_factors_equal_the_masked_division(self, rng, kind):
+        # every (old, new) pairing of zero, subnormal, finite and non-finite norms
+        values = np.array([0.0, 5e-324, 0.7, 3.0, np.inf, np.nan])
+        old, new = (v.ravel() for v in np.meshgrid(values, values))
+        scheme = GroupScheme(kind, (old.size, 3) if kind == ROWS else (3, old.size))
+        a = rng.normal(size=scheme.shape)
+        want = np.ones_like(old)
+        nz = old > 0
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            want[nz] = new[nz] / old[nz]
+            want[~nz] = 0.0
+            got = reg._apply_norm_factors(a, scheme, old, new)
+            assert np.array_equal(got, a * np.expand_dims(want, scheme.axis), equal_nan=True)
 
     @pytest.mark.parametrize("kind,op", KINDS_AND_OPS)
     def test_zero_group_stays_zero(self, rng, kind, op):
