@@ -93,7 +93,11 @@ def load(path) -> "OrderedDict[str, np.ndarray]":
             arr = raw.reshape(dims)
         except ValueError as exc:  # ndim above numpy's limit, or a too-large empty shape
             raise CheckpointError(f"tensor {name!r}: dims {dims}: {exc}") from None
-        tensors[name] = arr.copy() if byte_tensor else arr.astype(np.float64)
+        if byte_tensor:
+            tensors[name] = arr.copy()
+        else:
+            with np.errstate(invalid="ignore"):  # a signaling NaN loads as a NaN
+                tensors[name] = arr.astype(np.float64)
     if pos != len(view):
         raise CheckpointError(f"{len(view) - pos} trailing bytes after last tensor")
     return tensors

@@ -6,6 +6,7 @@ bit-identically from (seed, classes, counts, resolution), so no files are
 involved; this synthetic task is the only data source.
 """
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -14,14 +15,28 @@ NOISE_SIGMA = 0.3
 BLOB_SIGMA_FRACTION = 0.15  # blob width relative to image height
 
 
+class DatasetSizeError(ValueError):
+    """numpy refused an array of the dataset; `size` names the field that
+    sized it (classes, n_train or n_test)."""
+
+    def __init__(self, size: str, reason: Exception):
+        super().__init__(f"numpy cannot allocate the dataset ({reason})")
+        self.size = size
+
+
+@contextmanager
+def _sized_by(size: str):
+    try:
+        yield
+    except (MemoryError, ValueError) as exc:  # ValueError: more bytes than an index holds
+        raise DatasetSizeError(size, exc) from exc
+
+
 def _blob_centers(classes: int, h: int, w: int) -> np.ndarray:
     """Spread class centers over a sqrt-grid of cell midpoints."""
     side = int(np.ceil(np.sqrt(classes)))
-    centers = []
-    for k in range(classes):
-        r, c = divmod(k, side)
-        centers.append(((r + 0.5) * h / side, (c + 0.5) * w / side))
-    return np.array(centers)
+    r, c = np.divmod(np.arange(classes), side)
+    return np.stack(((r + 0.5) * h / side, (c + 0.5) * w / side), axis=1)
 
 
 def class_templates(classes: int, channels: int, h: int, w: int) -> np.ndarray:
@@ -29,10 +44,10 @@ def class_templates(classes: int, channels: int, h: int, w: int) -> np.ndarray:
     centers = _blob_centers(classes, h, w)
     sigma = BLOB_SIGMA_FRACTION * h
     yy, xx = np.mgrid[0:h, 0:w]
+    cy, cx = centers[:, 0, None, None], centers[:, 1, None, None]
+    blobs = np.exp(-((yy - cy) ** 2 + (xx - cx) ** 2) / (2.0 * sigma * sigma))
     out = np.empty((classes, channels, h, w), dtype=np.float64)
-    for k, (cy, cx) in enumerate(centers):
-        blob = np.exp(-((yy - cy) ** 2 + (xx - cx) ** 2) / (2.0 * sigma * sigma))
-        out[k] = blob  # same pattern on every channel
+    out[...] = blobs[:, None]  # same pattern on every channel
     return out
 
 
@@ -51,10 +66,13 @@ class SyntheticDataset:
     y_test: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        templates = class_templates(self.classes, self.channels, self.height, self.width)
+        with _sized_by("classes"):
+            templates = class_templates(self.classes, self.channels, self.height, self.width)
         rng = np.random.default_rng(self.seed)
-        self.x_train, self.y_train = self._render(templates, self.n_train, rng)
-        self.x_test, self.y_test = self._render(templates, self.n_test, rng)
+        with _sized_by("n_train"):
+            self.x_train, self.y_train = self._render(templates, self.n_train, rng)
+        with _sized_by("n_test"):
+            self.x_test, self.y_test = self._render(templates, self.n_test, rng)
         # Standardize with train-split statistics (no batch norm in the nets,
         # so well-conditioned inputs matter).
         mean = self.x_train.mean()

@@ -74,15 +74,16 @@ def im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int) -> np.ndarray
         xp = np.zeros((b, h + 2 * pad, w + 2 * pad, c), dtype=np.float64)
         xp[:, pad:pad + h, pad:pad + w] = xs
     else:
-        xp = xs
-    # one read-only (b, out_h, out_w, kh, kw, c) strided view, the conv
-    # stride folded into the first two spatial strides; the reshape gathers
-    # the patches in one copy that reads runs of kw*c contiguous values, or
-    # is a view when no copy is needed (1x1 stride 1, channels-last memory)
+        xp = np.ascontiguousarray(xs)  # a view unless x is NCHW in memory
+    # one read-only (b, out_h, out_w, kh, kw, c) strided window over the
+    # C-contiguous padded buffer, the conv stride folded into the first two
+    # spatial strides; the reshape gathers the patches in one copy that
+    # reads runs of kw*c contiguous values, or is a view of x when no copy
+    # is needed (1x1 stride 1, channels-last memory)
     sb, sh, sw, sc = xp.strides
-    windows = np.lib.stride_tricks.as_strided(
-        xp, (b, out_h, out_w, kh, kw, c), (sb, stride * sh, stride * sw, sh, sw, sc),
-        writeable=False)
+    windows = np.ndarray((b, out_h, out_w, kh, kw, c), np.float64, xp, 0,
+                         (sb, stride * sh, stride * sw, sh, sw, sc))
+    windows.flags.writeable = False
     return windows.reshape(b * out_h * out_w, kh * kw * c)
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import GroupScheme, NumericError, group_norms, scale_groups
+from .linalg import GroupScheme, NumericError, as_matrix, group_norms
 
 L1 = "l1"
 L_HALF = "l_half"
@@ -134,15 +134,16 @@ def l1_minus_2_norm_map(norms: np.ndarray, step: float) -> np.ndarray:
     norms = np.asarray(norms, dtype=np.float64)
     if step == 0.0:
         return norms.copy()
+    if step < 0:
+        raise ParameterError("step must be non-negative")
     c = np.maximum(norms - step, 0.0)
-    c_norm = float(np.linalg.norm(c))
+    c_norm = math.sqrt(c.dot(c))  # np.linalg.norm's formula for a real vector
     if c_norm == 0.0:
         raise DegenerateGroupsError(
             "l1-l2 prox undefined: every group norm is <= the step")
     expand = 1.0 + step / c_norm
-    with np.errstate(divide="ignore", invalid="ignore"):
-        shrink = np.where(norms > step, 1.0 - step / np.where(norms > 0, norms, 1.0), 0.0)
-    return expand * shrink * norms
+    shrink = [1.0 - step / n if n > step else 0.0 for n in norms.tolist()]
+    return expand * np.array(shrink) * norms
 
 
 # --------------------------------------------------------------------------
@@ -150,10 +151,11 @@ def l1_minus_2_norm_map(norms: np.ndarray, step: float) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 def _apply_norm_factors(a, scheme, old_norms, new_norms):
-    # zero groups stay zero: their factor is 0, not 0/0
-    factors = np.divide(new_norms, old_norms, out=np.zeros_like(old_norms),
-                        where=old_norms > 0)
-    return scale_groups(a, scheme, factors)
+    """`a`, a matrix of `scheme`, with each group scaled by new / old norm.
+    The factors are Python floats, the same IEEE quotients as numpy's; a
+    zero group stays zero: its factor is 0, not 0/0."""
+    f = np.array([new / old if old > 0 else 0.0 for old, new in zip(old_norms, new_norms)])
+    return a * (f[None, :] if scheme.axis == 0 else f[:, None])
 
 
 def prox(a: np.ndarray, scheme: GroupScheme, spec: RegularizerSpec,
@@ -166,32 +168,38 @@ def prox(a: np.ndarray, scheme: GroupScheme, spec: RegularizerSpec,
         if step == 0.0:
             return np.array(a, dtype=np.float64, copy=True)
         eps = logsum_epsilon(step, spec.epsilon)
+    a = as_matrix(a)
     norms = group_norms(a, scheme)
+    old = norms.tolist()  # the scalar maps run on Python floats
     if spec.kind == L1_MINUS_2:
-        new = l1_minus_2_norm_map(norms, step)
+        new = l1_minus_2_norm_map(norms, step).tolist()
     elif spec.kind == LOGSUM:
-        new = np.array([logsum_norm_map(n, step, eps) for n in norms])
+        new = [logsum_norm_map(n, step, eps) for n in old]
     else:
         norm_map = l1_norm_map if spec.kind == L1 else l_half_norm_map
-        new = np.array([norm_map(n, step) for n in norms])
-    return _apply_norm_factors(a, scheme, norms, new)
+        new = [norm_map(n, step) for n in old]
+    return _apply_norm_factors(a, scheme, old, new)
+
+
+_SPECS = {kind: RegularizerSpec(kind, 0.0) for kind in KINDS}  # `prox` reads only the kind
 
 
 def prox_l1(a: np.ndarray, scheme: GroupScheme, step: float) -> np.ndarray:
-    return prox(a, scheme, RegularizerSpec(L1, 0.0), step)
+    return prox(a, scheme, _SPECS[L1], step)
 
 
 def prox_l_half(a: np.ndarray, scheme: GroupScheme, step: float) -> np.ndarray:
-    return prox(a, scheme, RegularizerSpec(L_HALF, 0.0), step)
+    return prox(a, scheme, _SPECS[L_HALF], step)
 
 
 def prox_l1_minus_2(a: np.ndarray, scheme: GroupScheme, step: float) -> np.ndarray:
-    return prox(a, scheme, RegularizerSpec(L1_MINUS_2, 0.0), step)
+    return prox(a, scheme, _SPECS[L1_MINUS_2], step)
 
 
 def prox_logsum(a: np.ndarray, scheme: GroupScheme, step: float,
                 epsilon: float | None = None) -> np.ndarray:
-    return prox(a, scheme, RegularizerSpec(LOGSUM, 0.0, epsilon), step)
+    spec = _SPECS[LOGSUM] if epsilon is None else RegularizerSpec(LOGSUM, 0.0, epsilon)
+    return prox(a, scheme, spec, step)
 
 
 def regularizer_value(a: np.ndarray, scheme: GroupScheme,
@@ -371,16 +379,15 @@ def prox_oracle_l1_minus_2(cases, steps, seeds) -> list:
             buckets.setdefault(x.size, []).append(i)
 
     starts_per_case = 2 + ORACLE_RANDOM_STARTS
-    for members in buckets.values():
-        t, x, step = [], [], []
-        for i in members:
-            rng = np.random.default_rng(seeds[i])
-            t += [xs[i], np.maximum(xs[i] - steps[i], 1e-6)]
-            t += [np.abs(xs[i] + rng.normal(0.0, 0.3 + 0.3 * steps[i], xs[i].shape))
-                  for _ in range(ORACLE_RANDOM_STARTS)]
-            x += [xs[i]] * starts_per_case
-            step += [steps[i]] * starts_per_case
-        t, x, step = np.array(t), np.array(x), np.array(step)
+    for size, members in buckets.items():
+        xm, sm = np.array([xs[i] for i in members]), steps[members]
+        noise = np.array([np.random.default_rng(seeds[i]).normal(
+            0.0, 0.3 + 0.3 * steps[i], (ORACLE_RANDOM_STARTS, size)) for i in members])
+        # each case's starts in a row: x, max(x - step, 1e-6), the random ones
+        t = np.concatenate((xm[:, None], np.maximum(xm - sm[:, None], 1e-6)[:, None],
+                            np.abs(xm[:, None] + noise)), axis=1).reshape(-1, size)
+        x = np.repeat(xm, starts_per_case, axis=0)
+        step = np.repeat(sm, starts_per_case)
 
         live = np.arange(len(t))
         for _ in range(ORACLE_MAX_ITERATIONS):

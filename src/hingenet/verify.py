@@ -39,7 +39,7 @@ def _random_group_matrix(rng, norm):
     """A 1 x d matrix whose single row-group has the requested norm."""
     d = int(rng.integers(2, 7))
     v = rng.normal(size=d)
-    v *= norm / np.linalg.norm(v)
+    v *= norm / math.sqrt(v.dot(v))  # np.linalg.norm(v)'s formula, so its bits
     return v[None, :]
 
 
@@ -55,14 +55,15 @@ def prox_suite(cases: int = 1000, seed: int = 2024, tol: float = 1e-6) -> list:
         ("prox_l_half", regularizers.L_HALF, regularizers.prox_l_half),
         ("prox_logsum", regularizers.LOGSUM, regularizers.prox_logsum),
     )
+    schemes = {d: GroupScheme(ROWS, (1, d)) for d in range(2, 7)}
     for name, kind, op in scalar_kinds:
         steps, norms, got = np.empty(cases), np.empty(cases), np.empty(cases)
         for i in range(cases):
-            steps[i] = rng.uniform(0.01, 2.0)
-            norms[i] = rng.uniform(0.0, 4.0) * math.sqrt(steps[i])
-            a = _random_group_matrix(rng, norms[i])
-            scheme = GroupScheme(ROWS, (1, a.shape[1]))
-            got[i] = np.linalg.norm(op(a, scheme, float(steps[i])))
+            step = rng.uniform(0.01, 2.0)
+            norm = rng.uniform(0.0, 4.0) * math.sqrt(step)
+            a = _random_group_matrix(rng, norm)
+            out = op(a, schemes[a.shape[1]], step).ravel()
+            steps[i], norms[i], got[i] = step, norm, math.sqrt(out.dot(out))
         want = regularizers.prox_oracle(norms, RegularizerSpec(kind, lam=1.0), steps)
         devs = np.abs(got - want)
         failures = [{"regularizer": name, "group_norm": float(norms[i]),
@@ -73,17 +74,17 @@ def prox_suite(cases: int = 1000, seed: int = 2024, tol: float = 1e-6) -> list:
                                    tol, cases, failures))
 
     norms_in, steps, seeds, got = [], [], [], []
+    schemes = {g: GroupScheme(ROWS, (g, 6)) for g in range(2, 9)}
     for c in range(cases):
         g = int(rng.integers(2, 9))
-        step = float(rng.uniform(0.05, 1.0))
+        step = rng.uniform(0.05, 1.0)
         norms = rng.uniform(0.0, 3.0, g) * math.sqrt(step)
-        if np.max(norms) <= step:
-            norms[int(rng.integers(g))] = step * float(rng.uniform(1.5, 3.0))
-        a = np.zeros((g, 6))
-        for i, nm in enumerate(norms):
-            row = rng.normal(size=6)
-            a[i] = row * (nm / np.linalg.norm(row))
-        scheme = GroupScheme(ROWS, (g, 6))
+        if norms.max() <= step:
+            norms[int(rng.integers(g))] = step * rng.uniform(1.5, 3.0)
+        a = rng.normal(size=(g, 6))  # the stream of g draws of 6
+        for row, nm in zip(a, norms.tolist()):
+            row *= nm / math.sqrt(row.dot(row))
+        scheme = schemes[g]
         norms_in.append(group_norms(a, scheme))
         steps.append(step)
         got.append(group_norms(regularizers.prox_l1_minus_2(a, scheme, step), scheme))

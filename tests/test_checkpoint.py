@@ -87,6 +87,15 @@ def test_non_finite_rejected(tmp_path):
                         OrderedDict([("w", np.array([[np.nan]]))]))
 
 
+def test_signaling_nan_payload_loads_as_nan(tmp_path):
+    # the f32 -> f64 cast of a signaling NaN raises the invalid flag; the
+    # load must not turn that into a warning (an error under this suite)
+    path = tmp_path / "s.hngw"
+    path.write_bytes(b"HNGW" + struct.pack("<IIH", 1, 1, 1) + b"w"
+                     + struct.pack("<BQ", 1, 1) + bytes.fromhex("0100807f"))
+    assert np.isnan(checkpoint.load(path)["w"]).all()
+
+
 def test_overflowing_dims_rejected(tmp_path):
     for dims in [(2**32, 2**32), (2**63, 3)]:
         path = tmp_path / "o.hngw"

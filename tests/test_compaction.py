@@ -1,5 +1,6 @@
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from conftest import small_plain_arch, small_residual_arch
 from hingenet import checkpoint, cost, hinge, linalg, verify
 from hingenet import net as net_module
 from hingenet.compaction import StructuralError, compact, verify_equivalence
+from hingenet.config import load_config
 from hingenet.net import (Conv2d, HingedConv2d, attach_hinges, build_network,
                           network_from_tensors)
 
@@ -368,3 +370,53 @@ def test_compaction_golden_sha256():
     assert seen == {(hinge.UNTOUCHED, False), (hinge.PRUNE, False),
                     (hinge.DECOMPOSE, True), (hinge.DECOMPOSE, False)}
     assert h.hexdigest() == "b44624f2a54e826b928338cde1df725efe3b594111d6a6eb7d38279b600f8609"
+
+
+def test_phase_free_compression_is_one_global_singular_value_cutoff(tmp_path, monkeypatch):
+    """`compress` with SVD init, rows everywhere and no phase epochs keeps
+    each layer's singular values at or above one shared threshold: the
+    hinge's row i has norm s_i, so each compacted pair W_r A_r is that
+    layer's rank-r truncated SVD (Denton et al. 2014, one cutoff for all
+    layers)."""
+    from hingenet import cli, compaction
+    doc = json.loads((Path(__file__).parent.parent / "configs" / "toy.json").read_text())
+    doc["arch"]["first_hinge_groups"] = "rows"
+    doc["compress"]["max_epochs"] = 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    arch = load_config(cfg).arch
+    base = tmp_path / "base.hngw"
+    checkpoint.save(base, build_network(arch, seed=42).state_tensors())
+    baseline, _ = network_from_tensors(arch, checkpoint.load(base))  # the stored filters
+    compact_fn, compacted = compaction.compact, []
+
+    def recording(model):
+        compacted.append(compact_fn(model))
+        return compacted[-1]
+    monkeypatch.setattr(compaction, "compact", recording)
+    report = tmp_path / "report.json"
+    assert cli.main(["compress", "--config", str(cfg), "--ckpt", str(base),
+                     "--out", str(tmp_path / "c.hngw"), "--report", str(report)]) == 0
+    threshold = json.loads(report.read_text())["threshold"]
+    [cm] = compacted
+    ranks = {}
+    for plan in cm.plans[:-1]:
+        if plan.mode == hinge.UNTOUCHED:
+            continue
+        assert plan.mode == hinge.DECOMPOSE
+        w = baseline.layers[plan.name].w
+        svd = linalg.svd(w)
+        s = svd.singular_values
+        # the threshold is one of the row norms, each an s_i up to rounding,
+        # so a singular value within rounding of it counts as at or above it
+        at_or_above = int(np.sum(s >= threshold * (1.0 - 1e-12)))
+        assert plan.rank == max(at_or_above, 1)  # update_mask keeps one group
+        r = plan.rank
+        layer = cm.network.layers[plan.name]
+        product = layer.w if layer.a is None else layer.w @ layer.a
+        truncated = (svd.u[:, :r] * s[:r]) @ svd.vt[:r]
+        assert np.abs(product - truncated).max() <= 1e-12
+        ranks[plan.name] = r
+    # all four hinged convs are decomposed, each below full rank
+    assert len(ranks) == 4
+    assert all(r < baseline.layers[n].meta.out_channels for n, r in ranks.items())

@@ -169,6 +169,10 @@ SIZE_KEYS = [("arch", "classes"), ("arch", "stem_channels"), ("arch", "input", "
              ("data", "n_train"), ("data", "n_test"), ("train", "batch_size"),
              ("compress", "batch_size")]
 OVERSIZED = [(path, 2 ** e) for path in SIZE_KEYS for e in (63, 70)]
+# dataset sizes that fit in int64 but whose arrays hold more bytes than an
+# address space, so numpy refuses them without allocating anything
+UNALLOCATABLE = [(("arch", "classes"), 2 ** 62), (("data", "n_train"), 2 ** 50),
+                 (("data", "n_test"), 2 ** 50)]
 
 
 def _key_name(path):
@@ -188,10 +192,12 @@ def _key_name(path):
     _with("compress", regularizer={"kind": ["l1"]}),
     _with("compress", regularizer={"kind": {"l1": 1}}),
     _with("train", lr=10 ** 400),   # an integer no float holds
+    _with("compress", anneal_decay=1.5),   # annealing would raise lambda
+    _with("compress", anneal_decay=2.0),
 ] + [_with_key(path, value) for path, value in OVERSIZED],
     ids=["stride-0", "channels-0", "svd-wide-filter", "seed-string", "epochs-string",
          "batch-size-0", "n-train-0", "epochs-negative", "regularizer-kind-list",
-         "regularizer-kind-object", "lr-10**400"]
+         "regularizer-kind-object", "lr-10**400", "anneal-decay-1.5", "anneal-decay-2.0"]
     + [f"{_key_name(path)}-2**{value.bit_length() - 1}" for path, value in OVERSIZED])
 def test_bad_config_value_is_usage_error(tmp_path, capsys, doc):
     cfg = write_config(tmp_path, doc)
@@ -201,6 +207,27 @@ def test_bad_config_value_is_usage_error(tmp_path, capsys, doc):
     assert len(err.splitlines()) == 1 and err.startswith("error:")
     assert "Traceback" not in err
     assert not (tmp_path / "o.hngw").exists()
+
+
+@pytest.mark.parametrize("path,value", UNALLOCATABLE)
+def test_unallocatable_dataset_error_names_its_key(tmp_path, capsys, path, value):
+    # numpy refuses each size's first array before allocating anything
+    cfg = write_config(tmp_path, _with_key(path, value))
+    rc = cli.main(["train", "--config", cfg, "--out", str(tmp_path / "o.hngw")])
+    err = capsys.readouterr().err
+    assert rc == cli.EXIT_USAGE
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: {_key_name(path)} is too large: numpy cannot allocate")
+
+
+@pytest.mark.parametrize("decay", [1.5, 2.0])
+def test_anneal_decay_outside_unit_interval_names_its_key(decay):
+    with pytest.raises(ConfigError, match=r"^compress\.anneal_decay must be"):
+        parse_config(_with("compress", anneal_decay=decay))
+
+
+def test_anneal_decay_of_one_is_accepted():
+    assert parse_config(_with("compress", anneal_decay=1.0)).compress.anneal_decay == 1.0
 
 
 @pytest.mark.parametrize("path,value", OVERSIZED)
@@ -658,3 +685,39 @@ class TestCliVerify:
         rc = cli.main(["verify", "--grad"])
         assert rc == 0
         assert "grad_cross_entropy: ok" in capsys.readouterr().out
+
+    def test_prox_suite_draws_pinned(self, monkeypatch):
+        """Every array `prox_suite` hands to the two oracles, bit for bit:
+        per scalar kind its norms and steps, then the l1-l2 cases, steps
+        and seeds. Speed work on the suite must draw the same cases in the
+        same order. Like the golden digests, the value holds per BLAS
+        build: the norms run through BLAS dot products."""
+        from hingenet import verify
+        solve, solve_l1_minus_2 = regularizers.prox_oracle, regularizers.prox_oracle_l1_minus_2
+        h = hashlib.sha256()
+
+        def scalar(norms, spec, steps):
+            h.update(spec.kind.encode())
+            for arr in (norms, steps):
+                h.update(np.asarray(arr, dtype=np.float64).tobytes())
+            return solve(norms, spec, steps)
+
+        def coupled(cases, steps, seeds):
+            h.update(b"l1_minus_2")
+            for x in cases:
+                h.update(np.asarray(x, dtype=np.float64).tobytes())
+            h.update(np.asarray(steps, dtype=np.float64).tobytes())
+            h.update(np.asarray(seeds, dtype=np.int64).tobytes())
+            return solve_l1_minus_2(cases, steps, seeds)
+        monkeypatch.setattr(regularizers, "prox_oracle", scalar)
+        monkeypatch.setattr(regularizers, "prox_oracle_l1_minus_2", coupled)
+        assert all(r.passed for r in verify.prox_suite())
+        assert h.hexdigest() == "85af799a6457e52b397f018c2bdae1fca048cde0d74f1bea6b3f3f8833f29aab"
+
+    def test_verify_stdout_pinned(self, capsys):
+        """`hingenet verify`'s whole stdout, byte for byte (per BLAS build,
+        as above)."""
+        assert cli.main(["verify"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "199f2f2d993ff316ff1338edbe30cc497548cba7843c516bd04420ce3ee15f61")
