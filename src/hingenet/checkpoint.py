@@ -27,26 +27,30 @@ def _is_byte_tensor(name: str) -> bool:
 
 
 def save(path, tensors: "OrderedDict[str, np.ndarray]") -> None:
-    """Write tensors to `path`. Float tensors are stored as f32; insertion
-    order is preserved byte-for-byte."""
+    """Write tensors to `path`. Float tensors are stored as f32, and one
+    with an entry that is not finite there (NaN, inf, or a finite value
+    beyond the f32 range) is a CheckpointError before the file is opened.
+    Insertion order is preserved byte-for-byte."""
     blob = bytearray()
     blob += MAGIC
     blob += struct.pack("<I", VERSION)
     blob += struct.pack("<I", len(tensors))
     for name, arr in tensors.items():
         arr = np.asarray(arr)
-        if not _is_byte_tensor(name) and not np.all(np.isfinite(arr)):
-            raise CheckpointError(f"tensor {name!r} contains non-finite entries")
+        if _is_byte_tensor(name):
+            payload = np.ascontiguousarray(arr, dtype=np.uint8)
+        else:
+            with np.errstate(over="ignore"):  # a finite value beyond f32 becomes inf
+                payload = np.ascontiguousarray(arr, dtype="<f4")
+            if not np.all(np.isfinite(payload)):
+                raise CheckpointError(
+                    f"tensor {name!r} contains entries that are not finite in float32")
         encoded = name.encode("utf-8")
         blob += struct.pack("<H", len(encoded))
         blob += encoded
         blob += struct.pack("<B", arr.ndim)
         for d in arr.shape:
             blob += struct.pack("<Q", d)
-        if _is_byte_tensor(name):
-            payload = np.ascontiguousarray(arr, dtype=np.uint8)
-        else:
-            payload = np.ascontiguousarray(arr, dtype="<f4")
         blob += payload.tobytes()
     with open(path, "wb") as fh:
         fh.write(blob)

@@ -8,11 +8,11 @@ unit direction by construction. `prox_l1` and the other three call it.
 
 `prox_oracle` is an independent numeric solver for the same scalar
 problems; it is the ground truth the closed forms are checked against. It
-solves a whole batch of (norm, step) cases in one call: a grid search that
-skips each interval whose lower bound (which rests on every scalar penalty
-being nondecreasing) is above the best interval end, yet returns the index
-a dense scan returns, then ternary refinement of every case in lockstep,
-each case stopping on its own bracket width.
+solves a whole batch of (norm, step) cases in one call: a two-level grid
+search that skips each interval whose chord bound (which rests on every
+scalar penalty being concave) is above the best value found, yet returns
+the index a dense scan returns, then ternary refinement of every case in
+lockstep, each case stopping on its own bracket width.
 `prox_oracle_l1_minus_2` solves a batch of coupled l1-l2 layers in one
 call: six starts per layer, all descending in lockstep by unit-step
 projected gradient on the joint objective alone, each start stopping on its
@@ -230,15 +230,16 @@ ORACLE_STEP_TOL = 1e-15     # l1-l2 descent stops once no entry moves more
 ORACLE_MAX_ITERATIONS = 10_000  # a start still moving after this is NaN
 
 
-_ORACLE_INTERVAL = 100  # grid steps per interval of the bounded search
-_ORACLE_CHUNK = 4       # cases searched together; bounds the search's buffers
+_ORACLE_COARSE = 1000   # grid steps per interval of the search's first level
+_ORACLE_FINE = 100      # grid steps per sub-interval of its second level
+_ORACLE_CHUNK = 32      # cases searched together; bounds the search's buffers
 _ORACLE_MARGIN = 1e-12  # relative rounding margin on an interval's bound
 
 # Penalty and objective of the scalar oracle under the (t - x)^2 / (2*step)
 # normalization. The half thresholding operator is the exact prox of
 # sqrt(t)/2 under this normalization (equivalently of sqrt(t) against
 # (t-x)^2/step); the /2 keeps the oracle consistent with the closed form's
-# 54^(1/3)/4 cutoff. Each penalty is nondecreasing in t >= 0.
+# 54^(1/3)/4 cutoff. The grid search needs each penalty concave in t >= 0.
 def _oracle_penalty(kind, t, epsilon):
     if kind == L1:
         return t
@@ -256,32 +257,65 @@ def _grid_points(index, top):
     return np.where(index == ORACLE_GRID - 1, top, index * (top / (ORACLE_GRID - 1)))
 
 
+def _chord_bound(ta, tb, pa, pb, x, step):
+    """Lower bound of the objective on each interval [ta, tb] whose ends
+    have penalties pa and pb: a concave penalty lies on or above its chord,
+    so the objective is at least the chord plus the quadratic, whose
+    minimum on the interval is at x - step*slope clipped to it."""
+    slope = (pb - pa) / (tb - ta)
+    t = np.clip(x - step * slope, ta, tb)
+    return pa + slope * (t - ta) + np.square(t - x) / (2.0 * step)
+
+
+def _reaching(bound, best):
+    """Rows and columns of the intervals whose bound is within the rounding
+    margin of their case's best value; every point of the others lies
+    strictly above that value."""
+    slack = _ORACLE_MARGIN * (1.0 + np.abs(best))
+    return np.nonzero(bound <= (best + slack)[:, None])
+
+
 def _grid_argmin(kind, x, step, epsilon, top):
     """First index of the objective's minimum over each case's grid
-    np.linspace(0, top, ORACLE_GRID), as a dense scan finds it. As the
-    penalty is nondecreasing, the objective on an interval [t_a, t_b] is at
-    least penalty(t_a) plus the quadratic's minimum there. Only intervals
-    whose bound is within a rounding margin of the best end are evaluated
-    inside; every point of the others lies strictly above the minimum."""
-    ends = np.append(np.arange(0, ORACLE_GRID - 1, _ORACLE_INTERVAL), ORACLE_GRID - 1)
-    inside = np.arange(1, _ORACLE_INTERVAL)
+    np.linspace(0, top, ORACLE_GRID), as a dense scan finds it. The search
+    needs the penalty concave, so that the chord bound holds on every
+    interval. It evaluates the ends of the coarse intervals, then the
+    sub-ends of each coarse interval whose bound can still reach the best
+    value, then the inner points of each sub-interval that still can."""
+    ends = np.append(np.arange(0, ORACLE_GRID - 1, _ORACLE_COARSE), ORACLE_GRID - 1)
+    subs = np.arange(_ORACLE_FINE, _ORACLE_COARSE, _ORACLE_FINE)
+    inside = np.arange(1, _ORACLE_FINE)
     k = np.empty(x.size, dtype=np.int64)
     for c in range(0, x.size, _ORACLE_CHUNK):
         xc, sc, ec, tc = (a[c:c + _ORACLE_CHUNK, None] for a in (x, step, epsilon, top))
         ts = _grid_points(ends, tc)
-        vals = _oracle_objective(kind, ts, xc, sc, ec)
+        pen = _oracle_penalty(kind, ts, ec)
+        vals = pen + np.square(ts - xc) / (2.0 * sc)
         best = vals.min(axis=1)
-        ta, tb = ts[:, :-1], ts[:, 1:]
-        bound = _oracle_penalty(kind, ta, ec) + np.square(np.clip(xc, ta, tb) - xc) / (2.0 * sc)
-        slack = _ORACLE_MARGIN * (1.0 + np.abs(best))
-        rows, cols = np.nonzero(bound <= (best + slack)[:, None])
-        index = ends[cols, None] + inside
-        ts = _grid_points(index, tc[rows])
-        inner = _oracle_objective(kind, ts, xc[rows], sc[rows], ec[rows])
-        np.minimum.at(best, rows, inner.min(axis=1))
+        bound = _chord_bound(ts[:, :-1], ts[:, 1:], pen[:, :-1], pen[:, 1:], xc, sc)
+        rows, cols = _reaching(bound, best)
+
+        sub = ends[cols, None] + subs
+        xr, sr, er = xc[rows], sc[rows], ec[rows]
+        sub_ts = _grid_points(sub, tc[rows])
+        sub_pen = _oracle_penalty(kind, sub_ts, er)
+        sub_vals = sub_pen + np.square(sub_ts - xr) / (2.0 * sr)
+        np.minimum.at(best, rows, sub_vals.min(axis=1))
+        # each sub-interval between two of a coarse interval's 11 points
+        ts = np.concatenate((ts[rows, cols, None], sub_ts, ts[rows, cols + 1, None]), axis=1)
+        pen = np.concatenate((pen[rows, cols, None], sub_pen, pen[rows, cols + 1, None]), axis=1)
+        bound = _chord_bound(ts[:, :-1], ts[:, 1:], pen[:, :-1], pen[:, 1:], xr, sr)
+        fine, sub_cols = _reaching(bound, best[rows])
+
+        inner = ends[cols[fine], None] + _ORACLE_FINE * sub_cols[:, None] + inside
+        fine_rows = rows[fine]
+        inner_vals = _oracle_objective(kind, _grid_points(inner, tc[fine_rows]),
+                                       xr[fine], sr[fine], er[fine])
+        np.minimum.at(best, fine_rows, inner_vals.min(axis=1))
+
         first = np.where(vals == best[:, None], ends, ORACLE_GRID).min(axis=1)
-        index = np.where(inner == best[rows, None], index, ORACLE_GRID)
-        np.minimum.at(first, rows, index.min(axis=1))
+        for r, index, v in ((rows, sub, sub_vals), (fine_rows, inner, inner_vals)):
+            np.minimum.at(first, r, np.where(v == best[r, None], index, ORACLE_GRID).min(axis=1))
         k[c:c + _ORACLE_CHUNK] = first
     return k
 
@@ -290,7 +324,7 @@ def prox_oracle(norms, spec: RegularizerSpec, steps) -> np.ndarray:
     """Numerically minimize penalty(t) + (t - norm)^2/(2*step) over t >= 0
     for every (norm, step) pair of the broadcast inputs: the first minimum
     over np.linspace(0, 2*norm + 1, ORACLE_GRID), found without a dense scan
-    by a search that needs each penalty nondecreasing, then ternary
+    by a search that needs each penalty concave (`_grid_argmin`), then ternary
     refinement of all cases in lockstep. Each case takes exactly the steps
     it would take alone. A negative or non-finite norm or step anywhere in
     the batch is a ParameterError.
@@ -342,12 +376,6 @@ def _l1_minus_2_objective(t, x, step):
             + 0.5 * np.sum((t - x) ** 2, axis=1))
 
 
-def _l1_minus_2_gradient(t, x, step):
-    norm = np.linalg.norm(t, axis=1)[:, None]
-    direction = np.divide(t, norm, out=np.zeros_like(t), where=norm > 0)
-    return step[:, None] * (1.0 - direction) + (t - x)
-
-
 def prox_oracle_l1_minus_2(cases, steps, seeds) -> list:
     """Numerically minimize step*(sum(t) - ||t||) + 0.5*||t - x||^2 over
     t >= 0 for every case x (a vector of group norms) with its step.
@@ -389,15 +417,22 @@ def prox_oracle_l1_minus_2(cases, steps, seeds) -> list:
         x = np.repeat(xm, starts_per_case, axis=0)
         step = np.repeat(sm, starts_per_case)
 
+        # the live starts' rows, filtered only when a start stops
         live = np.arange(len(t))
+        cur, x_live, step_live = t, x, step[:, None]
+        tol = ORACLE_STEP_TOL * (1.0 + x.max(axis=1))
         for _ in range(ORACLE_MAX_ITERATIONS):
             if live.size == 0:
                 break
-            cur, x_live = t[live], x[live]
-            new = np.maximum(cur - _l1_minus_2_gradient(cur, x_live, step[live]), 0.0)
-            t[live] = new
-            moved = np.abs(new - cur).max(axis=1)
-            live = live[moved > ORACLE_STEP_TOL * (1.0 + x_live.max(axis=1))]
+            norm = np.sqrt(np.add.reduce(cur * cur, axis=1))[:, None]  # as np.linalg.norm
+            direction = cur / np.where(norm > 0, norm, np.inf)  # 0 for a zero row
+            new = np.maximum(cur - (step_live * (1.0 - direction) + (cur - x_live)), 0.0)
+            going = np.abs(new - cur).max(axis=1) > tol
+            if not going.all():
+                t[live[~going]] = new[~going]
+                live, new, x_live, step_live, tol = (
+                    a[going] for a in (live, new, x_live, step_live, tol))
+            cur = new
         t[live] = np.nan
 
         # argmin returns the first NaN, so an unconverged start fails its case

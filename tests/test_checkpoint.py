@@ -87,6 +87,21 @@ def test_non_finite_rejected(tmp_path):
                         OrderedDict([("w", np.array([[np.nan]]))]))
 
 
+@pytest.mark.parametrize("value", [1e39, -1e39])
+def test_finite_value_beyond_float32_rejected(tmp_path, value):
+    path = tmp_path / "x.hngw"
+    with pytest.raises(checkpoint.CheckpointError, match="'w'"):
+        checkpoint.save(path, OrderedDict([("w", np.array([[value, 1.0]]))]))
+    assert not path.exists()
+
+
+def test_float32_max_round_trips(tmp_path):
+    path = tmp_path / "x.hngw"
+    w = np.array([[np.finfo(np.float32).max, -np.finfo(np.float32).max]], dtype=np.float64)
+    checkpoint.save(path, OrderedDict([("w", w)]))
+    assert np.array_equal(checkpoint.load(path)["w"], w)
+
+
 def test_signaling_nan_payload_loads_as_nan(tmp_path):
     # the f32 -> f64 cast of a signaling NaN raises the invalid flag; the
     # load must not turn that into a warning (an error under this suite)

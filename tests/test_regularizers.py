@@ -285,6 +285,40 @@ class TestProxOracleBoundedSearch:
         assert np.array_equal(got, want)
         assert np.count_nonzero(got == reg.ORACLE_GRID - 1) >= 20
 
+    def test_chord_bound_never_exceeds_the_objective(self):
+        rng = np.random.default_rng(79)
+        last = reg.ORACLE_GRID - 1
+        for case in range(300):
+            kind = SCALAR_KINDS[rng.integers(3)]
+            step = 10.0 ** rng.uniform(-8.0, 3.0)
+            norm = 0.0 if case % 7 == 0 else rng.uniform(0.0, 6.0) * np.sqrt(step)
+            eps = np.sqrt(step) / (1.0 + 10.0 ** rng.uniform(-12.0, -3.0))
+            top = 2.0 * norm + 1.0
+            coarse = rng.integers(0, last, 2) // reg._ORACLE_COARSE * reg._ORACLE_COARSE
+            fine = rng.integers(0, last, 2) // reg._ORACLE_FINE * reg._ORACLE_FINE
+            for a, width in [(last - last % reg._ORACLE_COARSE, reg._ORACLE_COARSE),
+                             (last - last % reg._ORACLE_FINE, reg._ORACLE_FINE),
+                             *((a, reg._ORACLE_COARSE) for a in coarse),
+                             *((a, reg._ORACLE_FINE) for a in fine)]:
+                ts = reg._grid_points(np.arange(a, min(a + width, last) + 1), top)
+                pen = reg._oracle_penalty(kind, ts[[0, -1]], eps)
+                bound = reg._chord_bound(ts[0], ts[-1], pen[0], pen[-1], norm, step)
+                low = reg._oracle_objective(kind, ts, norm, step, eps).min()
+                assert bound <= low, (kind, step, norm, eps, a, width)
+
+    @pytest.mark.parametrize("kind", SCALAR_KINDS)
+    def test_evaluation_budget(self, suite_batches, kind, monkeypatch):
+        norms, spec, steps = suite_batches[kind]
+        penalty, evaluated = reg._oracle_penalty, []
+
+        def counting(kind, t, epsilon):
+            evaluated.append(np.size(t))
+            return penalty(kind, t, epsilon)
+        monkeypatch.setattr(reg, "_oracle_penalty", counting)
+        prox_oracle(norms, spec, steps)
+        # 1 % of each case's grid, the ternary refinement included
+        assert sum(evaluated) <= norms.size * reg.ORACLE_GRID // 100
+
     @pytest.mark.parametrize("kind", SCALAR_KINDS)
     def test_peak_memory_bounded(self, suite_batches, kind):
         # a dense scan holds three 100 000-point buffers (3.2 MiB measured)
