@@ -86,6 +86,8 @@ def load(path) -> "OrderedDict[str, np.ndarray]":
             name = bytes(take(name_len)).decode("utf-8")
         except UnicodeDecodeError:
             raise CheckpointError("tensor name is not UTF-8") from None
+        if name in tensors:
+            raise CheckpointError(f"tensor {name!r} appears more than once")
         (ndim,) = struct.unpack("<B", take(1))
         dims = struct.unpack(f"<{ndim}Q", take(8 * ndim))
         byte_tensor = _is_byte_tensor(name)

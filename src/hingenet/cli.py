@@ -48,17 +48,17 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
-def _check_outputs(**paths):
-    """Refuse, before any work, an output path (flag name -> path, None
-    when not given) that is a directory or whose directory is missing."""
-    for flag, path in paths.items():
+def _check_outputs(paths: dict):
+    """Refuse, before any work, an output path (label -> path, None when
+    not given) that is a directory or whose directory is missing."""
+    for label, path in paths.items():
         if path is None:
             continue
         path = Path(path)
         if path.is_dir():
-            raise ConfigError(f"--{flag} {path} is a directory")
+            raise ConfigError(f"{label} {path} is a directory")
         if not path.parent.is_dir():
-            raise ConfigError(f"--{flag} {path}: directory {path.parent} does not exist")
+            raise ConfigError(f"{label} {path}: directory {path.parent} does not exist")
 
 
 def _final_metrics(model, dataset, history):
@@ -72,7 +72,7 @@ def _final_metrics(model, dataset, history):
 
 def cmd_train(args) -> int:
     cfg = load_config(args.config)
-    _check_outputs(out=args.out)
+    _check_outputs({"--out": args.out, "metrics file": _metrics_path(args.out)})
     dataset = cfg.make_dataset()
     model = net.build_network(cfg.arch, seed=cfg.seed)
     tc = cfg.train
@@ -91,7 +91,7 @@ def cmd_train(args) -> int:
 
 def cmd_compress(args) -> int:
     cfg = load_config(args.config)
-    _check_outputs(out=args.out, report=args.report)
+    _check_outputs({"--out": args.out, "--report": args.report})
     if args.target_ratio is not None:
         try:
             cfg.compress = dataclasses.replace(cfg.compress, target_ratio=args.target_ratio)
@@ -157,16 +157,17 @@ def cmd_compress(args) -> int:
 
 
 def cmd_finetune(args) -> int:
+    if args.distill != (args.teacher is not None):
+        raise ConfigError("--distill requires --teacher" if args.distill
+                          else "--teacher requires --distill")
     cfg = load_config(args.config)
-    _check_outputs(out=args.out)
+    _check_outputs({"--out": args.out, "metrics file": _metrics_path(args.out)})
     dataset = cfg.make_dataset()
     model, modes = net.network_from_tensors(cfg.arch, checkpoint.load(args.ckpt))
 
     teacher = None
     distill_cfg = None
     if args.distill:
-        if args.teacher is None:
-            raise ConfigError("--distill requires --teacher")
         teacher, _ = net.network_from_tensors(cfg.arch, checkpoint.load(args.teacher))
         distill_cfg = cfg.distill
 

@@ -30,12 +30,11 @@ def _check_keys(section, allowed: set, where: str):
 
 
 def _number(value, where: str, integer: bool = False, low: float | None = 0,
-            strict: bool = False, high: float | None = None):
+            strict: bool = False):
     """Type and range check of one config number; returns it unchanged.
     Every integer must fit in int64, the sizes numpy builds arrays from.
     `low` is the smallest allowed value (excluded when `strict`); None
-    leaves the range to the code that uses the value. `high`, if given,
-    is the largest allowed value."""
+    leaves the range to the code that uses the value."""
     if (isinstance(value, bool) or not isinstance(value, int if integer else (int, float))
             or (isinstance(value, float) and not math.isfinite(value))):
         kind = "an integer" if integer else "a finite number"
@@ -44,8 +43,6 @@ def _number(value, where: str, integer: bool = False, low: float | None = 0,
         raise ConfigError(f"{where} must fit in a 64-bit integer, got {value!r}")
     if low is not None and (value < low or (strict and value == low)):
         raise ConfigError(f"{where} must be {'>' if strict else '>='} {low}, got {value!r}")
-    if high is not None and value > high:
-        raise ConfigError(f"{where} must be <= {high}, got {value!r}")
     return value
 
 
@@ -103,14 +100,13 @@ class RunConfig:
 # Rules for `_number`. Architecture sizes are only type-checked here;
 # building the layer table checks their range.
 _SIZE, _INT, _COUNT = {"integer": True, "low": None}, {"integer": True}, {"integer": True, "low": 1}
-_ANY, _POSITIVE, _FACTOR = {"low": None}, {"strict": True}, {"strict": True, "high": 1}
+_ANY, _POSITIVE = {"low": None}, {"strict": True}
 _TRAIN_RULES = {"epochs": _INT, "batch_size": _COUNT, "lr": _POSITIVE, "momentum": {},
                 "weight_decay": {}, "lr_drop_factor": _POSITIVE, "finetune_epochs": _INT,
                 "finetune_lr": _POSITIVE}
 _COMPRESS_RULES = {"target_ratio": _ANY, "stop_margin": _ANY, "nullify_threshold": {},
                    "eta": _POSITIVE, "lr_ratio": {}, "m": _ANY, "weight_decay": {},
-                   "anneal_decay": _FACTOR, "anneal_trigger": {}, "max_epochs": _INT,
-                   "seed": _INT, "batch_size": _COUNT}
+                   "max_epochs": _INT, "seed": _INT, "batch_size": _COUNT}
 
 _DEFAULT_ARCH = {
     "input": {"channels": 1, "height": 16, "width": 16},

@@ -7,10 +7,9 @@ prox; the pass has checked the loss and every gradient before the step
 runs. At the end of every epoch, groups whose norm fell below the nullifying
 threshold are masked (permanently), the compression ratio is recomputed,
 each layer's regularization factor is rebalanced by its mean alive group
-norm, the learning rate of the first matrix in each residual pair is
-adjusted by the gradient-norm ratio, and the factor anneals once a layer's
-groups have shrunk far enough. The loop stops when the ratio is within the
-stop margin of the target.
+norm, and the learning rate of the first matrix in each residual pair is
+adjusted by the gradient-norm ratio. The loop stops when the ratio is
+within the stop margin of the target.
 
 The threshold search afterwards bisects the sorted alive group norms: the
 ratio is a non-increasing staircase in the threshold that steps only at
@@ -42,8 +41,6 @@ class CompressionConfig:
     lr_ratio: float = 0.01            # filter lr = lr_ratio * eta
     m: float = 1.35                   # exponent of the gradient-ratio lr rule
     weight_decay: float = 1e-4
-    anneal_decay: float = 0.5
-    anneal_trigger: float | None = None  # default 2 * nullify_threshold
     max_epochs: int = 500
     seed: int = 0
     batch_size: int = 32
@@ -53,8 +50,6 @@ class CompressionConfig:
             raise ValueError("target_ratio must be in (0, 1)")
         if self.stop_margin <= 0:
             raise ValueError("stop_margin must be positive")
-        if self.anneal_trigger is None:
-            self.anneal_trigger = 2.0 * self.nullify_threshold
 
     @property
     def eta_s(self) -> float:
@@ -65,7 +60,6 @@ class CompressionConfig:
 class CompressionState:
     gamma_c: float = 1.0
     converged: bool = False
-    base_lambda: dict = field(default_factory=dict)
     gamma_history: list = field(default_factory=list)
 
 
@@ -125,14 +119,6 @@ def adjust_learning_rates(pairs, grad_sums: dict, eta: float, m: float,
     return lr_map, rho_map
 
 
-def anneal(state: CompressionState, layer_stats: dict, config: CompressionConfig):
-    """Halve the base factor of any layer whose mean alive norm fell below
-    the trigger; factors never increase."""
-    for name, stats in layer_stats.items():
-        if stats.mean_norm < config.anneal_trigger:
-            state.base_lambda[name] *= config.anneal_decay
-
-
 @quiet_overflow()
 def run_compression(net: Network, dataset, config: CompressionConfig,
                     log=None) -> CompressionState:
@@ -145,7 +131,6 @@ def run_compression(net: Network, dataset, config: CompressionConfig,
     if not hinged:
         raise ValueError("run_compression needs a hinged network")
     pairs = net.hinged_basic_pairs()
-    state.base_lambda = {name: config.regularizer.lam for name, _ in hinged}
     lr_map = {id(layer): config.eta for _, layer in hinged}
     prev_rho = {}
     rng = np.random.default_rng(config.seed)
@@ -171,12 +156,12 @@ def run_compression(net: Network, dataset, config: CompressionConfig,
             layer.apply_mask()
 
     for epoch in range(config.max_epochs):
-        lam_l = {name: balance_lambda(layer, state.base_lambda[name])
+        lam_l = {name: balance_lambda(layer, config.regularizer.lam)
                  for name, layer in hinged}
         grad_sums = {id(layer): np.zeros_like(layer.a) for _, layer in hinged}
         sgd_epoch(net, dataset, config.batch_size, rng, score, step, "compression", epoch)
 
-        # Epoch end: mask, measure, rebalance, adjust, anneal.
+        # Epoch end: mask, measure, adjust.
         apply_threshold(net, config.nullify_threshold)
         state.gamma_c = compression_ratio(net, config.nullify_threshold)
         state.gamma_history.append(state.gamma_c)
@@ -185,14 +170,12 @@ def run_compression(net: Network, dataset, config: CompressionConfig,
             pair_lr, prev_rho = adjust_learning_rates(
                 pairs, grad_sums, config.eta, config.m, prev_rho, warn=log)
             lr_map.update(pair_lr)
-        anneal(state, layer_stats, config)
 
         if log is not None:
             log({"epoch": epoch, "gamma_c": state.gamma_c,
                  "mean_group_norms": {n: s.mean_norm for n, s in layer_stats.items()},
                  "alive_groups": {n: s.alive_count for n, s in layer_stats.items()},
                  "lambda_layer": dict(lam_l),
-                 "lambda_base": dict(state.base_lambda),
                  "rho": dict(prev_rho) if pairs else {}})
         if state.gamma_c - config.target_ratio <= config.stop_margin:
             state.converged = True

@@ -128,6 +128,16 @@ def test_non_utf8_name_rejected(tmp_path):
         checkpoint.load(path)
 
 
+def test_repeated_tensor_name_rejected(tmp_path):
+    # one "w" record twice under a count of 2: the second copy must not
+    # silently replace the first
+    path = tmp_path / "r.hngw"
+    record = struct.pack("<H", 1) + b"w" + struct.pack("<BQ", 1, 1) + b"\x00" * 4
+    path.write_bytes(b"HNGW" + struct.pack("<II", 1, 2) + record + record)
+    with pytest.raises(checkpoint.CheckpointError, match="'w' appears more than once"):
+        checkpoint.load(path)
+
+
 def test_ndim_beyond_numpy_limit_rejected(tmp_path):
     path = tmp_path / "d.hngw"
     path.write_bytes(b"HNGW" + struct.pack("<IIH", 1, 1, 1) + b"w"

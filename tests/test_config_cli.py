@@ -192,7 +192,7 @@ def _key_name(path):
     _with("compress", regularizer={"kind": ["l1"]}),
     _with("compress", regularizer={"kind": {"l1": 1}}),
     _with("train", lr=10 ** 400),   # an integer no float holds
-    _with("compress", anneal_decay=1.5),   # annealing would raise lambda
+    _with("compress", anneal_decay=1.5),   # a removed key, so unknown
     _with("compress", anneal_decay=2.0),
 ] + [_with_key(path, value) for path, value in OVERSIZED],
     ids=["stride-0", "channels-0", "svd-wide-filter", "seed-string", "epochs-string",
@@ -220,14 +220,15 @@ def test_unallocatable_dataset_error_names_its_key(tmp_path, capsys, path, value
     assert err.startswith(f"error: {_key_name(path)} is too large: numpy cannot allocate")
 
 
-@pytest.mark.parametrize("decay", [1.5, 2.0])
-def test_anneal_decay_outside_unit_interval_names_its_key(decay):
-    with pytest.raises(ConfigError, match=r"^compress\.anneal_decay must be"):
-        parse_config(_with("compress", anneal_decay=decay))
-
-
-def test_anneal_decay_of_one_is_accepted():
-    assert parse_config(_with("compress", anneal_decay=1.0)).compress.anneal_decay == 1.0
+@pytest.mark.parametrize("key", ["anneal_decay", "anneal_trigger"])
+def test_removed_anneal_key_is_unknown(tmp_path, capsys, key):
+    # a config written for the removed lambda decay is refused, not
+    # silently run without it
+    cfg = write_config(tmp_path, _with("compress", **{key: 0.5}))
+    rc = cli.main(["train", "--config", cfg, "--out", str(tmp_path / "o.hngw")])
+    assert rc == cli.EXIT_USAGE
+    assert capsys.readouterr().err == f"error: unknown keys in compress: ['{key}']\n"
+    assert not (tmp_path / "o.hngw").exists()
 
 
 @pytest.mark.parametrize("path,value", OVERSIZED)
@@ -235,6 +236,25 @@ def test_oversized_integer_error_names_its_key(path, value):
     with pytest.raises(ConfigError,
                        match=rf"^{re.escape(_key_name(path))} must fit in a 64-bit integer"):
         parse_config(_with_key(path, value))
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_config_table_names_only_known_keys():
+    text = README.read_text(encoding="utf-8").split("\n## Configuration\n")[1]
+    keys = re.findall(r"^\| `([\w.]+)` \|", text.split("\n## ")[0], flags=re.M)
+    assert len(keys) >= 5
+    for key in keys:
+        *outer, last = key.split(".")
+        doc = section = {}
+        for part in outer:
+            section = section.setdefault(part, {})
+        section[last] = 0   # a placeholder: only an unknown key fails here
+        try:
+            parse_config(doc)
+        except ConfigError as exc:
+            assert not str(exc).startswith("unknown keys"), f"README row {key}: {exc}"
 
 
 def test_integer_of_too_many_digits_is_usage_error(tmp_path, capsys):
@@ -275,13 +295,15 @@ def _compressed(pipeline, ratio):
 
 # output paths that cannot be written, refused before any work starts
 OUTPUT_CASES = ("out-is-directory", "report-is-directory", "finetune-out-is-directory",
-                "out-directory-missing", "report-directory-missing")
+                "out-directory-missing", "report-directory-missing", "metrics-is-directory",
+                "finetune-metrics-is-directory")
 
 
 @pytest.mark.parametrize("case", [
     "ckpt-is-directory", "out-is-directory", "report-is-directory",
     "compress-compacted-0.999", "compress-compacted-0.5", "compress-hinged-state",
-    "finetune-out-is-directory", "out-directory-missing", "report-directory-missing"])
+    "finetune-out-is-directory", "out-directory-missing", "report-directory-missing",
+    "metrics-is-directory", "finetune-metrics-is-directory"])
 def test_unusable_path_is_usage_error(pipeline, capsys, case):
     cfg, tmp = pipeline["cfg"], pipeline["tmp"]
     again = tmp / "again.hngw"
@@ -302,6 +324,11 @@ def test_unusable_path_is_usage_error(pipeline, capsys, case):
     elif case == "report-directory-missing":
         named = str(tmp / "missing" / "report.json")
         argv = compress + ["--ckpt", str(pipeline["base"]), "--report", named]
+    elif case.endswith("metrics-is-directory"):   # the file train and finetune write beside --out
+        named = str(tmp / "again.metrics.json")
+        Path(named).mkdir(exist_ok=True)
+        argv = (["finetune", "--ckpt", str(pipeline["compact"])] if case.startswith("finetune")
+                else ["train"]) + ["--config", cfg, "--out", str(again)]
     elif case == "compress-hinged-state":   # a network still being compressed
         model, _ = network_from_tensors(load_config(cfg).arch, checkpoint.load(pipeline["base"]))
         named = str(tmp / "hinged.hngw")
@@ -550,6 +577,18 @@ class TestCliFinetune:
                        "--distill", "--out", str(pipeline["tmp"] / "z.hngw")])
         assert rc == cli.EXIT_USAGE
 
+    def test_teacher_requires_distill(self, pipeline, capsys):
+        # the mirror of --distill without --teacher; the teacher is never opened
+        out = pipeline["tmp"] / "teacher_only.hngw"
+        capsys.readouterr()
+        rc = cli.main(["finetune", "--config", pipeline["cfg"],
+                       "--ckpt", str(pipeline["compact"]),
+                       "--teacher", str(pipeline["tmp"] / "no_such_teacher.hngw"),
+                       "--out", str(out)])
+        assert rc == cli.EXIT_USAGE
+        assert capsys.readouterr().err == "error: --teacher requires --distill\n"
+        assert not out.exists()
+
     def test_teacher_equal_student_allowed(self, pipeline):
         out = pipeline["tmp"] / "self_ft.hngw"
         rc = cli.main(["finetune", "--config", pipeline["cfg"],
@@ -612,6 +651,20 @@ class TestCliFinetune:
         assert rc == cli.EXIT_USAGE
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("error:") and "head" in err
+
+    def test_evaluate_repeated_tensor_is_usage_error(self, pipeline, capsys):
+        # the baseline with its stem/W record appended again, count one higher
+        blob = pipeline["base"].read_bytes()
+        single = pipeline["tmp"] / "stem_w.hngw"
+        checkpoint.save(single, {"stem/W": checkpoint.load(pipeline["base"])["stem/W"]})
+        (count,) = struct.unpack("<I", blob[8:12])
+        path = pipeline["tmp"] / "repeated.hngw"
+        path.write_bytes(blob[:8] + struct.pack("<I", count + 1) + blob[12:]
+                         + single.read_bytes()[12:])
+        capsys.readouterr()
+        rc = cli.main(["evaluate", "--config", pipeline["cfg"], "--ckpt", str(path)])
+        assert rc == cli.EXIT_USAGE
+        assert capsys.readouterr().err == "error: tensor 'stem/W' appears more than once\n"
 
     def test_evaluate_compact(self, pipeline, capsys):
         rc = cli.main(["evaluate", "--config", pipeline["cfg"],
