@@ -21,7 +21,6 @@ from . import checkpoint, compaction, net, solver, train as training, verify
 from .config import ConfigError, load_config
 from .cost import compression_ratio
 from .linalg import NumericError
-from .regularizers import ParameterError
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -79,8 +78,7 @@ def cmd_train(args) -> int:
     history = training.train(model, dataset, epochs=tc.epochs, lr=tc.lr,
                              batch_size=tc.batch_size, momentum=tc.momentum,
                              weight_decay=tc.weight_decay, lr_drops=tc.lr_drops,
-                             lr_drop_factor=tc.lr_drop_factor, seed=cfg.seed,
-                             log=_log)
+                             seed=cfg.seed, log=_log)
     checkpoint.save(args.out, model.state_tensors())
     acc, loss = _final_metrics(model, dataset, history)
     _write_json(_metrics_path(args.out),
@@ -108,11 +106,7 @@ def cmd_compress(args) -> int:
                       first_kind=cfg.first_hinge_groups,
                       plain_kind=cfg.plain_hinge_groups)
 
-    try:
-        state = solver.run_compression(model, dataset, cfg.compress, log=_log)
-    except ParameterError as exc:  # logsum epsilon not below sqrt(step)
-        raise ConfigError(f"{exc}; lower compress.regularizer.epsilon "
-                          "or leave it unset") from exc
+    state = solver.run_compression(model, dataset, cfg.compress, log=_log)
 
     floor = compression_ratio(model, np.inf)
     report = {

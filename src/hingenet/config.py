@@ -62,7 +62,6 @@ class TrainConfig:
     momentum: float = 0.9
     weight_decay: float = 1e-4
     lr_drops: tuple = (8,)
-    lr_drop_factor: float = 0.1
     finetune_epochs: int = 15
     finetune_lr: float = 0.001
 
@@ -102,11 +101,10 @@ class RunConfig:
 _SIZE, _INT, _COUNT = {"integer": True, "low": None}, {"integer": True}, {"integer": True, "low": 1}
 _ANY, _POSITIVE = {"low": None}, {"strict": True}
 _TRAIN_RULES = {"epochs": _INT, "batch_size": _COUNT, "lr": _POSITIVE, "momentum": {},
-                "weight_decay": {}, "lr_drop_factor": _POSITIVE, "finetune_epochs": _INT,
-                "finetune_lr": _POSITIVE}
+                "weight_decay": {}, "finetune_epochs": _INT, "finetune_lr": _POSITIVE}
 _COMPRESS_RULES = {"target_ratio": _ANY, "stop_margin": _ANY, "nullify_threshold": {},
                    "eta": _POSITIVE, "lr_ratio": {}, "m": _ANY, "weight_decay": {},
-                   "max_epochs": _INT, "seed": _INT, "batch_size": _COUNT}
+                   "max_epochs": _INT, "batch_size": _COUNT}
 
 _DEFAULT_ARCH = {
     "input": {"channels": 1, "height": 16, "width": 16},
@@ -163,14 +161,12 @@ def _parse_arch(section: dict):
 
 
 def _parse_regularizer(section: dict) -> RegularizerSpec:
-    values = _checked(section, {"lambda": {}, "epsilon": _POSITIVE}, "compress.regularizer",
-                      other_keys={"kind"})
+    values = _checked(section, {"lambda": {}}, "compress.regularizer", other_keys={"kind"})
     kind = section.get("kind", "l1")
     if not isinstance(kind, str) or kind not in DEFAULT_LAMBDA:
         raise ConfigError(f"unknown regularizer kind {kind!r}")
     try:
-        return RegularizerSpec(kind=kind, lam=float(values.get("lambda", DEFAULT_LAMBDA[kind])),
-                               epsilon=values.get("epsilon"))
+        return RegularizerSpec(kind=kind, lam=float(values.get("lambda", DEFAULT_LAMBDA[kind])))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -178,9 +174,8 @@ def _parse_regularizer(section: dict) -> RegularizerSpec:
 def _parse_compress(section: dict, seed: int) -> CompressionConfig:
     kwargs = _checked(section, _COMPRESS_RULES, "compress", other_keys={"regularizer"})
     reg = _parse_regularizer(section.get("regularizer", {}))
-    kwargs.setdefault("seed", seed)
-    try:
-        return CompressionConfig(regularizer=reg, **kwargs)
+    try:  # the phase's shuffle draws from the run's seed
+        return CompressionConfig(regularizer=reg, seed=seed, **kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 

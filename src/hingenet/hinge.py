@@ -79,8 +79,7 @@ def attach(w: np.ndarray, init: str = SVD_INIT):
 
 @dataclass
 class GroupStats:
-    norms: np.ndarray        # alive groups only
-    mean_norm: float
+    mean_norm: float         # over the alive groups
     alive_count: int
 
 
@@ -88,7 +87,7 @@ def group_stats(a: np.ndarray, scheme: GroupScheme, mask: np.ndarray) -> GroupSt
     norms = linalg.group_norms(a, scheme)
     alive = norms[mask]
     mean = float(alive.mean()) if alive.size else 0.0
-    return GroupStats(norms=alive, mean_norm=mean, alive_count=int(mask.sum()))
+    return GroupStats(mean_norm=mean, alive_count=int(mask.sum()))
 
 
 def apply_mask(a: np.ndarray, scheme: GroupScheme, mask: np.ndarray) -> np.ndarray:

@@ -50,36 +50,22 @@ class ParameterError(ValueError):
 class RegularizerSpec:
     kind: str
     lam: float
-    epsilon: float | None = None  # logsum only; default derived per step
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ParameterError(f"unknown regularizer kind {self.kind!r}")
         if self.lam < 0:
             raise ParameterError("lambda must be non-negative")
-        if self.epsilon is not None and self.epsilon <= 0:
-            raise ParameterError("epsilon must be positive")
 
     @classmethod
     def default(cls, kind: str) -> "RegularizerSpec":
         return cls(kind=kind, lam=DEFAULT_LAMBDA[kind])
 
 
-def logsum_epsilon(step: float, epsilon: float | None) -> float:
-    """Resolve the logsum epsilon for a given shrinkage step.
-
-    Must satisfy 0 < epsilon < sqrt(step); when unset it tracks the step as
-    0.5*sqrt(step).
-    """
-    if step <= 0:
-        raise ParameterError("logsum prox requires step > 0")
-    bound = math.sqrt(step)
-    if epsilon is None:
-        return 0.5 * bound
-    if not 0.0 < epsilon < bound:
-        raise ParameterError(
-            f"logsum epsilon {epsilon} outside (0, sqrt(step)={bound:.6g})")
-    return epsilon
+def logsum_epsilon(step):
+    """The logsum epsilon at shrinkage step `step` (a float or an array):
+    0.5*sqrt(step), inside the (0, sqrt(step)) range the norm map needs."""
+    return 0.5 * np.sqrt(step)
 
 
 # --------------------------------------------------------------------------
@@ -158,64 +144,39 @@ def _apply_norm_factors(a, scheme, old_norms, new_norms):
     return a * (f[None, :] if scheme.axis == 0 else f[:, None])
 
 
-def prox(a: np.ndarray, scheme: GroupScheme, spec: RegularizerSpec,
-         step: float) -> np.ndarray:
-    """Group prox of `spec.kind` (`spec.lam` is not read) at `step`, the
-    full shrinkage strength (regularization factor times learning rate)."""
+def prox(a: np.ndarray, scheme: GroupScheme, kind: str, step: float) -> np.ndarray:
+    """Group prox of regularizer `kind` at `step`, the full shrinkage
+    strength (regularization factor times learning rate)."""
     if step < 0:
         raise ParameterError("step must be non-negative")
-    if spec.kind == LOGSUM:
-        if step == 0.0:
-            return np.array(a, dtype=np.float64, copy=True)
-        eps = logsum_epsilon(step, spec.epsilon)
     a = as_matrix(a)
     norms = group_norms(a, scheme)
     old = norms.tolist()  # the scalar maps run on Python floats
-    if spec.kind == L1_MINUS_2:
+    if kind == L1_MINUS_2:
         new = l1_minus_2_norm_map(norms, step).tolist()
-    elif spec.kind == LOGSUM:
+    elif kind == LOGSUM:
+        eps = float(logsum_epsilon(step))
         new = [logsum_norm_map(n, step, eps) for n in old]
     else:
-        norm_map = l1_norm_map if spec.kind == L1 else l_half_norm_map
+        norm_map = l1_norm_map if kind == L1 else l_half_norm_map
         new = [norm_map(n, step) for n in old]
     return _apply_norm_factors(a, scheme, old, new)
 
 
-_SPECS = {kind: RegularizerSpec(kind, 0.0) for kind in KINDS}  # `prox` reads only the kind
-
-
 def prox_l1(a: np.ndarray, scheme: GroupScheme, step: float) -> np.ndarray:
-    return prox(a, scheme, _SPECS[L1], step)
+    return prox(a, scheme, L1, step)
 
 
 def prox_l_half(a: np.ndarray, scheme: GroupScheme, step: float) -> np.ndarray:
-    return prox(a, scheme, _SPECS[L_HALF], step)
+    return prox(a, scheme, L_HALF, step)
 
 
 def prox_l1_minus_2(a: np.ndarray, scheme: GroupScheme, step: float) -> np.ndarray:
-    return prox(a, scheme, _SPECS[L1_MINUS_2], step)
+    return prox(a, scheme, L1_MINUS_2, step)
 
 
-def prox_logsum(a: np.ndarray, scheme: GroupScheme, step: float,
-                epsilon: float | None = None) -> np.ndarray:
-    spec = _SPECS[LOGSUM] if epsilon is None else RegularizerSpec(LOGSUM, 0.0, epsilon)
-    return prox(a, scheme, spec, step)
-
-
-def regularizer_value(a: np.ndarray, scheme: GroupScheme,
-                      spec: RegularizerSpec) -> float:
-    """Monitoring value of the penalty (the prox operators are the
-    authority for the optimization itself). For logsum the epsilon defaults
-    to 0.5*sqrt(lam) when unset, mirroring the prox convention at step=lam."""
-    norms = group_norms(a, scheme)
-    if spec.kind == L1:
-        return float(np.sum(norms))
-    if spec.kind == L_HALF:
-        return float(np.sum(np.sqrt(norms)))
-    if spec.kind == L1_MINUS_2:
-        return float(np.sum(norms) - np.linalg.norm(norms))
-    eps = spec.epsilon if spec.epsilon is not None else 0.5 * math.sqrt(max(spec.lam, 1e-300))
-    return float(np.sum(np.log1p(norms / eps)))
+def prox_logsum(a: np.ndarray, scheme: GroupScheme, step: float) -> np.ndarray:
+    return prox(a, scheme, LOGSUM, step)
 
 
 # --------------------------------------------------------------------------
@@ -346,10 +307,8 @@ def prox_oracle(norms, spec: RegularizerSpec, steps) -> np.ndarray:
         raise ParameterError(f"no scalar oracle for kind {spec.kind!r}")
     active = np.flatnonzero(st > 0.0)  # a zero step leaves the norm as it is
     x, st = x.reshape(-1)[active], st.reshape(-1)[active]
-    if spec.kind == LOGSUM:
-        eps = np.array([logsum_epsilon(float(s), spec.epsilon) for s in st])
-    else:
-        eps = np.ones_like(st)  # read by the logsum objective only
+    # read by the logsum objective only
+    eps = logsum_epsilon(st) if spec.kind == LOGSUM else np.ones_like(st)
 
     top = 2.0 * x + 1.0
     k = _grid_argmin(spec.kind, x, st, eps, top)

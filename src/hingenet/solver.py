@@ -69,13 +69,13 @@ def sgd_step_w(param: np.ndarray, grad: np.ndarray, eta_s: float,
     return param - eta_s * (grad + mu * param)
 
 
-def prox_step_a(layer, grad_a: np.ndarray, lr: float, spec: RegularizerSpec,
+def prox_step_a(layer, grad_a: np.ndarray, lr: float, kind: str,
                 layer_lambda: float) -> np.ndarray:
-    """The hinge matrix after a gradient step and the group prox at
-    strength layer_lambda * lr, dead groups pinned at zero. The layer is
-    not changed."""
+    """The hinge matrix after a gradient step and the group prox of
+    regularizer `kind` at strength layer_lambda * lr, dead groups pinned
+    at zero. The layer is not changed."""
     moved = layer.a - lr * grad_a
-    return hinge.apply_mask(prox(moved, layer.scheme, spec, layer_lambda * lr),
+    return hinge.apply_mask(prox(moved, layer.scheme, kind, layer_lambda * lr),
                             layer.scheme, layer.mask)
 
 
@@ -142,7 +142,7 @@ def run_compression(net: Network, dataset, config: CompressionConfig,
         # every prox runs before any tensor moves, so one that raises
         # leaves the network as it was
         new_a = [prox_step_a(layer, layer.grad_a, lr_map[id(layer)],
-                             config.regularizer, lam_l[name]) for name, layer in hinged]
+                             config.regularizer.kind, lam_l[name]) for name, layer in hinged]
         for _, kind, layer, attr in net.params():
             if kind == HINGE:
                 continue

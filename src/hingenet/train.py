@@ -9,6 +9,8 @@ from . import losses
 from .linalg import NumericError, quiet_overflow
 from .net import WEIGHT, Network
 
+LR_DROP_FACTOR = 0.1  # the learning rate is multiplied by this at each of `lr_drops`
+
 
 class SgdMomentum:
     """v = momentum*v + (g + wd*p); p -= lr*v. Decay applies to weight
@@ -87,8 +89,7 @@ def evaluate(net: Network, x: np.ndarray, y: np.ndarray, batch_size: int = 128):
 @quiet_overflow()
 def train(net: Network, dataset, epochs: int, lr: float, batch_size: int = 32,
           momentum: float = 0.9, weight_decay: float = 1e-4,
-          lr_drops: tuple = (), lr_drop_factor: float = 0.1,
-          seed: int = 0, teacher: Network | None = None,
+          lr_drops: tuple = (), seed: int = 0, teacher: Network | None = None,
           distill_cfg: losses.DistillConfig | None = None,
           log=None):
     """Train in place; returns per-epoch metrics. Fully determined by the
@@ -110,7 +111,7 @@ def train(net: Network, dataset, epochs: int, lr: float, batch_size: int = 32,
 
     for epoch in range(epochs):
         if epoch in lr_drops:
-            opt.lr *= lr_drop_factor
+            opt.lr *= LR_DROP_FACTOR
         train_loss = sgd_epoch(net, dataset, batch_size, rng, score, opt.step,
                                "training", epoch)
         acc, test_loss = evaluate(net, dataset.x_test, dataset.y_test)

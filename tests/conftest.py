@@ -1,7 +1,15 @@
-import numpy as np
-import pytest
+import os
 
-from hingenet import net
+# One BLAS thread, set before numpy loads: OpenBLAS splits a product among
+# its threads, and the partition can change the rounding of a sum, so the
+# pinned digests would otherwise depend on the machine's core count.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from hingenet import net  # noqa: E402
 
 
 @pytest.fixture

@@ -104,17 +104,16 @@ class TestGroupStats:
         a = np.eye(4)
         scheme = GroupScheme(COLUMNS, (4, 4))
         stats = group_stats(a, scheme, np.ones(4, dtype=bool))
-        assert np.allclose(stats.norms, 1.0)
         assert stats.mean_norm == pytest.approx(1.0)
         assert stats.alive_count == 4
 
     def test_masked_groups_excluded(self):
-        a = np.eye(4)
+        a = np.diag([1.0, 2.0, 3.0, 4.0])
         scheme = GroupScheme(COLUMNS, (4, 4))
         mask = np.array([True, False, True, False])
         stats = group_stats(a, scheme, mask)
         assert stats.alive_count == 2
-        assert stats.norms.shape == (2,)
+        assert stats.mean_norm == 2.0   # the norms 1 and 3 only
 
     def test_mean_matches_recompute(self, rng):
         a = rng.normal(size=(6, 6))

@@ -1,4 +1,5 @@
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -10,7 +11,7 @@ from hingenet.linalg import COLUMNS, ROWS, GroupScheme, group_norms
 from hingenet.regularizers import (DegenerateGroupsError, ParameterError,
                                    RegularizerSpec, prox_l1, prox_l1_minus_2,
                                    prox_l_half, prox_logsum, prox_oracle,
-                                   prox_oracle_l1_minus_2, regularizer_value)
+                                   prox_oracle_l1_minus_2)
 
 HALF_CUTOFF = 54.0 ** (1.0 / 3.0) / 4.0  # = 0.9449407874211548
 
@@ -94,47 +95,39 @@ class TestProxL1Minus2:
 class TestProxLogsum:
     def test_example_norm3(self, rng):
         a, scheme = group_matrix(rng, [3.0])
-        out = group_norms(prox_logsum(a, scheme, 1.0, epsilon=0.5), scheme)
+        out = group_norms(prox_logsum(a, scheme, 1.0), scheme)  # epsilon 0.5
         want = (2.5 + np.sqrt(8.25)) / 2.0  # = 2.686140661634507
         assert abs(out[0] - want) <= 1e-12
         assert abs(out[0] / 3.0 - 0.8953802205448357) <= 1e-12
 
     def test_small_group_zeroed(self, rng):
         a, scheme = group_matrix(rng, [0.05])
-        assert np.all(prox_logsum(a, scheme, 1.0, epsilon=0.5) == 0.0)
+        assert np.all(prox_logsum(a, scheme, 1.0) == 0.0)
 
     def test_step_to_zero_is_continuous(self, rng):
         a, scheme = group_matrix(rng, [2.0])
         out = group_norms(prox_logsum(a, scheme, 1e-8), scheme)
         assert abs(out[0] / 2.0 - 1.0) <= 1e-7
 
-    def test_epsilon_validation(self, rng):
-        a, scheme = group_matrix(rng, [1.0])
-        with pytest.raises(ParameterError):
-            prox_logsum(a, scheme, 1.0, epsilon=1.5)   # >= sqrt(step)
-        with pytest.raises(ParameterError):
-            prox_logsum(a, scheme, 1.0, epsilon=-0.1)
+    def test_epsilon_validation(self):
+        # the derived epsilon lies in (0, sqrt(step)), which the norm map
+        # needs, for every positive step down to the smallest subnormal
+        steps = np.concatenate([[5e-324, 1e-300], 10.0 ** np.arange(-12.0, 13.0)])
+        eps = reg.logsum_epsilon(steps)
+        assert np.all((eps > 0.0) & (eps < np.sqrt(steps)))
 
     def test_default_epsilon_tracks_step(self, rng):
-        assert reg.logsum_epsilon(0.04, None) == pytest.approx(0.1)
+        assert reg.logsum_epsilon(0.04) == pytest.approx(0.1)
+        steps = rng.uniform(0.0, 2.0, 50)  # the oracle's array form, the prox's float form
+        assert np.array_equal(reg.logsum_epsilon(steps),
+                              [0.5 * math.sqrt(s) for s in steps.tolist()])
+
+    def test_zero_step_identity(self, rng):
+        a, scheme = group_matrix(rng, [0.3, 3.0])
+        assert np.array_equal(prox_logsum(a, scheme, 0.0), a)
 
 
 class TestRegularizerValue:
-    def test_l1(self, rng):
-        a, scheme = group_matrix(rng, [5.0, 0.0])
-        spec = RegularizerSpec("l1", 2e-4)
-        assert regularizer_value(a, scheme, spec) == pytest.approx(5.0, abs=1e-12)
-
-    def test_l_half(self, rng):
-        a, scheme = group_matrix(rng, [4.0])
-        spec = RegularizerSpec("l_half", 4e-4)
-        assert regularizer_value(a, scheme, spec) == pytest.approx(2.0, abs=1e-12)
-
-    def test_l1_minus_2(self, rng):
-        a, scheme = group_matrix(rng, [3.0, 4.0])
-        spec = RegularizerSpec("l1_minus_2", 2e-4)
-        assert regularizer_value(a, scheme, spec) == pytest.approx(2.0, abs=1e-12)
-
     def test_default_factors_per_kind(self):
         assert RegularizerSpec.default("l1").lam == 2e-4
         assert RegularizerSpec.default("l1_minus_2").lam == 2e-4
@@ -171,10 +164,11 @@ class TestProxOracle:
             prox_oracle([2.0, norm, 3.0], spec, [0.5, step, 1.0])
 
     def test_logsum_epsilon_checked_per_entry(self):
-        spec = RegularizerSpec("logsum", 1.0, epsilon=0.5)
-        prox_oracle([1.0, 2.0], spec, [1.0, 0.5])  # 0.5 < sqrt(0.5)
-        with pytest.raises(ParameterError):
-            prox_oracle([1.0, 2.0, 3.0], spec, [1.0, 0.25, 1.0])  # 0.5 == sqrt(0.25)
+        # each entry's epsilon is 0.5*sqrt of its own step
+        norms, steps = [1.0, 2.0, 3.0], [1.0, 0.25, 1e-4]
+        got = prox_oracle(norms, RegularizerSpec("logsum", 1.0), steps)
+        want = [reg.logsum_norm_map(x, s, 0.5 * math.sqrt(s)) for x, s in zip(norms, steps)]
+        assert np.abs(got - want).max() <= 1e-6
 
     @pytest.mark.parametrize("kind", ["l1", "l_half", "logsum"])
     def test_batch_equals_single_calls(self, rng, kind):
@@ -190,13 +184,12 @@ class TestProxOracle:
         assert np.array_equal(batch[steps == 0.0], norms[steps == 0.0])
 
 
-def dense_prox_oracle(norms, kind, steps, epsilon=None):
+def dense_prox_oracle(norms, kind, steps):
     """The scalar prox oracle with a dense grid scan: the first argmin over
     every point of np.linspace(0, 2x+1, ORACLE_GRID), then the oracle's
     ternary refinement of all cases in lockstep."""
     x, st = np.asarray(norms, float), np.asarray(steps, float)
-    eps = (np.array([reg.logsum_epsilon(float(s), epsilon) for s in st])
-           if kind == "logsum" else np.ones_like(st))
+    eps = 0.5 * np.sqrt(st) if kind == "logsum" else np.ones_like(st)
 
     def objective(t, x, st, eps):
         if kind == "l1":
@@ -260,15 +253,6 @@ class TestProxOracleBoundedSearch:
         spec = RegularizerSpec(kind, 1.0)
         assert np.array_equal(prox_oracle(norms, spec, steps),
                               dense_prox_oracle(norms, kind, steps))
-
-    def test_logsum_epsilon_just_below_sqrt_step(self):
-        rng = np.random.default_rng(78)
-        epsilon = 0.1
-        steps = (epsilon * (1.0 + 10.0 ** rng.uniform(-12.0, -3.0, 200))) ** 2
-        norms = rng.uniform(0.0, 6.0, 200) * np.sqrt(steps)
-        spec = RegularizerSpec("logsum", 1.0, epsilon=epsilon)
-        assert np.array_equal(prox_oracle(norms, spec, steps),
-                              dense_prox_oracle(norms, "logsum", steps, epsilon))
 
     @pytest.mark.parametrize("kind", SCALAR_KINDS)
     def test_grid_argmin_equals_dense_scan_up_to_the_last_point(self, rng, kind):
@@ -526,5 +510,3 @@ def test_spec_validation():
         RegularizerSpec("l3", 1.0)
     with pytest.raises(ParameterError):
         RegularizerSpec("l1", -1.0)
-    with pytest.raises(ParameterError):
-        RegularizerSpec("logsum", 1.0, epsilon=0.0)

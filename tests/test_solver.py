@@ -47,7 +47,7 @@ class TestProxStepA:
     def test_zero_grad_zero_lambda_unchanged(self, rng):
         layer = make_hinged(rng)
         before = layer.a.copy()
-        out = prox_step_a(layer, np.zeros_like(layer.a), 0.5, RegularizerSpec("l1", 0.0), 0.0)
+        out = prox_step_a(layer, np.zeros_like(layer.a), 0.5, "l1", 0.0)
         assert np.array_equal(out, before)
         assert np.array_equal(layer.a, before)  # the layer is not changed
 
@@ -55,7 +55,7 @@ class TestProxStepA:
         layer = make_hinged(rng)
         layer.a[2] *= 1e-3 / np.linalg.norm(layer.a[2])  # tiny row group
         out = prox_step_a(layer, np.zeros_like(layer.a), 1.0,
-                          RegularizerSpec("l1", 1.0), 0.01)  # threshold 0.01 > 1e-3
+                          "l1", 0.01)  # threshold 0.01 > 1e-3
         assert np.all(out[2] == 0.0)
 
     def test_masked_groups_stay_zero(self, rng):
@@ -63,7 +63,7 @@ class TestProxStepA:
         layer.mask[1] = False
         layer.apply_mask()
         out = prox_step_a(layer, rng.normal(size=layer.a.shape), 0.1,
-                          RegularizerSpec("l1", 0.01), 0.01)
+                          "l1", 0.01)
         assert np.all(out[1] == 0.0)
 
     def test_equals_grad_step_then_oracle(self, rng):
@@ -77,7 +77,7 @@ class TestProxStepA:
             moved = layer.a - lr * grad
             moved_norms.append(linalg.group_norms(moved, layer.scheme))
             steps.append(np.full(layer.scheme.group_count, lam_l * lr))
-            got.append(linalg.group_norms(prox_step_a(layer, grad, lr, spec, lam_l),
+            got.append(linalg.group_norms(prox_step_a(layer, grad, lr, "l1", lam_l),
                                           layer.scheme))
         want = prox_oracle(np.concatenate(moved_norms), spec, np.concatenate(steps))
         assert np.abs(np.concatenate(got) - want).max() <= 1e-6
@@ -362,8 +362,8 @@ def test_distilled_finetune_golden_sha256():
     geometry. Both splits are larger than one inference slice (28 samples
     for this net) and the test split is larger than one 128-sample loss
     block: the student's tensors, the history and the evaluate result are
-    pinned bit for bit. The digest was recorded before the inference
-    forward ran its batch in slices."""
+    pinned bit for bit, at one BLAS thread (conftest.py): with more, the
+    machine's thread count can change the rounding of the products."""
     arch = net.ArchSpec(1, 16, 16, 4, 16, (net.BlockDef("basic", 16, 1),
                                            net.BlockDef("basic", 32, 2)))
     ds = data.SyntheticDataset(seed=5, classes=4, n_train=64, n_test=160,
@@ -383,7 +383,7 @@ def test_distilled_finetune_golden_sha256():
         h.update(name.encode())
         h.update(np.ascontiguousarray(arr).tobytes())
     h.update(json.dumps([history, result], sort_keys=True).encode())
-    assert h.hexdigest() == "de451eba8e4ef984a1ae2a731c6330ef205cebdcfa649403277bc05532999246"
+    assert h.hexdigest() == "7fe383301df0ff38daf6646f3bc63fb3052a2f79e021b4f988787874e9824b23"
 
 
 def test_config_validation():
