@@ -6,14 +6,16 @@ and one backward; `HingedConv2d` adds only the compression state (group
 scheme and mask). Blocks are either a plain conv+relu or a residual pair
 of 3x3 convs with an optional projection on the skip path. All parameters
 are float64 numpy arrays. Only the caching forward (`cache=True`, the
-default) keeps what backward needs; an inference forward (`cache=False`)
-drops every layer's cache, so a conv's patch matrix is freed as soon as
-its output exists, and a backward after it raises. It also runs its batch
-in slices of `Network.inference_batch` samples, the most that keep every
-nominal patch matrix of the layer table within `INFERENCE_PATCH_BYTES` (at
-least one). Its logits equal caching forwards of the same slices bit for
-bit; a whole-batch forward can differ in the last bit where BLAS rounds a
-row by the row count of its product.
+default) keeps what backward needs: a conv keeps its input, not its patch
+matrix, which either forward frees as soon as its product exists. Each
+backward takes its layer's cache, so a step's state is freed as backward
+passes it, and a second backward raises, as does one after an inference
+forward (`cache=False`), which keeps nothing. The inference forward runs
+its batch in slices of `Network.inference_batch` samples, the most that
+keep every nominal patch matrix of the layer table within
+`INFERENCE_PATCH_BYTES` (at least one). Its logits equal caching forwards
+of the same slices bit for bit; a whole-batch forward can differ in the
+last bit where BLAS rounds a row by the row count of its product.
 
 Layer table: `layer_table` lists every conv of an `ArchSpec` in checkpoint
 order with its nominal geometry, the layer it reads, its hinge position,
@@ -40,11 +42,13 @@ time into one (B*out_h*out_w, C) buffer and adds it into that tap's
 window, so the (B*out_h*out_w, kh*kw*C) patch-gradient matrix is never
 built. Weight gradients are the products `(dz.T @ col).T`: the same dot
 products as `col.T @ dz`, bit for bit, in the orientation BLAS runs
-faster. The bias add, the skip sum and the relu run in place on the
-output the conv just made, which no cache holds. Stored `W` rows keep the
-(c, kh, kw) order that the checkpoints, the SVD in `hinge.attach` and
-compaction's row restriction use; `_patch_rows` is the one place that
-permutes them, so the checkpoint format and its meaning are unchanged.
+faster. Backward unfolds `col` again from the cached input, a pure copy
+with the forward's bits, and frees it before `col2im`. The bias add, the
+skip sum and the relu run in place on the output the conv just made,
+which no cache holds yet. Stored `W` rows keep the (c, kh, kw) order that
+the checkpoints, the SVD in `hinge.attach` and compaction's row
+restriction use; `_patch_rows` is the one place that permutes them, so
+the checkpoint format and its meaning are unchanged.
 """
 
 from collections import Counter, OrderedDict
@@ -109,10 +113,12 @@ def col2im(dz: np.ndarray, w: np.ndarray, x_shape, kh: int, kw: int, stride: int
 
 
 def _cached(layer):
-    """What the layer's last caching forward kept for its backward."""
-    if layer._cache is None:
+    """Take what the layer's last caching forward kept for its backward:
+    the layer holds nothing afterwards, so a second backward raises."""
+    cache, layer._cache = layer._cache, None
+    if cache is None:
         raise RuntimeError("backward called before forward")
-    return layer._cache
+    return cache
 
 
 def _patch_rows(w: np.ndarray, meta: ConvMeta, inverse: bool = False) -> np.ndarray:
@@ -128,7 +134,10 @@ def _patch_rows(w: np.ndarray, meta: ConvMeta, inverse: bool = False) -> np.ndar
 
 class Conv2d:
     """Convolution `patches @ w [@ a] + b`: `w` is (patch_size x rank), and
-    the optional `a` (rank x out_channels) is a hinge or a kept decomposed pair."""
+    the optional `a` (rank x out_channels) is a hinge or a kept decomposed pair.
+    A caching forward keeps its input array, which backward unfolds again,
+    so a caller must not write into a conv's input between its forward and
+    its backward."""
 
     def __init__(self, meta: ConvMeta, w: np.ndarray | None = None,
                  a: np.ndarray | None = None, b: np.ndarray | None = None,
@@ -157,29 +166,32 @@ class Conv2d:
 
     def forward(self, x: np.ndarray, cache: bool = True) -> np.ndarray:
         m = self.meta
-        self._cache = None  # free the previous batch's patches before unfolding
+        self._cache = None  # free the previous batch's state before unfolding
         col = im2col(x, m.kernel_h, m.kernel_w, m.stride, m.padding)
         w = _patch_rows(self.w, m)
         pre = matmul(col, w)
+        del col  # backward unfolds `x` again
         z = pre if self.a is None else matmul(pre, self.a)
         z += self.b  # `z` is fresh: `pre` is cached only when `a` follows it
         if cache:  # backward needs `pre` only for grad_a
-            self._cache = (x.shape, col, w, None if self.a is None else pre)
+            self._cache = (x, w, None if self.a is None else pre)
         b = x.shape[0]
         return z.reshape(b, m.out_h, m.out_w, m.out_channels).transpose(0, 3, 1, 2)
 
     def backward(self, dy: np.ndarray) -> np.ndarray | None:
-        x_shape, col, w, pre = _cached(self)
+        x, w, pre = _cached(self)
         m = self.meta
         dz = dy.transpose(0, 2, 3, 1).reshape(-1, m.out_channels)
         self.grad_b += dz.sum(axis=0)
         if self.a is not None:  # weight gradients as `(dz.T @ col).T`: module docstring
             self.grad_a += matmul(dz.T, pre).T
             dz = matmul(dz, self.a.T)  # the gradient of `pre`
+        col = im2col(x, m.kernel_h, m.kernel_w, m.stride, m.padding)
         self.grad_w += _patch_rows(matmul(dz.T, col).T, m, inverse=True)
+        del col
         if not self.needs_input_grad:
             return None
-        return col2im(dz, w, x_shape, m.kernel_h, m.kernel_w, m.stride, m.padding)
+        return col2im(dz, w, x.shape, m.kernel_h, m.kernel_w, m.stride, m.padding)
 
     def params(self, prefix: str):
         yield f"{prefix}/W", WEIGHT, self, "w"

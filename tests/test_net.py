@@ -276,6 +276,26 @@ def caching_parts(model):
     return [*model.layers.values(), *model.relus.values(), model.head, model.pool]
 
 
+LAYER_KINDS = ("conv", "hinged", "kept-pair", "linear", "relu", "pool")
+
+
+def layer_case(rng, kind):
+    """One layer of each kind that caches for backward, and an input."""
+    meta = ConvMeta(2, 3, 3, 3, 1, 1, 4, 4)
+    scheme = linalg.GroupScheme(linalg.ROWS, (3, 3))
+    return {
+        "conv": (Conv2d(meta, rng=rng), rng.normal(size=(2, 2, 4, 4))),
+        "hinged": (HingedConv2d(meta, rng.normal(size=(18, 3)), rng.normal(size=(3, 3)),
+                                scheme=scheme),
+                   rng.normal(size=(2, 2, 4, 4))),
+        "kept-pair": (Conv2d(meta, rng.normal(size=(18, 2)), rng.normal(size=(2, 3))),
+                      rng.normal(size=(2, 2, 4, 4))),
+        "linear": (Linear(5, 3, rng=rng), rng.normal(size=(2, 5))),
+        "relu": (ReLU(), rng.normal(size=(2, 5))),
+        "pool": (GlobalAvgPool(), rng.normal(size=(2, 3, 4, 4))),
+    }[kind]
+
+
 class TestInferenceForward:
     @pytest.mark.parametrize("kind", ["plain", "basic", "hinged", "compacted-kept-pair"])
     def test_same_logits_and_nothing_cached(self, rng, kind):
@@ -289,24 +309,66 @@ class TestInferenceForward:
         with pytest.raises(RuntimeError, match="backward called before forward"):
             model.backward(np.ones_like(cached))
 
-    @pytest.mark.parametrize("kind", ["conv", "hinged", "kept-pair", "linear", "relu", "pool"])
+    @pytest.mark.parametrize("kind", LAYER_KINDS)
     def test_backward_after_inference_forward_raises(self, rng, kind):
-        meta = ConvMeta(2, 3, 3, 3, 1, 1, 4, 4)
-        scheme = linalg.GroupScheme(linalg.ROWS, (3, 3))
-        layer, x = {
-            "conv": (Conv2d(meta, rng=rng), rng.normal(size=(2, 2, 4, 4))),
-            "hinged": (HingedConv2d(meta, rng.normal(size=(18, 3)), rng.normal(size=(3, 3)),
-                                    scheme=scheme),
-                       rng.normal(size=(2, 2, 4, 4))),
-            "kept-pair": (Conv2d(meta, rng.normal(size=(18, 2)), rng.normal(size=(2, 3))),
-                          rng.normal(size=(2, 2, 4, 4))),
-            "linear": (Linear(5, 3, rng=rng), rng.normal(size=(2, 5))),
-            "relu": (ReLU(), rng.normal(size=(2, 5))),
-            "pool": (GlobalAvgPool(), rng.normal(size=(2, 3, 4, 4))),
-        }[kind]
+        layer, x = layer_case(rng, kind)
         y = layer.forward(x)
         layer.backward(np.ones_like(y))
         assert np.array_equal(layer.forward(x, cache=False), y)
+        with pytest.raises(RuntimeError, match="backward called before forward"):
+            layer.backward(np.ones_like(y))
+
+
+CACHE_CASES = ("baseline", "hinged", "kept-pair", "plain-into-identity-skip")
+
+
+def cache_case(kind):
+    """A network of each kind whose backward the cache contract covers."""
+    if kind == "plain-into-identity-skip":
+        return build_network(TABLE_CASES[kind][0], seed=5)
+    return inference_case({"baseline": "basic", "hinged": "hinged",
+                           "kept-pair": "compacted-kept-pair"}[kind])
+
+
+class TestBackwardCache:
+    """A caching conv forward keeps the array it received, not its patch
+    matrix, which backward unfolds again; so nothing may write into a conv
+    input before its backward. Every backward takes its layer's cache."""
+
+    @pytest.mark.parametrize("kind", CACHE_CASES)
+    def test_conv_caches_its_unchanged_input(self, rng, monkeypatch, kind):
+        model = cache_case(kind)
+        arch = model.arch
+        seen, checked = {}, []
+        for name, layer in model.layers.items():
+            def forward(x, cache=True, name=name, fwd=layer.forward):
+                seen[name] = (x, x.copy())
+                return fwd(x, cache)
+
+            def backward(dy, name=name, layer=layer, bwd=layer.backward):
+                x, x0 = seen[name]
+                assert layer._cache[0] is x, name
+                assert np.array_equal(x, x0), name
+                checked.append(name)
+                return bwd(dy)
+            monkeypatch.setattr(layer, "forward", forward)
+            monkeypatch.setattr(layer, "backward", backward)
+        x = rng.normal(size=(3, arch.input_channels, arch.input_h, arch.input_w))
+        logits = model.forward(x)
+        for name, layer in model.layers.items():
+            assert layer._cache[0] is seen[name][0], name
+        model.backward(np.ones_like(logits))
+        assert sorted(checked) == sorted(model.layers)
+        assert all(part._cache is None for part in caching_parts(model))
+        with pytest.raises(RuntimeError, match="backward called before forward"):
+            model.backward(np.ones_like(logits))
+
+    @pytest.mark.parametrize("kind", LAYER_KINDS)
+    def test_second_backward_raises(self, rng, kind):
+        layer, x = layer_case(rng, kind)
+        y = layer.forward(x)
+        layer.backward(np.ones_like(y))
+        assert layer._cache is None
         with pytest.raises(RuntimeError, match="backward called before forward"):
             layer.backward(np.ones_like(y))
 
@@ -372,37 +434,56 @@ class TestSlicedInference:
         assert np.array_equal(got, np.concatenate([model.forward(x[i:i + 1]) for i in range(3)]))
 
 
-def traced_forward_peak(model, x, cache):
-    """Peak traced bytes of one forward of `x`, after a warm-up forward."""
-    model.forward(x[:1], cache=cache)
+def traced_peak(run, x):
+    """Peak traced bytes of `run(x)`, after a one-sample warm-up run."""
+    run(x[:1])
     tracemalloc.start()
     try:
-        model.forward(x, cache=cache)
+        run(x)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
 
+def training_step(model):
+    """A caching forward and a backward of unit logit gradients."""
+    return lambda x: model.backward(np.ones_like(model.forward(x)))
+
+
 class TestForwardMemory:
     """The forward drops every activation after its last reader, and adds
-    the bias, sums the skip and applies the relu in place. Measured peaks
-    (numpy 2.4): the wide inference forward 10.85 MiB, the toy caching
-    forward 27.86 MiB. Keeping every output to the end of the forward
-    reads 11.29 and 30.86 MiB; the same epilogues out of place read 11.73
-    and 28.21 MiB."""
+    the bias, sums the skip and applies the relu in place. A caching conv
+    keeps its input, not its patch matrix (9x larger for a 3x3 kernel),
+    and every backward takes its layer's cache. Measured peaks (numpy
+    2.4): the wide inference forward 10.78 MiB, the toy caching forward
+    12.54 MiB, a toy training step at batch 32 13.56 MiB and a hinged toy
+    step at batch 16, the phase's batch, 8.30 MiB. Caching patch matrices,
+    they read 10.85, 27.86, 30.61 and 17.44 MiB. Keeping every output to
+    the end of the forward reads 11.22 MiB for the wide forward. With the
+    patch matrix freed before the epilogues, running those out of place
+    moves none of these peaks."""
 
     def test_wide_inference_forward_peak(self, rng):
         # perfbench's wide-compress net: 16 samples run as slices of 7, 7, 2
-        arch = ArchSpec(3, 16, 16, 10, 32, (BlockDef("basic", 64, 1), BlockDef("basic", 128, 2)))
-        model = build_network(arch, seed=0)
-        peak = traced_forward_peak(model, rng.normal(size=(16, 3, 16, 16)), cache=False)
+        model = build_network(WIDE_ARCH, seed=0)
+        peak = traced_peak(lambda x: model.forward(x, cache=False),
+                           rng.normal(size=(16, 3, 16, 16)))
         assert peak <= 11.05 * 2 ** 20
 
     def test_toy_caching_forward_peak(self, rng):
-        arch = ArchSpec(1, 16, 16, 4, 16, (BlockDef("basic", 16, 1), BlockDef("basic", 32, 2)))
-        model = build_network(arch, seed=0)
-        peak = traced_forward_peak(model, rng.normal(size=(32, 1, 16, 16)), cache=True)
-        assert peak <= 28.1 * 2 ** 20
+        model = build_network(TOY_ARCH, seed=0)
+        peak = traced_peak(model.forward, rng.normal(size=(32, 1, 16, 16)))
+        assert peak <= 12.8 * 2 ** 20
+
+    def test_toy_training_step_peak(self, rng):
+        model = build_network(TOY_ARCH, seed=0)
+        peak = traced_peak(training_step(model), rng.normal(size=(32, 1, 16, 16)))
+        assert peak <= 13.8 * 2 ** 20
+
+    def test_hinged_toy_training_step_peak(self, rng):
+        model = attach_hinges(build_network(TOY_ARCH, seed=0), init="svd")
+        peak = traced_peak(training_step(model), rng.normal(size=(16, 1, 16, 16)))
+        assert peak <= 8.5 * 2 ** 20
 
 
 # (name, source, hinge position, protected, skip, relu) per conv, in
