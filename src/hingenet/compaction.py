@@ -50,11 +50,10 @@ def _conv_tensors(layer, plan) -> dict:
 class CompactModel:
     network: Network
     report: cost.CostReport
-    plans: list
 
     @property
     def modes(self) -> dict:
-        return {p.name: p.mode for p in self.plans}
+        return {p.name: p.mode for p in self.report.per_layer}
 
 
 def compact(net: Network) -> CompactModel:
@@ -73,7 +72,7 @@ def compact(net: Network) -> CompactModel:
             tensors[f"{plan.name}/{key}"] = t
     tensors.update({"head/W": net.head.w[head.alive_in_idx, :], "head/b": net.head.b.copy()})
     network, _ = network_from_tensors(net.arch, tensors)
-    return CompactModel(network=network, report=report_from_plan(plans), plans=plans)
+    return CompactModel(network=network, report=report_from_plan(plans))
 
 
 @quiet_overflow()

@@ -106,22 +106,17 @@ _COMPRESS_RULES = {"target_ratio": _ANY, "stop_margin": _ANY, "nullify_threshold
                    "eta": _POSITIVE, "lr_ratio": {}, "m": _ANY, "weight_decay": {},
                    "max_epochs": _INT, "batch_size": _COUNT}
 
-_DEFAULT_ARCH = {
-    "input": {"channels": 1, "height": 16, "width": 16},
-    "classes": 4,
-    "stem_channels": 16,
-    "blocks": [{"kind": "basic", "channels": 16, "stride": 1},
-               {"kind": "basic", "channels": 32, "stride": 2}],
-}
+_DEFAULT_BLOCKS = [{"kind": "basic", "channels": 16, "stride": 1},
+                   {"kind": "basic", "channels": 32, "stride": 2}]
 
 
 def _parse_arch(section: dict):
     sizes = _checked(section, {"classes": _SIZE, "stem_channels": _SIZE}, "arch",
                      other_keys={"input", "blocks", "hinge_init", "first_hinge_groups",
                                  "plain_hinge_groups"})
-    inp = _checked(section.get("input", _DEFAULT_ARCH["input"]),
+    inp = _checked(section.get("input", {}),
                    {"channels": _SIZE, "height": _SIZE, "width": _SIZE}, "arch.input")
-    blocks = section.get("blocks", _DEFAULT_ARCH["blocks"])
+    blocks = section.get("blocks", _DEFAULT_BLOCKS)
     if not isinstance(blocks, list):
         raise ConfigError(f"arch.blocks must be a list, got {blocks!r}")
     block_defs = []

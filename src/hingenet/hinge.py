@@ -9,6 +9,11 @@ kind a hinge gets is decided in one place, `net.attach_hinges`: a layer
 whose output a skip reads (the second conv of a residual block among
 them) gets rows, so its output channels survive. `cost.build_plan` refuses
 to prune such a layer.
+
+The phase's group bookkeeping lives here too: `mean_alive_norm` is the one
+mean over alive groups (lambda balancing, the gradient-ratio lr rule and
+the epoch log read it), and `update_mask` kills groups at epoch end and in
+the threshold search. `HingedConv2d.apply_mask` zeroes the dead groups.
 """
 
 from dataclasses import dataclass
@@ -77,23 +82,11 @@ def attach(w: np.ndarray, init: str = SVD_INIT):
     return res.u, a
 
 
-@dataclass
-class GroupStats:
-    mean_norm: float         # over the alive groups
-    alive_count: int
-
-
-def group_stats(a: np.ndarray, scheme: GroupScheme, mask: np.ndarray) -> GroupStats:
-    norms = linalg.group_norms(a, scheme)
-    alive = norms[mask]
-    mean = float(alive.mean()) if alive.size else 0.0
-    return GroupStats(mean_norm=mean, alive_count=int(mask.sum()))
-
-
-def apply_mask(a: np.ndarray, scheme: GroupScheme, mask: np.ndarray) -> np.ndarray:
-    """Zero the entries of every dead group. Idempotent."""
-    factors = mask.astype(np.float64)
-    return linalg.scale_groups(a, scheme, factors)
+def mean_alive_norm(m: np.ndarray, scheme: GroupScheme, mask: np.ndarray) -> float:
+    """Mean group norm of `m` over the groups `mask` keeps alive; 0.0 when
+    none is."""
+    alive = linalg.group_norms(m, scheme)[mask]
+    return float(alive.mean()) if alive.size else 0.0
 
 
 def update_mask(norms: np.ndarray, mask: np.ndarray, threshold: float) -> np.ndarray:

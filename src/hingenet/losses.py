@@ -11,15 +11,20 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
+def log_softmax(logits: np.ndarray, temperature: float = 1.0) -> np.ndarray:
+    """Log softmax of `logits / temperature` along each row."""
+    z = logits / temperature
+    z = z - z.max(axis=1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+
+
 def cross_entropy(logits: np.ndarray, labels: np.ndarray):
     """Mean negative log softmax at the true class; gradient is
     (softmax - one_hot) / batch."""
     n, k = logits.shape
     if labels.min() < 0 or labels.max() >= k:
         raise ValueError("labels out of range")
-    z = logits - logits.max(axis=1, keepdims=True)
-    log_probs = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-    loss = -float(log_probs[np.arange(n), labels].mean())
+    loss = -float(log_softmax(logits)[np.arange(n), labels].mean())
     grad = softmax(logits)
     grad[np.arange(n), labels] -= 1.0
     return loss, grad / n
@@ -50,16 +55,11 @@ def distill_loss(student_logits: np.ndarray, teacher_logits: np.ndarray,
     n = student_logits.shape[0]
     hard_loss, hard_grad = cross_entropy(student_logits, labels)
 
-    def tempered_log_probs(logits):
-        z = logits / t
-        z = z - z.max(axis=1, keepdims=True)
-        return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-
     # Both distributions go through the identical code path so matching
     # logits yield a soft gradient of exactly zero.
-    log_p_student = tempered_log_probs(student_logits)
+    log_p_student = log_softmax(student_logits, t)
     p_student = np.exp(log_p_student)
-    p_teacher = np.exp(tempered_log_probs(teacher_logits))
+    p_teacher = np.exp(log_softmax(teacher_logits, t))
     soft_ce = -float((p_teacher * log_p_student).sum(axis=1).mean())
     soft_grad = (p_student - p_teacher) / (t * n)
 

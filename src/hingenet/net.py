@@ -217,13 +217,11 @@ class HingedConv2d(Conv2d):
     def group_norms(self) -> np.ndarray:
         return linalg.group_norms(self.a, self.scheme)
 
-    def stats(self) -> hinge.GroupStats:
-        return hinge.group_stats(self.a, self.scheme, self.mask)
-
     def apply_mask(self) -> None:
         """Zero every dead group of `a`; for column groups the matching
-        bias entries go too, so a dead output channel is exactly zero."""
-        self.a = hinge.apply_mask(self.a, self.scheme, self.mask)
+        bias entries go too, so a dead output channel is exactly zero.
+        Idempotent: each entry is multiplied by 1.0 or 0.0."""
+        self.a = linalg.scale_groups(self.a, self.scheme, self.mask)
         if self.scheme.kind == linalg.COLUMNS:
             self.b = self.b * self.mask.astype(np.float64)
 

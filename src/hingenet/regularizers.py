@@ -8,11 +8,12 @@ unit direction by construction. `prox_l1` and the other three call it.
 
 `prox_oracle` is an independent numeric solver for the same scalar
 problems; it is the ground truth the closed forms are checked against. It
-solves a whole batch of (norm, step) cases in one call: a two-level grid
-search that skips each interval whose chord bound (which rests on every
-scalar penalty being concave) is above the best value found, yet returns
-the index a dense scan returns, then ternary refinement of every case in
-lockstep, each case stopping on its own bracket width.
+takes the regularizer kind, as `prox` does, and solves a whole batch of
+(norm, step) cases in one call: a two-level grid search that skips each
+interval whose chord bound (which rests on every scalar penalty being
+concave) is above the best value found, yet returns the index a dense scan
+returns, then ternary refinement of every case in lockstep, each case
+stopping on its own bracket width.
 `prox_oracle_l1_minus_2` solves a batch of coupled l1-l2 layers in one
 call: six starts per layer, all descending in lockstep by unit-step
 projected gradient on the joint objective alone, each start stopping on its
@@ -281,14 +282,15 @@ def _grid_argmin(kind, x, step, epsilon, top):
     return k
 
 
-def prox_oracle(norms, spec: RegularizerSpec, steps) -> np.ndarray:
-    """Numerically minimize penalty(t) + (t - norm)^2/(2*step) over t >= 0
-    for every (norm, step) pair of the broadcast inputs: the first minimum
-    over np.linspace(0, 2*norm + 1, ORACLE_GRID), found without a dense scan
-    by a search that needs each penalty concave (`_grid_argmin`), then ternary
-    refinement of all cases in lockstep. Each case takes exactly the steps
-    it would take alone. A negative or non-finite norm or step anywhere in
-    the batch is a ParameterError.
+def prox_oracle(norms, kind: str, steps) -> np.ndarray:
+    """Numerically minimize penalty(t) + (t - norm)^2/(2*step) over t >= 0,
+    the penalty of regularizer `kind`, for every (norm, step) pair of the
+    broadcast inputs: the first minimum over np.linspace(0, 2*norm + 1,
+    ORACLE_GRID), found without a dense scan by a search that needs each
+    penalty concave (`_grid_argmin`), then ternary refinement of all cases
+    in lockstep. Each case takes exactly the steps it would take alone. A
+    zero step returns its norm. A negative or non-finite norm or step
+    anywhere in the batch is a ParameterError.
 
     This is the pre-build verification oracle for the scalar closed forms
     (l1, l_half, logsum). The coupled l1-l2 case needs the joint oracle
@@ -300,18 +302,16 @@ def prox_oracle(norms, spec: RegularizerSpec, steps) -> np.ndarray:
         raise ParameterError("step must be finite and non-negative")
     if not np.all(np.isfinite(x) & (x >= 0.0)):
         raise ParameterError("group norm must be finite and non-negative")
+    if kind not in (L1, L_HALF, LOGSUM):
+        raise ParameterError(f"no scalar oracle for kind {kind!r}")
     result = x.copy()
-    if spec.lam == 0.0:
-        return result
-    if spec.kind not in (L1, L_HALF, LOGSUM):
-        raise ParameterError(f"no scalar oracle for kind {spec.kind!r}")
     active = np.flatnonzero(st > 0.0)  # a zero step leaves the norm as it is
     x, st = x.reshape(-1)[active], st.reshape(-1)[active]
     # read by the logsum objective only
-    eps = logsum_epsilon(st) if spec.kind == LOGSUM else np.ones_like(st)
+    eps = logsum_epsilon(st) if kind == LOGSUM else np.ones_like(st)
 
     top = 2.0 * x + 1.0
-    k = _grid_argmin(spec.kind, x, st, eps, top)
+    k = _grid_argmin(kind, x, st, eps, top)
     lo = _grid_points(np.maximum(k - 1, 0), top)
     hi = _grid_points(np.minimum(k + 1, ORACLE_GRID - 1), top)
     while True:
@@ -321,8 +321,8 @@ def prox_oracle(norms, spec: RegularizerSpec, steps) -> np.ndarray:
         third = (hi - lo) / 3.0
         m1 = lo + third
         m2 = hi - third
-        left = (_oracle_objective(spec.kind, m1, x, st, eps)
-                <= _oracle_objective(spec.kind, m2, x, st, eps))
+        left = (_oracle_objective(kind, m1, x, st, eps)
+                <= _oracle_objective(kind, m2, x, st, eps))
         hi = np.where(live & left, m2, hi)
         lo = np.where(live & ~left, m1, lo)
     result.reshape(-1)[active] = 0.5 * (lo + hi)

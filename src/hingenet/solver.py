@@ -3,12 +3,14 @@
 Each epoch is one `train.sgd_epoch` pass, the batch loop training uses.
 Its per-batch step gives the filter weights a small plain-SGD step while
 each hinge matrix takes a gradient step followed by the closed-form group
-prox; the pass has checked the loss and every gradient before the step
-runs. At the end of every epoch, groups whose norm fell below the nullifying
-threshold are masked (permanently), the compression ratio is recomputed,
-each layer's regularization factor is rebalanced by its mean alive group
-norm, and the learning rate of the first matrix in each residual pair is
-adjusted by the gradient-norm ratio. The loop stops when the ratio is
+prox, and is then masked once: its dead groups, and a pruned layer's dead
+biases, are zeroed. The pass has checked the loss and every gradient before
+the step runs. At the end of every epoch, groups whose norm fell below the
+nullifying threshold are masked (permanently), the compression ratio is
+recomputed, and the learning rate of the first matrix in each residual pair
+is adjusted by the ratio of the mean alive gradient group norms. Each epoch
+starts by rebalancing each layer's regularization factor by its mean alive
+group norm (`hinge.mean_alive_norm`). The loop stops when the ratio is
 within the stop margin of the target.
 
 The threshold search afterwards bisects the sorted alive group norms: the
@@ -24,7 +26,7 @@ import numpy as np
 
 from . import hinge, losses
 from .cost import compression_ratio
-from .linalg import NumericError, group_norms, quiet_overflow
+from .linalg import NumericError, quiet_overflow
 from .net import HINGE, WEIGHT, Network
 from .regularizers import RegularizerSpec, prox
 from .train import sgd_epoch
@@ -72,17 +74,17 @@ def sgd_step_w(param: np.ndarray, grad: np.ndarray, eta_s: float,
 def prox_step_a(layer, grad_a: np.ndarray, lr: float, kind: str,
                 layer_lambda: float) -> np.ndarray:
     """The hinge matrix after a gradient step and the group prox of
-    regularizer `kind` at strength layer_lambda * lr, dead groups pinned
-    at zero. The layer is not changed."""
+    regularizer `kind` at strength layer_lambda * lr. Dead groups are not
+    zeroed here: the phase's step masks the layer once it assigns it. The
+    layer is not changed."""
     moved = layer.a - lr * grad_a
-    return hinge.apply_mask(prox(moved, layer.scheme, kind, layer_lambda * lr),
-                            layer.scheme, layer.mask)
+    return prox(moved, layer.scheme, kind, layer_lambda * lr)
 
 
 def balance_lambda(layer, base_lambda: float) -> float:
     """Layer regularization factor: base factor times the mean alive group
     norm, so layers with large norms get proportionally more shrinkage."""
-    return base_lambda * layer.stats().mean_norm
+    return base_lambda * hinge.mean_alive_norm(layer.a, layer.scheme, layer.mask)
 
 
 def adjust_learning_rates(pairs, grad_sums: dict, eta: float, m: float,
@@ -97,8 +99,8 @@ def adjust_learning_rates(pairs, grad_sums: dict, eta: float, m: float,
     for block_name, conv1, conv2 in pairs:
         g1 = grad_sums[id(conv1)]
         g2 = grad_sums[id(conv2)]
-        mean1 = float(np.mean(group_norms(g1, conv1.scheme)[conv1.mask]))
-        mean2 = float(np.mean(group_norms(g2, conv2.scheme)[conv2.mask]))
+        mean1 = hinge.mean_alive_norm(g1, conv1.scheme, conv1.mask)
+        mean2 = hinge.mean_alive_norm(g2, conv2.scheme, conv2.mask)
         if mean2 == 0.0 or not math.isfinite(mean1 / mean2) or mean1 == 0.0:
             rho = prev_rho.get(block_name, 1.0)
             if warn is not None:
@@ -153,7 +155,7 @@ def run_compression(net: Network, dataset, config: CompressionConfig,
         for (_, layer), a in zip(hinged, new_a):
             grad_sums[id(layer)] += layer.grad_a
             layer.a = a
-            layer.apply_mask()
+            layer.apply_mask()  # the step's one mask: dead groups and dead biases
 
     for epoch in range(config.max_epochs):
         lam_l = {name: balance_lambda(layer, config.regularizer.lam)
@@ -165,7 +167,8 @@ def run_compression(net: Network, dataset, config: CompressionConfig,
         apply_threshold(net, config.nullify_threshold)
         state.gamma_c = compression_ratio(net, config.nullify_threshold)
         state.gamma_history.append(state.gamma_c)
-        layer_stats = {name: layer.stats() for name, layer in hinged}
+        mean_norms = {name: hinge.mean_alive_norm(layer.a, layer.scheme, layer.mask)
+                      for name, layer in hinged}
         if pairs:  # layers outside a residual pair keep eta
             pair_lr, prev_rho = adjust_learning_rates(
                 pairs, grad_sums, config.eta, config.m, prev_rho, warn=log)
@@ -173,8 +176,8 @@ def run_compression(net: Network, dataset, config: CompressionConfig,
 
         if log is not None:
             log({"epoch": epoch, "gamma_c": state.gamma_c,
-                 "mean_group_norms": {n: s.mean_norm for n, s in layer_stats.items()},
-                 "alive_groups": {n: s.alive_count for n, s in layer_stats.items()},
+                 "mean_group_norms": mean_norms,
+                 "alive_groups": {name: int(layer.mask.sum()) for name, layer in hinged},
                  "lambda_layer": dict(lam_l),
                  "rho": dict(prev_rho) if pairs else {}})
         if state.gamma_c - config.target_ratio <= config.stop_margin:

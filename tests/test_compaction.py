@@ -27,7 +27,7 @@ def one_hinge_net(rng, kind, n=8):
 
 def compacted_conv(model):
     cm = compact(model)
-    return cm.network.layers["block0.conv"], cm.plans[1]
+    return cm.network.layers["block0.conv"], cm.report.per_layer[1]
 
 
 class TestCompactPrune:
@@ -198,7 +198,7 @@ class TestPropagate:
         model = build_network(small_residual_arch(), seed=6)
         attach_hinges(model, init="svd")
         cm = compact(model)
-        for plan in cm.plans:
+        for plan in cm.report.per_layer:
             if plan.mode == "decompose":
                 assert not plan.kept_pair
         for name in ("block0.conv1", "block0.conv2", "block1.conv1", "block1.conv2"):
@@ -366,7 +366,7 @@ def test_compaction_golden_sha256():
             h.update(name.encode())
             h.update(np.ascontiguousarray(arr).tobytes())
         h.update(json.dumps(cm.report.to_dict(), sort_keys=True).encode())
-        seen |= {(p.mode, p.kept_pair) for p in cm.plans}
+        seen |= {(p.mode, p.kept_pair) for p in cm.report.per_layer}
     assert seen == {(hinge.UNTOUCHED, False), (hinge.PRUNE, False),
                     (hinge.DECOMPOSE, True), (hinge.DECOMPOSE, False)}
     assert h.hexdigest() == "b44624f2a54e826b928338cde1df725efe3b594111d6a6eb7d38279b600f8609"
@@ -400,7 +400,7 @@ def test_phase_free_compression_is_one_global_singular_value_cutoff(tmp_path, mo
     threshold = json.loads(report.read_text())["threshold"]
     [cm] = compacted
     ranks = {}
-    for plan in cm.plans[:-1]:
+    for plan in cm.report.per_layer[:-1]:
         if plan.mode == hinge.UNTOUCHED:
             continue
         assert plan.mode == hinge.DECOMPOSE

@@ -12,7 +12,8 @@ import pytest
 
 from hingenet import checkpoint, cli, data, regularizers
 from hingenet.config import ConfigError, load_config, parse_config
-from hingenet.net import Network, attach_hinges, build_network, network_from_tensors
+from hingenet.net import (ArchSpec, BlockDef, Network, attach_hinges, build_network,
+                          network_from_tensors)
 from hingenet.train import evaluate
 
 TINY_CONFIG = {
@@ -45,7 +46,8 @@ def write_config(tmp_path, doc=None, name="cfg.json"):
 class TestConfigParsing:
     def test_defaults_round_trip(self):
         cfg = parse_config({"seed": 1})
-        assert cfg.arch.stem_channels == 16
+        assert cfg.arch == ArchSpec(1, 16, 16, 4, 16, (BlockDef("basic", 16, 1),
+                                                       BlockDef("basic", 32, 2)))
         assert cfg.compress.regularizer.kind == "l1"
         assert cfg.compress.regularizer.lam == 2e-4
         assert cfg.compress.eta == 0.1
@@ -781,11 +783,11 @@ class TestCliVerify:
         solve, solve_l1_minus_2 = regularizers.prox_oracle, regularizers.prox_oracle_l1_minus_2
         h = hashlib.sha256()
 
-        def scalar(norms, spec, steps):
-            h.update(spec.kind.encode())
+        def scalar(norms, kind, steps):
+            h.update(kind.encode())
             for arr in (norms, steps):
                 h.update(np.asarray(arr, dtype=np.float64).tobytes())
-            return solve(norms, spec, steps)
+            return solve(norms, kind, steps)
 
         def coupled(cases, steps, seeds):
             h.update(b"l1_minus_2")

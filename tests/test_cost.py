@@ -150,9 +150,9 @@ class TestParams:
         for _ in range(12):
             model = verify.random_masked_model(rng)
             cm = compaction.compact(model)
-            seen |= {(p.mode, p.kept_pair) for p in cm.plans}
+            seen |= {(p.mode, p.kept_pair) for p in cm.report.per_layer}
             tensors = cm.network.state_tensors(cm.modes)
-            for p in cm.plans:
+            for p in cm.report.per_layer:
                 positions = model.layers[p.name].meta.spatial if p.name != "head" else 1
                 weights = sum(tensors[f"{p.name}/{key}"].size
                               for key in ("W", "A") if f"{p.name}/{key}" in tensors)

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from hingenet import hinge
-from hingenet.hinge import attach, group_stats, update_mask
+from hingenet.hinge import ConvMeta, attach, mean_alive_norm, update_mask
 from hingenet.linalg import COLUMNS, ROWS, DimensionError, GroupScheme, group_norms
-from hingenet.net import ArchSpec, BlockDef, attach_hinges, build_network
+from hingenet.net import ArchSpec, BlockDef, HingedConv2d, attach_hinges, build_network
 
 
 class TestAttach:
@@ -100,40 +99,46 @@ class TestMakeScheme:
 
 
 class TestGroupStats:
+    """`mean_alive_norm`, the one group statistic the phase reads."""
+
     def test_identity_columns(self):
         a = np.eye(4)
         scheme = GroupScheme(COLUMNS, (4, 4))
-        stats = group_stats(a, scheme, np.ones(4, dtype=bool))
-        assert stats.mean_norm == pytest.approx(1.0)
-        assert stats.alive_count == 4
+        assert mean_alive_norm(a, scheme, np.ones(4, dtype=bool)) == pytest.approx(1.0)
 
     def test_masked_groups_excluded(self):
         a = np.diag([1.0, 2.0, 3.0, 4.0])
         scheme = GroupScheme(COLUMNS, (4, 4))
         mask = np.array([True, False, True, False])
-        stats = group_stats(a, scheme, mask)
-        assert stats.alive_count == 2
-        assert stats.mean_norm == 2.0   # the norms 1 and 3 only
+        assert mean_alive_norm(a, scheme, mask) == 2.0   # the norms 1 and 3 only
 
     def test_mean_matches_recompute(self, rng):
         a = rng.normal(size=(6, 6))
         scheme = GroupScheme(COLUMNS, (6, 6))
         mask = rng.random(6) > 0.3
         mask[0] = True
-        stats = group_stats(a, scheme, mask)
         want = group_norms(a, scheme)[mask].mean()
-        assert stats.mean_norm == pytest.approx(want, rel=1e-12)
+        assert mean_alive_norm(a, scheme, mask) == pytest.approx(want, rel=1e-12)
+
+    def test_all_dead_is_zero(self, rng):
+        scheme = GroupScheme(ROWS, (5, 5))
+        got = mean_alive_norm(rng.normal(size=(5, 5)), scheme, np.zeros(5, dtype=bool))
+        assert got == 0.0 and type(got) is float
 
 
 class TestMasking:
     def test_apply_mask_idempotent(self, rng):
-        a = rng.normal(size=(5, 5))
-        scheme = GroupScheme(COLUMNS, (5, 5))
-        mask = np.array([True, False, True, True, False])
-        once = hinge.apply_mask(a, scheme, mask)
-        twice = hinge.apply_mask(once, scheme, mask)
-        assert np.array_equal(once, twice)
-        assert np.all(once[:, [1, 4]] == 0.0)
+        # a column layer: the dead groups' biases go with them
+        layer = HingedConv2d(ConvMeta(2, 5, 1, 1, 1, 0, 3, 3), rng.normal(size=(2, 5)),
+                             rng.normal(size=(5, 5)), rng.normal(size=5),
+                             scheme=GroupScheme(COLUMNS, (5, 5)))
+        layer.mask = np.array([True, False, True, True, False])
+        layer.apply_mask()
+        once = layer.a.copy(), layer.b.copy()
+        layer.apply_mask()
+        assert np.array_equal(layer.a, once[0]) and np.array_equal(layer.b, once[1])
+        assert np.all(once[0][:, [1, 4]] == 0.0) and np.all(once[1][[1, 4]] == 0.0)
+        assert np.all(once[0][:, [0, 2, 3]] != 0.0) and np.all(once[1][[0, 2, 3]] != 0.0)
 
     def test_update_mask_thresholds(self):
         norms = np.array([0.5, 0.001, 2.0, 0.004])

@@ -136,37 +136,31 @@ class TestRegularizerValue:
 
 
 class TestProxOracle:
-    def test_lambda_zero_identity(self):
-        spec = RegularizerSpec("l1", 0.0)
-        assert prox_oracle(3.7, spec, 1.0) == 3.7
-
-    def test_lambda_zero_batch_identity(self, rng):
-        norms = rng.uniform(0.0, 4.0, 20)
-        out = prox_oracle(norms, RegularizerSpec("logsum", 0.0), rng.uniform(0.0, 2.0, 20))
-        assert np.array_equal(out, norms)
-
     def test_l1_case(self):
-        spec = RegularizerSpec("l1", 1.0)
-        assert abs(prox_oracle(5.0, spec, 1.0) - 4.0) <= 1e-6
+        assert abs(prox_oracle(5.0, "l1", 1.0) - 4.0) <= 1e-6
 
     def test_l_half_below_cutoff(self):
-        spec = RegularizerSpec("l_half", 1.0)
-        assert prox_oracle(0.9, spec, 1.0) <= 1e-6
+        assert prox_oracle(0.9, "l_half", 1.0) <= 1e-6
 
     @pytest.mark.parametrize("norm,step", [
         (1.0, -0.5), (1.0, np.nan), (1.0, np.inf),
         (-1.0, 0.5), (np.nan, 0.5), (np.inf, 0.5)])
     def test_bad_input_rejected(self, norm, step):
-        spec = RegularizerSpec("l1", 1.0)
         with pytest.raises(ParameterError):
-            prox_oracle(norm, spec, step)
+            prox_oracle(norm, "l1", step)
         with pytest.raises(ParameterError):  # anywhere in a batch
-            prox_oracle([2.0, norm, 3.0], spec, [0.5, step, 1.0])
+            prox_oracle([2.0, norm, 3.0], "l1", [0.5, step, 1.0])
+
+    def test_coupled_kind_rejected(self):
+        # the coupled l1-l2 case has its own oracle; a zero step is no way round
+        for step in (1.0, 0.0):
+            with pytest.raises(ParameterError, match="no scalar oracle"):
+                prox_oracle(2.0, "l1_minus_2", step)
 
     def test_logsum_epsilon_checked_per_entry(self):
         # each entry's epsilon is 0.5*sqrt of its own step
         norms, steps = [1.0, 2.0, 3.0], [1.0, 0.25, 1e-4]
-        got = prox_oracle(norms, RegularizerSpec("logsum", 1.0), steps)
+        got = prox_oracle(norms, "logsum", steps)
         want = [reg.logsum_norm_map(x, s, 0.5 * math.sqrt(s)) for x, s in zip(norms, steps)]
         assert np.abs(got - want).max() <= 1e-6
 
@@ -176,9 +170,8 @@ class TestProxOracle:
         norms = rng.uniform(0.0, 4.0, 50) * np.sqrt(steps)
         norms[::7] = 0.0
         steps[3::11] = 0.0
-        spec = RegularizerSpec(kind, 1.0)
-        batch = prox_oracle(norms, spec, steps)
-        singles = np.array([prox_oracle(n, spec, s) for n, s in zip(norms, steps)])
+        batch = prox_oracle(norms, kind, steps)
+        singles = np.array([prox_oracle(n, kind, s) for n, s in zip(norms, steps)])
         assert batch.shape == (50,)
         assert np.array_equal(batch, singles)
         assert np.array_equal(batch[steps == 0.0], norms[steps == 0.0])
@@ -221,9 +214,9 @@ def suite_batches():
     """The scalar oracle batches of verify.prox_suite (seed 2024), by kind."""
     solve, batches = reg.prox_oracle, {}
 
-    def recording(norms, spec, steps):
-        batches[spec.kind] = (np.array(norms), spec, np.array(steps))
-        return solve(norms, spec, steps)
+    def recording(norms, kind, steps):
+        batches[kind] = (np.array(norms), np.array(steps))
+        return solve(norms, kind, steps)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(reg, "prox_oracle", recording)
         verify.prox_suite()
@@ -238,9 +231,9 @@ class TestProxOracleBoundedSearch:
 
     @pytest.mark.parametrize("kind", SCALAR_KINDS)
     def test_suite_draws_equal_dense_scan(self, suite_batches, kind):
-        norms, spec, steps = suite_batches[kind]
+        norms, steps = suite_batches[kind]
         assert norms.size == 1000
-        assert np.array_equal(prox_oracle(norms, spec, steps),
+        assert np.array_equal(prox_oracle(norms, kind, steps),
                               dense_prox_oracle(norms, kind, steps))
 
     @pytest.mark.parametrize("kind", SCALAR_KINDS)
@@ -250,8 +243,7 @@ class TestProxOracleBoundedSearch:
         norms = rng.uniform(0.0, 6.0, 300) * np.sqrt(steps)
         norms[::10] = 0.0
         norms[1::10] = 6.0 * np.sqrt(steps[1::10])
-        spec = RegularizerSpec(kind, 1.0)
-        assert np.array_equal(prox_oracle(norms, spec, steps),
+        assert np.array_equal(prox_oracle(norms, kind, steps),
                               dense_prox_oracle(norms, kind, steps))
 
     @pytest.mark.parametrize("kind", SCALAR_KINDS)
@@ -292,24 +284,24 @@ class TestProxOracleBoundedSearch:
 
     @pytest.mark.parametrize("kind", SCALAR_KINDS)
     def test_evaluation_budget(self, suite_batches, kind, monkeypatch):
-        norms, spec, steps = suite_batches[kind]
+        norms, steps = suite_batches[kind]
         penalty, evaluated = reg._oracle_penalty, []
 
         def counting(kind, t, epsilon):
             evaluated.append(np.size(t))
             return penalty(kind, t, epsilon)
         monkeypatch.setattr(reg, "_oracle_penalty", counting)
-        prox_oracle(norms, spec, steps)
+        prox_oracle(norms, kind, steps)
         # 1 % of each case's grid, the ternary refinement included
         assert sum(evaluated) <= norms.size * reg.ORACLE_GRID // 100
 
     @pytest.mark.parametrize("kind", SCALAR_KINDS)
     def test_peak_memory_bounded(self, suite_batches, kind):
         # a dense scan holds three 100 000-point buffers (3.2 MiB measured)
-        norms, spec, steps = suite_batches[kind]
+        norms, steps = suite_batches[kind]
         tracemalloc.start()
         try:
-            prox_oracle(norms, spec, steps)
+            prox_oracle(norms, kind, steps)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -435,7 +427,7 @@ class TestProperties:
             norms[i] = rng.uniform(0.0, 4.0) * np.sqrt(steps[i])
             a, scheme = group_matrix(rng, [norms[i]])
             got[i] = group_norms(op(a, scheme, float(steps[i])), scheme)[0]
-        want = prox_oracle(norms, RegularizerSpec(kind, 1.0), steps)
+        want = prox_oracle(norms, kind, steps)
         assert np.abs(got - want).max() <= 1e-6
 
     def test_l1_minus_2_matches_joint_oracle(self, rng):

@@ -58,16 +58,7 @@ class TestProxStepA:
                           "l1", 0.01)  # threshold 0.01 > 1e-3
         assert np.all(out[2] == 0.0)
 
-    def test_masked_groups_stay_zero(self, rng):
-        layer = make_hinged(rng)
-        layer.mask[1] = False
-        layer.apply_mask()
-        out = prox_step_a(layer, rng.normal(size=layer.a.shape), 0.1,
-                          "l1", 0.01)
-        assert np.all(out[1] == 0.0)
-
     def test_equals_grad_step_then_oracle(self, rng):
-        spec = RegularizerSpec("l1", 1.0)
         moved_norms, steps, got = [], [], []
         for _ in range(20):
             layer = make_hinged(rng)
@@ -79,7 +70,7 @@ class TestProxStepA:
             steps.append(np.full(layer.scheme.group_count, lam_l * lr))
             got.append(linalg.group_norms(prox_step_a(layer, grad, lr, "l1", lam_l),
                                           layer.scheme))
-        want = prox_oracle(np.concatenate(moved_norms), spec, np.concatenate(steps))
+        want = prox_oracle(np.concatenate(moved_norms), "l1", np.concatenate(steps))
         assert np.abs(np.concatenate(got) - want).max() <= 1e-6
 
 
@@ -88,8 +79,7 @@ class TestBalanceLambda:
         layer = make_hinged(rng, n=4)
         norms = linalg.group_norms(layer.a, layer.scheme)
         layer.a *= 0.5 / norms.mean() * np.ones_like(layer.a)  # scale mean to 0.5
-        assert balance_lambda(layer, 2e-4) == pytest.approx(
-            2e-4 * layer.stats().mean_norm, rel=1e-12)
+        assert balance_lambda(layer, 2e-4) == pytest.approx(2e-4 * 0.5, rel=1e-12)
 
     def test_survivor_mean_one_gives_base(self, rng):
         layer = make_hinged(rng, n=4)
@@ -188,6 +178,43 @@ class TestRunCompression:
             assert np.all(groups == 0.0)
         assert abs(cost.compression_ratio(model, cfg.nullify_threshold)
                    - state.gamma_c) <= 1e-12
+
+    def test_masked_groups_stay_zero(self, monkeypatch):
+        """The step masks each hinge once it assigns it: a group killed
+        beforehand is exactly zero after every step of an epoch, rows and
+        columns alike, and so is a column layer's dead bias."""
+        arch = net.ArchSpec(1, 8, 8, 3, 4, (net.BlockDef("basic", 4, 1),
+                                            net.BlockDef("plain", 5)))
+        ds = data.SyntheticDataset(seed=3, classes=3, n_train=32, n_test=16,
+                                   channels=1, height=8, width=8)
+        model = build_network(arch, seed=3)
+        attach_hinges(model, init="identity", plain_kind="columns")
+        hinged = [layer for _, layer in model.hinged_layers()]
+        assert {layer.scheme.kind for layer in hinged} == {linalg.ROWS, linalg.COLUMNS}
+        for layer in hinged:
+            layer.mask[1] = False
+            layer.apply_mask()
+        # a dead column's channel reads 0 and its relu passes no gradient back,
+        # so without a bias to zero the step would find nothing to mask there
+        columns_layer = next(layer for layer in hinged if layer.scheme.kind == linalg.COLUMNS)
+        columns_layer.b[1] = 0.5
+        epoch, steps = solver.sgd_epoch, []
+
+        def checked_epoch(net_, dataset, batch_size, rng, score, step, *rest):
+            def checked_step():
+                step()
+                steps.append(1)
+                for layer in hinged:
+                    columns = layer.scheme.kind == linalg.COLUMNS
+                    assert np.all((layer.a[:, 1] if columns else layer.a[1]) == 0.0)
+                    assert not columns or layer.b[1] == 0.0
+            return epoch(net_, dataset, batch_size, rng, score, checked_step, *rest)
+        monkeypatch.setattr(solver, "sgd_epoch", checked_epoch)
+        cfg = CompressionConfig(target_ratio=0.5, stop_margin=0.1,
+                                regularizer=RegularizerSpec("l1", 1e-4),
+                                eta=0.1, max_epochs=1, seed=0, batch_size=16)
+        run_compression(model, ds, cfg)
+        assert len(steps) == 2
 
     def test_lambda_zero_never_masks(self, rng):
         model, ds = tiny_trained(rng)
