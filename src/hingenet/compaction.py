@@ -59,18 +59,16 @@ class CompactModel:
 def compact(net: Network) -> CompactModel:
     """Compact `net` according to its current masks. The masks are applied
     (dead groups zeroed) first, which is the state the equivalence claim
-    refers to. Dead channels are removed end to end, the classifier's
-    input features included."""
+    refers to. Dead channels are removed end to end, the head's input
+    channels included."""
     for _, layer in net.hinged_layers():
         layer.apply_mask()
     plans = build_plan(net, threshold=None)
     tensors = {f"{p.name}/mode": np.array([MODE_BYTES[p.mode]], dtype=np.uint8)
                for p in plans}
-    *convs, head = plans
-    for plan in convs:
+    for plan in plans:
         for key, t in _conv_tensors(net.layers[plan.name], plan).items():
             tensors[f"{plan.name}/{key}"] = t
-    tensors.update({"head/W": net.head.w[head.alive_in_idx, :], "head/b": net.head.b.copy()})
     network, _ = network_from_tensors(net.arch, tensors)
     return CompactModel(network=network, report=report_from_plan(plans))
 

@@ -4,7 +4,7 @@ One rule prices every layer: a layer costs the weights it keeps. A weight
 costs 2 FLOPs (one multiply-accumulate) per output position and one
 parameter, and each kept output adds a bias parameter; biases, activations
 and pooling cost no FLOPs. A conv keeps `k = alive_in * kh * kw` weights
-per kept output, and the head is the same rule at one position. gamma is
+per kept output; the head is a 1x1 conv at one position. gamma is
 always measured against the original un-hinged model.
 
 `build_plan` is the single source of truth for what a nullified model
@@ -112,9 +112,7 @@ def build_plan(net: Network, threshold: float | None = None) -> list:
         plans[entry.name] = _plan(entry.name, mode, in_idx, out_idx, rank,
                                   meta.kernel_h * meta.kernel_w, meta.spatial,
                                   (meta.in_channels, meta.out_channels))
-    head = _plan("head", UNTOUCHED, plans[net.arch.output].alive_out_idx,
-                 np.arange(net.head.w.shape[1]), None, 1, 1, net.head.w.shape)
-    return list(plans.values()) + [head]
+    return list(plans.values())
 
 
 def report_from_plan(plans: list) -> CostReport:

@@ -4,23 +4,25 @@ Every convolution is one `Conv2d`, `patches @ W [@ A] + b` over im2col
 patches, so the compression math and the network math share one forward
 and one backward; `HingedConv2d` adds only the compression state (group
 scheme and mask). Blocks are either a plain conv+relu or a residual pair
-of 3x3 convs with an optional projection on the skip path. All parameters
-are float64 numpy arrays. Only the caching forward (`cache=True`, the
-default) keeps what backward needs: a conv keeps its input, not its patch
-matrix, which either forward frees as soon as its product exists. Each
-backward takes its layer's cache, so a step's state is freed as backward
-passes it, and a second backward raises, as does one after an inference
-forward (`cache=False`), which keeps nothing. The inference forward runs
-its batch in slices of `Network.inference_batch` samples, the most that
-keep every nominal patch matrix of the layer table within
-`INFERENCE_PATCH_BYTES` (at least one). Its logits equal caching forwards
-of the same slices bit for bit; a whole-batch forward can differ in the
-last bit where BLAS rounds a row by the row count of its product.
+of 3x3 convs with an optional projection on the skip path. The classifier
+head is a 1x1 conv on the global average of the last block's output. All
+parameters are float64 numpy arrays. Only the caching forward
+(`cache=True`, the default) keeps what backward needs: a conv keeps its
+input, not its patch matrix, which either forward frees as soon as its
+product exists. Each backward takes its layer's cache, so a step's state
+is freed as backward passes it, and a second backward raises, as does one
+after an inference forward (`cache=False`), which keeps nothing. The
+inference forward runs its batch in slices of `Network.inference_batch`
+samples, the most that keep every nominal patch matrix of the layer table
+within `INFERENCE_PATCH_BYTES` (at least one). Its logits equal caching
+forwards of the same slices bit for bit; a whole-batch forward can differ
+in the last bit where BLAS rounds a row by the row count of its product.
 
 Layer table: `layer_table` lists every conv of an `ArchSpec` in checkpoint
 order with its nominal geometry, the layer it reads, its hinge position,
 whether a skip protects its output, the skip its output joins before its
-relu and whether a relu follows it. `ArchSpec.order` is the same table in
+relu, whether a relu follows it and whether it reads its source pooled
+(the head, last in the table). `ArchSpec.order` is the same table in
 evaluation order, each skip projection before its block's convs. Building,
 hinging, cost planning, compaction and checkpoint reading iterate the
 table, and `Network` runs the order: one loop forward, the same loop
@@ -139,13 +141,9 @@ class Conv2d:
     so a caller must not write into a conv's input between its forward and
     its backward."""
 
-    def __init__(self, meta: ConvMeta, w: np.ndarray | None = None,
-                 a: np.ndarray | None = None, b: np.ndarray | None = None,
-                 rng: np.random.Generator | None = None):
+    def __init__(self, meta: ConvMeta, w: np.ndarray, a: np.ndarray | None = None,
+                 b: np.ndarray | None = None):
         self.meta = meta
-        if w is None:
-            std = np.sqrt(2.0 / meta.patch_size)
-            w = rng.normal(0.0, std, size=(meta.patch_size, meta.out_channels))
         self.w = np.ascontiguousarray(w, dtype=np.float64)
         self.a = None if a is None else np.ascontiguousarray(a, dtype=np.float64)
         a_shape = None if a is None else self.a.shape
@@ -246,41 +244,15 @@ class GlobalAvgPool:
         self._cache = None
 
     def forward(self, x, cache: bool = True):
+        """The (B, C, 1, 1) channel means of `x`."""
         self._cache = x.shape if cache else None
-        return x.mean(axis=(2, 3))
+        return x.mean(axis=(2, 3), keepdims=True)
 
     def backward(self, dy):
         b, c, h, w = _cached(self)
         # channels-last like the activations, so no conv backward copies it
-        return np.broadcast_to(dy[:, None, None, :] / (h * w), (b, h, w, c)).transpose(0, 3, 1, 2)
-
-
-class Linear:
-    def __init__(self, in_features: int, out_features: int,
-                 w: np.ndarray | None = None, b: np.ndarray | None = None,
-                 rng: np.random.Generator | None = None):
-        if w is None:
-            std = np.sqrt(1.0 / in_features)
-            w = rng.normal(0.0, std, size=(in_features, out_features))
-        self.w = np.ascontiguousarray(w, dtype=np.float64)
-        self.b = np.zeros(out_features) if b is None else np.ascontiguousarray(b, dtype=np.float64)
-        self.grad_w = np.zeros_like(self.w)
-        self.grad_b = np.zeros_like(self.b)
-        self._cache = None
-
-    def forward(self, x, cache: bool = True):
-        self._cache = x if cache else None
-        return matmul(x, self.w) + self.b
-
-    def backward(self, dy):
-        x = _cached(self)
-        self.grad_w += matmul(dy.T, x).T
-        self.grad_b += dy.sum(axis=0)
-        return matmul(dy, self.w.T)
-
-    def params(self, prefix: str):
-        yield f"{prefix}/W", WEIGHT, self, "w"
-        yield f"{prefix}/b", BIAS, self, "b"
+        dx = np.broadcast_to(dy.transpose(0, 2, 3, 1) / (h * w), (b, h, w, c))
+        return dx.transpose(0, 3, 1, 2)
 
 
 @dataclass(frozen=True)
@@ -293,13 +265,14 @@ class BlockDef:
 @dataclass(frozen=True)
 class LayerEntry:
     """One convolution of an architecture, as the layer table lists it."""
-    name: str                # checkpoint name: stem, block{i}.conv/.conv1/.conv2/.down
+    name: str                # checkpoint name: stem, block{i}.conv/.conv1/.conv2/.down, head
     meta: ConvMeta           # nominal geometry
     source: str | None       # the layer whose output it reads; None: the network input
-    position: str | None     # hinge position; None for the stem and skip projections
+    position: str | None     # hinge position; None for the stem, skip projections and head
     protected: bool          # its output joins a residual sum or an identity skip
     skip: str | None = None  # the layer whose output joins its output before the relu
-    relu: bool = True        # False only for a skip projection
+    relu: bool = True        # False for a skip projection and the head
+    pool: bool = False       # reads the global average of its source: only the head
 
 
 @dataclass(frozen=True)
@@ -312,37 +285,39 @@ class ArchSpec:
     blocks: tuple = field(default_factory=tuple)
     table: tuple = field(init=False, repr=False, compare=False)   # see layer_table
     order: tuple = field(init=False, repr=False, compare=False)
-    output: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        table, order, output = layer_table(self)
+        table, order = layer_table(self)
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "output", output)
 
 
 def layer_table(arch: ArchSpec):
     """Every convolution of `arch` in checkpoint order, with its geometry,
     its input, its hinge position, whether a skip protects its output, the
-    skip its output joins and whether a relu follows; the same entries in
-    evaluation order (a block's skip projection before its convs, the
-    order the init draws in); and the name of the layer the head reads.
+    skip its output joins, whether a relu follows and whether it reads its
+    input pooled; and the same entries in evaluation order (a block's skip
+    projection before its convs, the order the init draws in).
 
     This is the one place that knows the block structure; `ArchSpec` builds
     it once. A block's output is that of its last conv, so an identity
-    skip marks the layer that produced the block input as protected.
+    skip marks the layer that produced the block input as protected. The
+    classifier head comes last in both orders: a 1x1 conv without a relu
+    on the global average of the last block's output.
     """
-    if len(arch.blocks) < 1 or arch.classes < 1:
-        raise ValueError("architecture needs at least one block and one class")
+    if len(arch.blocks) < 1:
+        raise ValueError("architecture needs at least one block")
     entries, order = {}, []
 
     def add(name, source, out_ch, kernel, stride, position=None, protected=False,
-            skip=None, relu=True):
+            skip=None, relu=True, pool=False):
         if source is None:
             in_ch, h, w = arch.input_channels, arch.input_h, arch.input_w
         else:
             src = entries[source].meta
             in_ch, h, w = src.out_channels, src.out_h, src.out_w
+        if pool:
+            h = w = 1
         if min(in_ch, out_ch, stride, h, w) < 1:
             raise ValueError(f"{name}: channels, stride and input size must be >= 1, got "
                              f"{in_ch} -> {out_ch} channels, stride {stride}, input {h}x{w}")
@@ -352,7 +327,7 @@ def layer_table(arch: ArchSpec):
         if out_h < 1 or out_w < 1:
             raise ValueError(f"{name}: output would be {out_h}x{out_w}")
         meta = ConvMeta(in_ch, out_ch, kernel, kernel, stride, pad, out_h, out_w)
-        entries[name] = LayerEntry(name, meta, source, position, protected, skip, relu)
+        entries[name] = LayerEntry(name, meta, source, position, protected, skip, relu, pool)
         order.append(name)
 
     add("stem", None, arch.stem_channels, 3, 1)
@@ -376,28 +351,29 @@ def layer_table(arch: ArchSpec):
         else:
             entries[out] = replace(entries[out], protected=True)
         out = f"{p}.conv2"
-    return tuple(entries.values()), tuple(entries[name] for name in order), out
+    add("head", out, arch.classes, 1, 1, relu=False, pool=True)
+    return tuple(entries.values()), tuple(entries[name] for name in order)
 
 
 class Network:
-    """Stem conv -> blocks -> global average pool -> linear classifier.
+    """Stem conv -> blocks -> global average pool -> 1x1 conv classifier.
 
     `layers` maps every name in `arch.table` to its convolution, and
     `relus` every entry that a relu follows to that relu. The forward runs
-    `arch.order`: each conv reads its source's output, adds its skip's
-    and applies its relu; the backward runs the same order reversed. The
-    stem reads the network input, so it computes no input gradient.
+    `arch.order`: each conv reads its source's output (pooled for the
+    head), adds its skip's and applies its relu; the logits are the last
+    conv's output. The backward runs the same order reversed. The stem
+    reads the network input, so it computes no input gradient.
     """
 
-    def __init__(self, arch: ArchSpec, layers: dict, head):
+    def __init__(self, arch: ArchSpec, layers: dict):
         self.arch = arch
         self.layers = dict(layers)
         self.relus = {e.name: ReLU() for e in arch.order if e.relu}
         self.pool = GlobalAvgPool()
-        self.head = head
         self.layers["stem"].needs_input_grad = False
-        # how many readers each output has: the head, its convs and its skips
-        self._readers = Counter([arch.output] + [e.source for e in arch.order]
+        # how many readers each output has: its convs and its skips
+        self._readers = Counter([e.source for e in arch.order]
                                 + [e.skip for e in arch.order if e.skip is not None])
         widest = max(e.meta.out_h * e.meta.out_w * e.meta.patch_size for e in arch.table)
         self.inference_batch = max(1, INFERENCE_PATCH_BYTES // (8 * widest))  # float64
@@ -421,16 +397,19 @@ class Network:
             return outs[name] if left[name] else outs.pop(name)
 
         for entry in self.arch.order:
-            y = self.layers[entry.name].forward(read(entry.source), cache)
+            y = read(entry.source)
+            if entry.pool:
+                y = self.pool.forward(y, cache)
+            y = self.layers[entry.name].forward(y, cache)
             if entry.skip is not None:
                 y += read(entry.skip)  # y is the conv's fresh output
             if entry.relu:
                 y = self.relus[entry.name].forward(y, cache)
             outs[entry.name] = y
-        return self.head.forward(self.pool.forward(read(self.arch.output), cache), cache)
+        return y.reshape(y.shape[:2])  # the head's (B, classes, 1, 1) output
 
-    def backward(self, dlogits: np.ndarray) -> np.ndarray:
-        grads = {self.arch.output: self.pool.backward(self.head.backward(dlogits))}
+    def backward(self, dlogits: np.ndarray) -> None:
+        grads = {self.arch.order[-1].name: dlogits[:, :, None, None]}
 
         def add(name, d):
             grads[name] = grads[name] + d if name in grads else d
@@ -441,13 +420,15 @@ class Network:
                 d = self.relus[entry.name].backward(d)
             if entry.skip is not None:
                 add(entry.skip, d)
-            add(entry.source, self.layers[entry.name].backward(d))
-        return grads.pop(None)
+            d = self.layers[entry.name].backward(d)
+            if entry.pool:
+                d = self.pool.backward(d)
+            if entry.source is not None:  # the stem computes no input gradient
+                add(entry.source, d)
 
     def named_layers(self):
         for entry in self.arch.table:
             yield entry.name, self.layers[entry.name]
-        yield "head", self.head
 
     def hinged_layers(self):
         return [(name, layer) for name, layer in self.named_layers()
@@ -472,10 +453,10 @@ class Network:
             grad[...] = 0.0
 
     def state_tensors(self, modes: dict | None = None) -> OrderedDict:
-        """The checkpoint tensors in table order, then the head: each
-        layer's params, then its mask while it is being compressed. Given
-        `modes` (layer name -> mode, untouched where absent), each layer's
-        tensors follow its mode byte, as in a compacted checkpoint."""
+        """The checkpoint tensors in table order: each layer's params, then
+        its mask while it is being compressed. Given `modes` (layer name ->
+        mode, untouched where absent), each layer's tensors follow its mode
+        byte, as in a compacted checkpoint."""
         out = OrderedDict()
         for name, layer in self.named_layers():
             if modes is not None:
@@ -510,6 +491,10 @@ def _checked_layer(entry, tensors, layers, compacted):
     layer is read as untouched."""
     name, nominal = entry.name, entry.meta
     mode = _mode(tensors, name) if compacted else hinge.UNTOUCHED
+    if entry.position is None and mode != hinge.UNTOUCHED:
+        raise checkpoint.CheckpointError(
+            f"{name}: mode byte is not {hinge.MODE_BYTES[hinge.UNTOUCHED]} (untouched), "
+            "and a layer without a hinge position is never compressed")
     w, b = _tensor(tensors, f"{name}/W"), _tensor(tensors, f"{name}/b")
     a = tensors.get(f"{name}/A")
     out_ch = b.shape[0] if b.ndim == 1 else 0
@@ -535,34 +520,29 @@ def network_from_tensors(arch: ArchSpec, tensors):
     stored tensor shapes and must fit the architecture: whole kernels per
     input channel, as many inputs as the source layer produces, and no
     more outputs than nominal (exactly nominal unless the layer was
-    pruned, and always for a protected layer). A compacted file's head
-    is untouched."""
+    pruned, and always for a protected layer). In a compacted file a
+    layer without a hinge position (the stem, a skip projection, the
+    head) is untouched."""
     compacted = any(key.endswith("/mode") for key in tensors)
     layers, modes = {}, {}
     for entry in arch.table:
         modes[entry.name], layers[entry.name] = _checked_layer(entry, tensors, layers,
                                                                compacted)
-    head_in = layers[arch.output].meta.out_channels
-    head_w, head_b = _tensor(tensors, "head/W"), _tensor(tensors, "head/b")
-    if head_w.shape != (head_in, arch.classes) or head_b.shape != (arch.classes,):
-        raise checkpoint.CheckpointError(
-            f"head: shapes {head_w.shape} and {head_b.shape}, expected "
-            f"({head_in}, {arch.classes}) and ({arch.classes},)")
-    if compacted and _mode(tensors, "head") != hinge.UNTOUCHED:
-        raise checkpoint.CheckpointError(
-            f"head: mode byte is not {hinge.MODE_BYTES[hinge.UNTOUCHED]} (untouched)")
-    head = Linear(head_in, arch.classes, w=head_w, b=head_b)
-    return Network(arch, layers, head), modes if compacted else None
+    return Network(arch, layers), modes if compacted else None
 
 
 def build_network(arch: ArchSpec, seed: int) -> Network:
     """Baseline network: plain convolutions everywhere, seeded init."""
     rng = np.random.default_rng(seed)
     # drawn in evaluation order, a block's skip projection before its convs
-    # although the table lists it last: the seeded baselines depend on it
-    layers = {entry.name: Conv2d(entry.meta, rng=rng) for entry in arch.order}
-    head = Linear(layers[arch.output].meta.out_channels, arch.classes, rng=rng)
-    return Network(arch, layers, head)
+    # although the table lists it last, the head last: the seeded baselines
+    # depend on it. He init, but gain 1 for the head, which no relu follows
+    layers = {}
+    for entry in arch.order:
+        m = entry.meta
+        std = np.sqrt((1.0 if entry.pool else 2.0) / m.patch_size)
+        layers[entry.name] = Conv2d(m, rng.normal(0.0, std, size=(m.patch_size, m.out_channels)))
+    return Network(arch, layers)
 
 
 def attach_hinges(net: Network, init: str = hinge.SVD_INIT,
@@ -574,8 +554,8 @@ def attach_hinges(net: Network, init: str = hinge.SVD_INIT,
     `first_kind` picks the group kind for the first conv of each basic
     block (default rows), `plain_kind` for plain-block convs (default
     columns). A protected layer always gets rows: the skip reads its
-    output channels, so they must survive. Stem, head, and skip
-    projections stay unhinged.
+    output channels, so they must survive. The stem, skip projections and
+    head have no hinge position and stay unhinged.
     """
     kinds = {hinge.FIRST_IN_BASIC: first_kind or linalg.ROWS,
              hinge.STANDALONE: plain_kind or linalg.COLUMNS}

@@ -158,9 +158,11 @@ def prox(a: np.ndarray, scheme: GroupScheme, kind: str, step: float) -> np.ndarr
     elif kind == LOGSUM:
         eps = float(logsum_epsilon(step))
         new = [logsum_norm_map(n, step, eps) for n in old]
-    else:
+    elif kind in (L1, L_HALF):
         norm_map = l1_norm_map if kind == L1 else l_half_norm_map
         new = [norm_map(n, step) for n in old]
+    else:
+        raise ParameterError(f"unknown regularizer kind {kind!r}")
     return _apply_norm_factors(a, scheme, old, new)
 
 

@@ -165,7 +165,7 @@ def run_compression(net: Network, dataset, config: CompressionConfig,
 
         # Epoch end: mask, measure, adjust.
         apply_threshold(net, config.nullify_threshold)
-        state.gamma_c = compression_ratio(net, config.nullify_threshold)
+        state.gamma_c = compression_ratio(net, None)  # prices the masks just set
         state.gamma_history.append(state.gamma_c)
         mean_norms = {name: hinge.mean_alive_norm(layer.a, layer.scheme, layer.mask)
                       for name, layer in hinged}

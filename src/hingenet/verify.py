@@ -161,9 +161,9 @@ def _grad_cases(rng, seed):
 
 
 def grad_suite(seed: int = 7, tol: float = 1e-4) -> list:
-    """Finite differences over every layer type: plain conv (stem and skip
-    projection), both hinged convs of a residual pair, a pruned plain
-    block, the linear head, and both loss functions."""
+    """Finite differences over every layer type: plain conv (stem, skip
+    projection and the pooled 1x1 head), both hinged convs of a residual
+    pair, a pruned plain block, and both loss functions."""
     rng = np.random.default_rng(seed)
     results = []
     for name, model, x, loss_fn in _grad_cases(rng, seed):
@@ -211,8 +211,8 @@ def random_masked_model(rng) -> net.Network:
 def _tensor_flops(network, count_a: bool) -> int:
     """2 FLOPs per weight per output position, counted from the tensors of
     `network` alone: each conv's W (and its A when `count_a`) at the conv's
-    output positions, then the head's W at one position."""
-    weights = network.head.w.size
+    output positions, the head's at its one."""
+    weights = 0
     for layer in network.layers.values():
         kept_a = layer.a.size if count_a and layer.a is not None else 0
         weights += (layer.w.size + kept_a) * layer.meta.spatial

@@ -139,7 +139,7 @@ class TestPropagate:
         last.mask[[0, 2]] = False
         last.apply_mask()
         cm = compact(model)
-        assert cm.network.head.w.shape[0] == 2
+        assert cm.network.layers["head"].w.shape[0] == 2
         assert verify_equivalence(model, cm.network, 16, seed=4) <= 1e-10
 
     def test_basic_block_output_shape_unchanged(self, rng):
@@ -215,7 +215,7 @@ class TestVerifyEquivalence:
         model = build_network(small_residual_arch(), seed=8)
         attach_hinges(model, init="svd")
         cm = compact(model)
-        cm.network.head.w[0, 0] += 1e-3
+        cm.network.layers["head"].w[0, 0] += 1e-3
         assert verify_equivalence(model, cm.network, 4, seed=0) > 0.0
 
     @pytest.mark.parametrize("which", ["first", "second"])

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hingenet import checkpoint, cli, data, regularizers
+from hingenet import checkpoint, cli, data, hinge, regularizers
 from hingenet.config import ConfigError, load_config, parse_config
 from hingenet.net import (ArchSpec, BlockDef, Network, attach_hinges, build_network,
                           network_from_tensors)
@@ -665,6 +665,22 @@ class TestCliFinetune:
         assert rc == cli.EXIT_USAGE
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("error:") and "head" in err
+
+    @pytest.mark.parametrize("layer", ["stem", "block1.down"])
+    @pytest.mark.parametrize("mode", ["prune", "decompose"])
+    def test_evaluate_unhinged_layer_not_untouched_is_usage_error(self, pipeline, capsys,
+                                                                  layer, mode):
+        # a layer without a hinge position is never compressed, so a
+        # compacted file that says otherwise is corrupt
+        tensors = checkpoint.load(pipeline["compact"])
+        tensors[f"{layer}/mode"] = np.array([hinge.MODE_BYTES[mode]], dtype=np.uint8)
+        path = pipeline["tmp"] / "unhinged_mode.hngw"
+        checkpoint.save(path, tensors)
+        capsys.readouterr()
+        rc = cli.main(["evaluate", "--config", pipeline["cfg"], "--ckpt", str(path)])
+        assert rc == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith(f"error: {layer}: mode byte")
 
     def test_evaluate_repeated_tensor_is_usage_error(self, pipeline, capsys):
         # the baseline with its stem/W record appended again, count one higher

@@ -44,7 +44,6 @@ class TestConvFlops:
         model = build_network(small_residual_arch(), seed=5)
         attach_hinges(model, init="svd", first_kind="columns")
         nominal = {e.name: e.meta.out_channels for e in model.arch.table}
-        nominal["head"] = model.arch.classes
         for threshold in (0.0, 1.0, np.inf):
             for p in cost.build_plan(model, threshold):
                 assert 1 <= p.alive_out <= nominal[p.name]
@@ -137,7 +136,7 @@ class TestParams:
         model = build_network(small_residual_arch(), seed=8)
         attach_hinges(model, init="svd", first_kind="columns")
         for p in cost.build_plan(model, threshold=1.0):
-            positions = model.layers[p.name].meta.spatial if p.name != "head" else 1
+            positions = model.layers[p.name].meta.spatial
             assert p.flops == 2 * positions * (p.params - p.alive_out)
 
     def test_report_params_match_stored_tensor_walk(self):
@@ -153,7 +152,7 @@ class TestParams:
             seen |= {(p.mode, p.kept_pair) for p in cm.report.per_layer}
             tensors = cm.network.state_tensors(cm.modes)
             for p in cm.report.per_layer:
-                positions = model.layers[p.name].meta.spatial if p.name != "head" else 1
+                positions = model.layers[p.name].meta.spatial
                 weights = sum(tensors[f"{p.name}/{key}"].size
                               for key in ("W", "A") if f"{p.name}/{key}" in tensors)
                 assert p.flops == 2 * positions * weights, p.name

@@ -9,8 +9,8 @@ from conftest import small_plain_arch, small_residual_arch
 from hingenet import linalg, losses, net
 from hingenet.hinge import FIRST_IN_BASIC, SECOND_IN_BASIC, STANDALONE, ConvMeta
 from hingenet.compaction import compact
-from hingenet.net import (ArchSpec, BlockDef, Conv2d, GlobalAvgPool, HingedConv2d, Linear,
-                          ReLU, attach_hinges, build_network, col2im, im2col)
+from hingenet.net import (ArchSpec, BlockDef, Conv2d, GlobalAvgPool, HingedConv2d, ReLU,
+                          attach_hinges, build_network, col2im, im2col)
 
 
 def naive_conv(x, w_mat, bias, meta):
@@ -48,8 +48,7 @@ class TestConv:
     def test_against_naive_oracle(self, rng, stride, pad):
         meta = ConvMeta(3, 4, 3, 3, stride, pad,
                         (8 + 2 * pad - 3) // stride + 1, (8 + 2 * pad - 3) // stride + 1)
-        conv = Conv2d(meta, rng=rng)
-        conv.b = rng.normal(size=4)
+        conv = Conv2d(meta, rng.normal(size=(27, 4)), b=rng.normal(size=4))
         x = rng.normal(size=(2, 3, 8, 8))
         got = conv.forward(x)
         want = naive_conv(x, conv.w, conv.b, meta)
@@ -208,11 +207,13 @@ class TestWeightGradOrientation:
     @pytest.mark.parametrize("batch", [1, 7, 16, 32])
     @pytest.mark.parametrize("features,classes", [(32, 4), (128, 10), (16, 33)])
     def test_linear_grad_w_equals_tn_product(self, rng, features, classes, batch):
-        head = Linear(features, classes, rng=rng)
+        # the head: a 1x1 conv on the pooled (B, C, 1, 1) features
+        meta = ConvMeta(features, classes, 1, 1, 1, 0, 1, 1)
+        head = Conv2d(meta, rng.normal(size=(features, classes)))
         x = rng.normal(size=(batch, features))
         dy = rng.normal(size=(batch, classes))
-        head.forward(x)
-        head.backward(dy)
+        head.forward(x[:, :, None, None])
+        head.backward(dy[:, :, None, None])
         assert np.array_equal(head.grad_w, x.T @ dy)
 
 
@@ -230,9 +231,11 @@ class TestNetworkForward:
         # pass through and logits equal the pooled input through the head.
         arch = ArchSpec(3, 6, 6, 2, 3, (BlockDef("plain", 3),))
         meta = ConvMeta(3, 3, 1, 1, 1, 0, 6, 6)
-        layers = {"stem": Conv2d(meta, w=np.eye(3)), "block0.conv": Conv2d(meta, w=np.eye(3))}
-        head = Linear(3, 2, w=rng.normal(size=(3, 2)), b=rng.normal(size=2))
-        model = net.Network(arch, layers, head)
+        head = Conv2d(ConvMeta(3, 2, 1, 1, 1, 0, 1, 1), rng.normal(size=(3, 2)),
+                      b=rng.normal(size=2))
+        layers = {"stem": Conv2d(meta, w=np.eye(3)), "block0.conv": Conv2d(meta, w=np.eye(3)),
+                  "head": head}
+        model = net.Network(arch, layers)
         x = np.abs(rng.normal(size=(5, 3, 6, 6)))
         want = x.mean(axis=(2, 3)) @ head.w + head.b
         assert np.abs(model.forward(x) - want).max() <= 1e-12
@@ -273,24 +276,26 @@ def inference_case(kind):
 
 def caching_parts(model):
     """Every object of `model` that keeps something for backward."""
-    return [*model.layers.values(), *model.relus.values(), model.head, model.pool]
+    return [*model.layers.values(), *model.relus.values(), model.pool]
 
 
 LAYER_KINDS = ("conv", "hinged", "kept-pair", "linear", "relu", "pool")
 
 
 def layer_case(rng, kind):
-    """One layer of each kind that caches for backward, and an input."""
+    """One layer of each kind that caches for backward, and an input;
+    "linear" is the head, a 1x1 conv on pooled features."""
     meta = ConvMeta(2, 3, 3, 3, 1, 1, 4, 4)
     scheme = linalg.GroupScheme(linalg.ROWS, (3, 3))
     return {
-        "conv": (Conv2d(meta, rng=rng), rng.normal(size=(2, 2, 4, 4))),
+        "conv": (Conv2d(meta, rng.normal(size=(18, 3))), rng.normal(size=(2, 2, 4, 4))),
         "hinged": (HingedConv2d(meta, rng.normal(size=(18, 3)), rng.normal(size=(3, 3)),
                                 scheme=scheme),
                    rng.normal(size=(2, 2, 4, 4))),
         "kept-pair": (Conv2d(meta, rng.normal(size=(18, 2)), rng.normal(size=(2, 3))),
                       rng.normal(size=(2, 2, 4, 4))),
-        "linear": (Linear(5, 3, rng=rng), rng.normal(size=(2, 5))),
+        "linear": (Conv2d(ConvMeta(5, 3, 1, 1, 1, 0, 1, 1), rng.normal(size=(5, 3))),
+                   rng.normal(size=(2, 5, 1, 1))),
         "relu": (ReLU(), rng.normal(size=(2, 5))),
         "pool": (GlobalAvgPool(), rng.normal(size=(2, 3, 4, 4))),
     }[kind]
@@ -360,6 +365,7 @@ class TestBackwardCache:
         model.backward(np.ones_like(logits))
         assert sorted(checked) == sorted(model.layers)
         assert all(part._cache is None for part in caching_parts(model))
+        monkeypatch.undo()  # the head's own backward is the first to raise
         with pytest.raises(RuntimeError, match="backward called before forward"):
             model.backward(np.ones_like(logits))
 
@@ -486,30 +492,35 @@ class TestForwardMemory:
         assert peak <= 8.5 * 2 ** 20
 
 
-# (name, source, hinge position, protected, skip, relu) per conv, in
+# (name, source, hinge position, protected, skip, relu, pool) per conv, in
 # checkpoint order
 TABLE_CASES = {
     "plain": (small_plain_arch(), [
-        ("stem", None, None, False, None, True),
-        ("block0.conv", "stem", STANDALONE, False, None, True),
-        ("block1.conv", "block0.conv", STANDALONE, False, None, True)]),
+        ("stem", None, None, False, None, True, False),
+        ("block0.conv", "stem", STANDALONE, False, None, True, False),
+        ("block1.conv", "block0.conv", STANDALONE, False, None, True, False),
+        ("head", "block1.conv", None, False, None, False, True)]),
     "basic": (ArchSpec(1, 8, 8, 3, 4, (BlockDef("basic", 4, 1),)), [
-        ("stem", None, None, True, None, True),
-        ("block0.conv1", "stem", FIRST_IN_BASIC, False, None, True),
-        ("block0.conv2", "block0.conv1", SECOND_IN_BASIC, True, "stem", True)]),
+        ("stem", None, None, True, None, True, False),
+        ("block0.conv1", "stem", FIRST_IN_BASIC, False, None, True, False),
+        ("block0.conv2", "block0.conv1", SECOND_IN_BASIC, True, "stem", True, False),
+        ("head", "block0.conv2", None, False, None, False, True)]),
     "downsampling": (small_residual_arch(), [
-        ("stem", None, None, True, None, True),
-        ("block0.conv1", "stem", FIRST_IN_BASIC, False, None, True),
-        ("block0.conv2", "block0.conv1", SECOND_IN_BASIC, True, "stem", True),
-        ("block1.conv1", "block0.conv2", FIRST_IN_BASIC, False, None, True),
-        ("block1.conv2", "block1.conv1", SECOND_IN_BASIC, True, "block1.down", True),
-        ("block1.down", "block0.conv2", None, True, None, False)]),
+        ("stem", None, None, True, None, True, False),
+        ("block0.conv1", "stem", FIRST_IN_BASIC, False, None, True, False),
+        ("block0.conv2", "block0.conv1", SECOND_IN_BASIC, True, "stem", True, False),
+        ("block1.conv1", "block0.conv2", FIRST_IN_BASIC, False, None, True, False),
+        ("block1.conv2", "block1.conv1", SECOND_IN_BASIC, True, "block1.down", True, False),
+        ("block1.down", "block0.conv2", None, True, None, False, False),
+        ("head", "block1.conv2", None, False, None, False, True)]),
     "plain-into-identity-skip": (
         ArchSpec(1, 8, 8, 3, 5, (BlockDef("plain", 6), BlockDef("basic", 6, 1))), [
-            ("stem", None, None, False, None, True),
-            ("block0.conv", "stem", STANDALONE, True, None, True),
-            ("block1.conv1", "block0.conv", FIRST_IN_BASIC, False, None, True),
-            ("block1.conv2", "block1.conv1", SECOND_IN_BASIC, True, "block0.conv", True)]),
+            ("stem", None, None, False, None, True, False),
+            ("block0.conv", "stem", STANDALONE, True, None, True, False),
+            ("block1.conv1", "block0.conv", FIRST_IN_BASIC, False, None, True, False),
+            ("block1.conv2", "block1.conv1", SECOND_IN_BASIC, True, "block0.conv", True,
+             False),
+            ("head", "block1.conv2", None, False, None, False, True)]),
 }
 
 
@@ -519,9 +530,9 @@ class TestLayerTable:
         arch, want = TABLE_CASES[case]
         model = build_network(arch, seed=0)
         table = arch.table
-        assert [(e.name, e.source, e.position, e.protected, e.skip, e.relu)
+        assert [(e.name, e.source, e.position, e.protected, e.skip, e.relu, e.pool)
                 for e in table] == want
-        convs = [(name, layer) for name, layer in model.named_layers() if name != "head"]
+        convs = list(model.named_layers())
         assert [name for name, _ in convs] == [e.name for e in table]
         for entry, (_, layer) in zip(table, convs):
             assert layer.meta == entry.meta
@@ -530,8 +541,13 @@ class TestLayerTable:
                 assert entry.meta.in_channels == arch.input_channels
             else:
                 assert entry.meta.in_channels == model.layers[entry.source].meta.out_channels
-        # the head reads the last block's main path, never a skip projection
-        assert arch.output == [e.name for e in table if not e.name.endswith(".down")][-1]
+        # the head reads the last block's main path, never a skip projection,
+        # pooled to 1x1, and maps it to the classes
+        head = table[-1]
+        assert head.source == [e.name for e in table[:-1] if not e.name.endswith(".down")][-1]
+        assert head.meta == ConvMeta(model.layers[head.source].meta.out_channels, arch.classes,
+                                     1, 1, 1, 0, 1, 1)
+        assert arch.order[-1] is head
         # the forward pass runs through exactly these geometries
         x = np.zeros((1, arch.input_channels, arch.input_h, arch.input_w))
         assert model.forward(x).shape == (1, arch.classes)
@@ -550,7 +566,7 @@ class TestLayerTable:
                 assert order.index(entry.source) < order.index(entry.name)
             if entry.skip is not None:
                 assert order.index(entry.skip) < order.index(entry.name)
-        downs = [row[0] for row in want if not row[5]]
+        downs = [row[0] for row in want if not row[5] and not row[6]]
         for name in downs:
             block = name.rpartition(".")[0]
             assert order.index(name) < order.index(f"{block}.conv1")
@@ -651,7 +667,7 @@ class TestGradients:
 
     def test_backward_before_forward_is_usage_error(self, rng):
         meta = ConvMeta(2, 3, 3, 3, 1, 1, 8, 8)
-        conv = Conv2d(meta, rng=rng)
+        conv = Conv2d(meta, rng.normal(size=(18, 3)))
         with pytest.raises(RuntimeError):
             conv.backward(np.zeros((1, 3, 8, 8)))
 
@@ -660,11 +676,11 @@ class TestGradients:
         x = rng.normal(size=(2, 2, 8, 8))
         y = rng.integers(0, 3, 2)
         self.loss_grad(model, x, y)
-        g1 = model.head.grad_w.copy()
+        g1 = model.layers["head"].grad_w.copy()
         logits = model.forward(x)
         _, dlogits = losses.cross_entropy(logits, y)
         model.backward(dlogits)
-        assert np.abs(model.head.grad_w - 2 * g1).max() <= 1e-12
+        assert np.abs(model.layers["head"].grad_w - 2 * g1).max() <= 1e-12
 
 
 def private_conv_outputs(monkeypatch, model):
@@ -701,7 +717,7 @@ class TestInPlaceEpilogues:
     def test_conv_forward_leaves_input_unchanged(self, rng, case):
         if case == "1x1-view":  # im2col hands back a view of the input here
             meta = ConvMeta(4, 3, 1, 1, 1, 0, 5, 5)
-            conv = Conv2d(meta, rng=rng)
+            conv = Conv2d(meta, rng.normal(size=(4, 3)))
         else:
             meta = ConvMeta(4, 3, 3, 3, 1, 1, 5, 5)
             rank = 2 if case == "kept-pair" else 3

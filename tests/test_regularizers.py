@@ -502,3 +502,10 @@ def test_spec_validation():
         RegularizerSpec("l3", 1.0)
     with pytest.raises(ParameterError):
         RegularizerSpec("l1", -1.0)
+
+
+def test_prox_rejects_unknown_kind(rng):
+    # no kind falls through to another's map
+    a, scheme = group_matrix(rng, [2.0, 0.5])
+    with pytest.raises(ParameterError, match="unknown regularizer kind 'bogus'"):
+        reg.prox(a, scheme, "bogus", 1.0)

@@ -92,7 +92,7 @@ def test_nan_gradient_stops_before_any_parameter_moves(monkeypatch, run):
 
     def nan_head_bias_grad(dlogits):
         backward(dlogits)
-        model.head.grad_b[0] = np.nan   # the last parameter either step visits
+        model.layers["head"].grad_b[0] = np.nan   # the last parameter either step visits
     monkeypatch.setattr(model, "backward", nan_head_bias_grad)
     with pytest.raises(NumericError, match="head/b at epoch 0"):
         run(model, ds)
@@ -126,12 +126,12 @@ def test_evaluate_non_finite_weight_raises(value):
 
 def test_weight_decay_applies_to_weights_only():
     model, ds = tiny_setup()
-    model.head.b[:] = 5.0
+    model.layers["head"].b[:] = 5.0
     opt = train.SgdMomentum(model, lr=0.1, momentum=0.0, weight_decay=0.5)
     model.zero_grads()
     opt.step()  # zero grads: only decay acts
-    assert np.all(model.head.b == 5.0)          # bias untouched
-    assert np.all(model.head.grad_w == 0.0)
+    assert np.all(model.layers["head"].b == 5.0)          # bias untouched
+    assert np.all(model.layers["head"].grad_w == 0.0)
 
 
 def _teacher_run(monkeypatch, epochs):
