@@ -252,7 +252,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (ConfigError, OSError) as exc:  # CheckpointError is an OSError
+    except (ConfigError, net.ArchSizeError, OSError) as exc:  # CheckpointError is an OSError
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     except NumericError as exc:

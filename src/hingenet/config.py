@@ -91,7 +91,7 @@ class RunConfig:
                                     channels=self.arch.input_channels,
                                     height=self.arch.input_h, width=self.arch.input_w)
         except DatasetSizeError as exc:
-            key = {"classes": "arch.classes", "n_train": "data.n_train",
+            key = {"input": "arch.input", "classes": "arch.classes", "n_train": "data.n_train",
                    "n_test": "data.n_test"}[exc.size]
             raise ConfigError(f"{key} is too large: {exc}") from exc
 

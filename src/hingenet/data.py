@@ -16,8 +16,8 @@ BLOB_SIGMA_FRACTION = 0.15  # blob width relative to image height
 
 
 class DatasetSizeError(ValueError):
-    """numpy refused an array of the dataset; `size` names the field that
-    sized it (classes, n_train or n_test)."""
+    """numpy refused an array of the dataset; `size` names what sized it
+    (input, the image resolution; classes, n_train or n_test)."""
 
     def __init__(self, size: str, reason: Exception):
         super().__init__(f"numpy cannot allocate the dataset ({reason})")
@@ -41,13 +41,15 @@ def _blob_centers(classes: int, h: int, w: int) -> np.ndarray:
 
 def class_templates(classes: int, channels: int, h: int, w: int) -> np.ndarray:
     """(classes, channels, h, w) noiseless prototypes, peak value 1."""
-    centers = _blob_centers(classes, h, w)
-    sigma = BLOB_SIGMA_FRACTION * h
-    yy, xx = np.mgrid[0:h, 0:w]
-    cy, cx = centers[:, 0, None, None], centers[:, 1, None, None]
-    blobs = np.exp(-((yy - cy) ** 2 + (xx - cx) ** 2) / (2.0 * sigma * sigma))
-    out = np.empty((classes, channels, h, w), dtype=np.float64)
-    out[...] = blobs[:, None]  # same pattern on every channel
+    with _sized_by("input"):  # the pixel grid, before anything per class
+        yy, xx = np.mgrid[0:h, 0:w]
+    with _sized_by("classes"):
+        centers = _blob_centers(classes, h, w)
+        sigma = BLOB_SIGMA_FRACTION * h
+        cy, cx = centers[:, 0, None, None], centers[:, 1, None, None]
+        blobs = np.exp(-((yy - cy) ** 2 + (xx - cx) ** 2) / (2.0 * sigma * sigma))
+        out = np.empty((classes, channels, h, w), dtype=np.float64)
+        out[...] = blobs[:, None]  # same pattern on every channel
     return out
 
 
@@ -66,8 +68,7 @@ class SyntheticDataset:
     y_test: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        with _sized_by("classes"):
-            templates = class_templates(self.classes, self.channels, self.height, self.width)
+        templates = class_templates(self.classes, self.channels, self.height, self.width)
         rng = np.random.default_rng(self.seed)
         with _sized_by("n_train"):
             self.x_train, self.y_train = self._render(templates, self.n_train, rng)

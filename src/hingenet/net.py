@@ -9,8 +9,9 @@ head is a 1x1 conv on the global average of the last block's output. All
 parameters are float64 numpy arrays. Only the caching forward
 (`cache=True`, the default) keeps what backward needs: a conv keeps its
 input, not its patch matrix, which either forward frees as soon as its
-product exists. Each backward takes its layer's cache, so a step's state
-is freed as backward passes it, and a second backward raises, as does one
+product exists, and `Network` keeps each relu row's mask in one dict.
+Backward takes each conv's cache and pops each mask, so a step's state is
+freed as backward passes it, and a second backward raises, as does one
 after an inference forward (`cache=False`), which keeps nothing. The
 inference forward runs its batch in slices of `Network.inference_batch`
 samples, the most that keep every nominal patch matrix of the layer table
@@ -26,8 +27,10 @@ relu, whether a relu follows it and whether it reads its source pooled
 evaluation order, each skip projection before its block's convs. Building,
 hinging, cost planning, compaction and checkpoint reading iterate the
 table, and `Network` runs the order: one loop forward, the same loop
-reversed backward, with no block objects. The forward drops each output
-after its last reader, counted from the table.
+reversed backward, with no block objects. The loop runs each row's steps
+around its conv itself, out of place: the pooled read, the skip sum and
+the relu. The forward drops each output after its last reader, counted
+from the table; no step writes into an array another one made.
 
 Checkpoints: `Network.state_tensors` writes every checkpoint and
 `network_from_tensors` reads every one back, baseline or compacted; it
@@ -45,12 +48,11 @@ window, so the (B*out_h*out_w, kh*kw*C) patch-gradient matrix is never
 built. Weight gradients are the products `(dz.T @ col).T`: the same dot
 products as `col.T @ dz`, bit for bit, in the orientation BLAS runs
 faster. Backward unfolds `col` again from the cached input, a pure copy
-with the forward's bits, and frees it before `col2im`. The bias add, the
-skip sum and the relu run in place on the output the conv just made,
-which no cache holds yet. Stored `W` rows keep the (c, kh, kw) order that
-the checkpoints, the SVD in `hinge.attach` and compaction's row
-restriction use; `_patch_rows` is the one place that permutes them, so
-the checkpoint format and its meaning are unchanged.
+with the forward's bits, and frees it before `col2im`. The skip sum and
+the relu keep their operands' channels-last layout. Stored `W` rows keep
+the (c, kh, kw) order that the checkpoints, the SVD in `hinge.attach` and
+compaction's row restriction use; `_patch_rows` is the one place that
+permutes them, so the checkpoint format and its meaning are unchanged.
 """
 
 from collections import Counter, OrderedDict
@@ -67,6 +69,10 @@ BIAS = "bias"       # updated by plain SGD, no decay
 HINGE = "hinge"     # the sparsity-inducing matrices, updated by prox steps
 
 INFERENCE_PATCH_BYTES = 8 * 2 ** 20  # largest patch matrix of an inference slice
+
+
+class ArchSizeError(ValueError):
+    """numpy refused the weights of a layer: the architecture is too large."""
 
 
 def im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int) -> np.ndarray:
@@ -114,15 +120,6 @@ def col2im(dz: np.ndarray, w: np.ndarray, x_shape, kh: int, kw: int, stride: int
     return dxp[:, pad:pad + h, pad:pad + w_in].transpose(0, 3, 1, 2)
 
 
-def _cached(layer):
-    """Take what the layer's last caching forward kept for its backward:
-    the layer holds nothing afterwards, so a second backward raises."""
-    cache, layer._cache = layer._cache, None
-    if cache is None:
-        raise RuntimeError("backward called before forward")
-    return cache
-
-
 def _patch_rows(w: np.ndarray, meta: ConvMeta, inverse: bool = False) -> np.ndarray:
     """Permute the rows of a (patch_size x k) matrix from the stored
     (c, kh, kw) order to im2col's (kh, kw, c) order, or back."""
@@ -159,7 +156,6 @@ class Conv2d:
         self.grad_w = np.zeros_like(self.w)
         self.grad_a = None if a is None else np.zeros_like(self.a)
         self.grad_b = np.zeros_like(self.b)
-        self.needs_input_grad = True  # `Network` turns this off for the stem
         self._cache = None
 
     def forward(self, x: np.ndarray, cache: bool = True) -> np.ndarray:
@@ -169,15 +165,18 @@ class Conv2d:
         w = _patch_rows(self.w, m)
         pre = matmul(col, w)
         del col  # backward unfolds `x` again
-        z = pre if self.a is None else matmul(pre, self.a)
-        z += self.b  # `z` is fresh: `pre` is cached only when `a` follows it
+        z = (pre if self.a is None else matmul(pre, self.a)) + self.b
         if cache:  # backward needs `pre` only for grad_a
             self._cache = (x, w, None if self.a is None else pre)
-        b = x.shape[0]
-        return z.reshape(b, m.out_h, m.out_w, m.out_channels).transpose(0, 3, 1, 2)
+        return z.reshape(len(x), m.out_h, m.out_w, m.out_channels).transpose(0, 3, 1, 2)
 
-    def backward(self, dy: np.ndarray) -> np.ndarray | None:
-        x, w, pre = _cached(self)
+    def backward(self, dy: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
+        """Accumulate the parameter gradients and return the input gradient
+        (None without `input_grad`). Takes the cache of the last caching
+        forward, so a second backward raises."""
+        if self._cache is None:
+            raise RuntimeError("backward called before forward")
+        (x, w, pre), self._cache = self._cache, None
         m = self.meta
         dz = dy.transpose(0, 2, 3, 1).reshape(-1, m.out_channels)
         self.grad_b += dz.sum(axis=0)
@@ -187,7 +186,7 @@ class Conv2d:
         col = im2col(x, m.kernel_h, m.kernel_w, m.stride, m.padding)
         self.grad_w += _patch_rows(matmul(dz.T, col).T, m, inverse=True)
         del col
-        if not self.needs_input_grad:
+        if not input_grad:
             return None
         return col2im(dz, w, x.shape, m.kernel_h, m.kernel_w, m.stride, m.padding)
 
@@ -222,37 +221,6 @@ class HingedConv2d(Conv2d):
         self.a = linalg.scale_groups(self.a, self.scheme, self.mask)
         if self.scheme.kind == linalg.COLUMNS:
             self.b = self.b * self.mask.astype(np.float64)
-
-
-class ReLU:
-    def __init__(self):
-        self._cache = None
-
-    def forward(self, x, cache: bool = True):
-        """Consumes `x`: zeroes its negative entries in place, returns it."""
-        mask = x > 0
-        self._cache = mask if cache else None
-        x *= mask
-        return x
-
-    def backward(self, dy):
-        return dy * _cached(self)
-
-
-class GlobalAvgPool:
-    def __init__(self):
-        self._cache = None
-
-    def forward(self, x, cache: bool = True):
-        """The (B, C, 1, 1) channel means of `x`."""
-        self._cache = x.shape if cache else None
-        return x.mean(axis=(2, 3), keepdims=True)
-
-    def backward(self, dy):
-        b, c, h, w = _cached(self)
-        # channels-last like the activations, so no conv backward copies it
-        dx = np.broadcast_to(dy.transpose(0, 2, 3, 1) / (h * w), (b, h, w, c))
-        return dx.transpose(0, 3, 1, 2)
 
 
 @dataclass(frozen=True)
@@ -358,20 +326,19 @@ def layer_table(arch: ArchSpec):
 class Network:
     """Stem conv -> blocks -> global average pool -> 1x1 conv classifier.
 
-    `layers` maps every name in `arch.table` to its convolution, and
-    `relus` every entry that a relu follows to that relu. The forward runs
-    `arch.order`: each conv reads its source's output (pooled for the
-    head), adds its skip's and applies its relu; the logits are the last
-    conv's output. The backward runs the same order reversed. The stem
-    reads the network input, so it computes no input gradient.
+    `layers` maps every name in `arch.table` to its convolution. The
+    forward runs `arch.order`: each row reads its source's output (pooled
+    for the head), runs its conv, adds its skip's output and applies its
+    relu, each step making a new array; the logits are the last conv's
+    output. A caching forward keeps each relu row's mask in `relu_masks`,
+    which backward pops. The backward runs the same order reversed. The
+    stem reads the network input, so it computes no input gradient.
     """
 
     def __init__(self, arch: ArchSpec, layers: dict):
         self.arch = arch
         self.layers = dict(layers)
-        self.relus = {e.name: ReLU() for e in arch.order if e.relu}
-        self.pool = GlobalAvgPool()
-        self.layers["stem"].needs_input_grad = False
+        self.relu_masks = {}
         # how many readers each output has: its convs and its skips
         self._readers = Counter([e.source for e in arch.order]
                                 + [e.skip for e in arch.order if e.skip is not None])
@@ -382,6 +349,7 @@ class Network:
         """Logits of a batch. With `cache=False` no layer keeps anything
         for a backward pass (the inference forward), and the batch runs in
         slices of `inference_batch` samples whose logits are concatenated."""
+        self.relu_masks = {}
         n = self.inference_batch
         if cache or len(x) <= n:
             return self._logits(x, cache)
@@ -399,12 +367,16 @@ class Network:
         for entry in self.arch.order:
             y = read(entry.source)
             if entry.pool:
-                y = self.pool.forward(y, cache)
+                y = y.mean(axis=(2, 3), keepdims=True)
             y = self.layers[entry.name].forward(y, cache)
             if entry.skip is not None:
-                y += read(entry.skip)  # y is the conv's fresh output
+                y = y + read(entry.skip)
             if entry.relu:
-                y = self.relus[entry.name].forward(y, cache)
+                mask = y > 0
+                if cache:
+                    self.relu_masks[entry.name] = mask
+                y = y * mask
+                del mask  # an inference forward frees it before the next conv
             outs[entry.name] = y
         return y.reshape(y.shape[:2])  # the head's (B, classes, 1, 1) output
 
@@ -417,13 +389,17 @@ class Network:
         for entry in reversed(self.arch.order):
             d = grads.pop(entry.name)
             if entry.relu:
-                d = self.relus[entry.name].backward(d)
+                d = d * self.relu_masks.pop(entry.name)
             if entry.skip is not None:
                 add(entry.skip, d)
-            d = self.layers[entry.name].backward(d)
-            if entry.pool:
-                d = self.pool.backward(d)
-            if entry.source is not None:  # the stem computes no input gradient
+            # the stem reads the network input: no input gradient
+            d = self.layers[entry.name].backward(d, input_grad=entry.source is not None)
+            if entry.pool:  # the mean's gradient, channels-last like the activations
+                src = self.layers[entry.source].meta
+                d = np.broadcast_to(d.transpose(0, 2, 3, 1) / (src.out_h * src.out_w),
+                                    (len(d), src.out_h, src.out_w, d.shape[1]))
+                d = d.transpose(0, 3, 1, 2)
+            if entry.source is not None:
                 add(entry.source, d)
 
     def named_layers(self):
@@ -497,6 +473,9 @@ def _checked_layer(entry, tensors, layers, compacted):
             "and a layer without a hinge position is never compressed")
     w, b = _tensor(tensors, f"{name}/W"), _tensor(tensors, f"{name}/b")
     a = tensors.get(f"{name}/A")
+    if compacted and a is not None and mode != hinge.DECOMPOSE:
+        raise checkpoint.CheckpointError(
+            f"{name}: an A tensor in mode {mode}; only a decomposed layer keeps a pair")
     out_ch = b.shape[0] if b.ndim == 1 else 0
     full = mode != hinge.PRUNE or entry.protected
     if (mode is None or not 0 < out_ch <= nominal.out_channels
@@ -522,7 +501,7 @@ def network_from_tensors(arch: ArchSpec, tensors):
     more outputs than nominal (exactly nominal unless the layer was
     pruned, and always for a protected layer). In a compacted file a
     layer without a hinge position (the stem, a skip projection, the
-    head) is untouched."""
+    head) is untouched, and only a decomposed layer has an `A`."""
     compacted = any(key.endswith("/mode") for key in tensors)
     layers, modes = {}, {}
     for entry in arch.table:
@@ -541,7 +520,12 @@ def build_network(arch: ArchSpec, seed: int) -> Network:
     for entry in arch.order:
         m = entry.meta
         std = np.sqrt((1.0 if entry.pool else 2.0) / m.patch_size)
-        layers[entry.name] = Conv2d(m, rng.normal(0.0, std, size=(m.patch_size, m.out_channels)))
+        shape = (m.patch_size, m.out_channels)
+        try:
+            layers[entry.name] = Conv2d(m, rng.normal(0.0, std, size=shape))
+        except (MemoryError, ValueError) as exc:  # ValueError: more bytes than an index holds
+            raise ArchSizeError(f"{entry.name}: numpy cannot allocate its weights of "
+                                f"shape {shape} ({exc})") from exc
     return Network(arch, layers)
 
 

@@ -288,7 +288,7 @@ class TestSerialization:
         "rows-not-whole-kernels", "input-channels", "pruned-protected",
         "wider-than-nominal", "unknown-mode", "baseline-narrow-conv",
         "baseline-missing-head-b", "head-mode-unknown", "head-mode-pruned",
-        "head-mode-missing", "hinge-rank-mismatch"])
+        "head-mode-missing", "hinge-rank-mismatch", "pair-untouched", "pair-pruned"])
     def test_compact_checkpoint_must_fit_arch(self, corrupt):
         arch = small_residual_arch(channels=(6, 8))
         model = build_network(arch, seed=16)
@@ -309,6 +309,12 @@ class TestSerialization:
             tensors["block0.conv1/b"] = np.hstack([tensors["block0.conv1/b"]] * 2)
         elif corrupt == "hinge-rank-mismatch":   # a rank-3 A after a full-width W
             tensors["block0.conv1/A"] = np.ones((3, tensors["block0.conv1/b"].size))
+        elif corrupt.startswith("pair-"):   # only a decomposed layer keeps an A
+            name, mode = {"pair-untouched": ("stem", hinge.UNTOUCHED),
+                          "pair-pruned": ("block0.conv1", hinge.PRUNE)}[corrupt]
+            tensors[f"{name}/mode"] = np.array([hinge.MODE_BYTES[mode]], dtype=np.uint8)
+            tensors[f"{name}/W"] = tensors[f"{name}/W"][:, :2]
+            tensors[f"{name}/A"] = np.ones((2, tensors[f"{name}/b"].size))
         elif corrupt == "unknown-mode":
             tensors["stem/mode"] = np.array([7], dtype=np.uint8)
         elif corrupt == "head-mode-missing":

@@ -222,6 +222,42 @@ def test_unallocatable_dataset_error_names_its_key(tmp_path, capsys, path, value
     assert err.startswith(f"error: {_key_name(path)} is too large: numpy cannot allocate")
 
 
+@pytest.mark.parametrize("key", ["height", "width"])
+def test_unallocatable_input_size_error_names_its_key(tmp_path, capsys, key):
+    # the templates' (2, height, width) int64 pixel grid would take 2**59
+    # bytes, so numpy refuses it before allocating anything
+    cfg = write_config(tmp_path, _with_key(("arch", "input", key), 2 ** 52))
+    rc = cli.main(["train", "--config", cfg, "--out", str(tmp_path / "o.hngw")])
+    err = capsys.readouterr().err
+    assert rc == cli.EXIT_USAGE
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: arch.input is too large: numpy cannot allocate")
+
+
+# architecture widths that fit in int64 but whose first weights in draw
+# order hold more bytes than an index (stem) or an address space (block0's
+# skip projection), so numpy refuses them without allocating anything;
+# identity init, since svd init refuses a filter wider than tall
+UNALLOCATABLE_WIDTHS = [(("arch", "stem_channels"), 2 ** 60, "stem", (9, 2 ** 60)),
+                        (("arch", "blocks", 0, "channels"), 2 ** 50, "block0.down",
+                         (4, 2 ** 50))]
+
+
+@pytest.mark.parametrize("path,value,layer,shape", UNALLOCATABLE_WIDTHS,
+                         ids=[_key_name(path) for path, *_ in UNALLOCATABLE_WIDTHS])
+def test_unallocatable_weights_error_names_the_layer(tmp_path, capsys, path, value, layer,
+                                                     shape):
+    doc = _with_key(path, value)
+    doc["arch"]["hinge_init"] = "identity"
+    cfg = write_config(tmp_path, doc)
+    rc = cli.main(["train", "--config", cfg, "--out", str(tmp_path / "o.hngw")])
+    err = capsys.readouterr().err
+    assert rc == cli.EXIT_USAGE
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: {layer}: numpy cannot allocate its weights of shape {shape}")
+    assert not (tmp_path / "o.hngw").exists()
+
+
 @pytest.mark.parametrize("key", ["anneal_decay", "anneal_trigger"])
 def test_removed_anneal_key_is_unknown(tmp_path, capsys, key):
     # a config written for the removed lambda decay is refused, not
@@ -681,6 +717,20 @@ class TestCliFinetune:
         assert rc == cli.EXIT_USAGE
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith(f"error: {layer}: mode byte")
+
+    def test_evaluate_pair_on_untouched_layer_is_usage_error(self, pipeline, capsys):
+        # only a decomposed layer keeps an `A`: on the untouched stem it
+        # would be a rank-2 pair the cost report never priced
+        tensors = checkpoint.load(pipeline["compact"])
+        tensors["stem/W"] = tensors["stem/W"][:, :2]
+        tensors["stem/A"] = np.ones((2, tensors["stem/b"].size))
+        path = pipeline["tmp"] / "untouched_pair.hngw"
+        checkpoint.save(path, tensors)
+        capsys.readouterr()
+        rc = cli.main(["evaluate", "--config", pipeline["cfg"], "--ckpt", str(path)])
+        assert rc == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: stem: an A tensor")
 
     def test_evaluate_repeated_tensor_is_usage_error(self, pipeline, capsys):
         # the baseline with its stem/W record appended again, count one higher

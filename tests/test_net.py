@@ -9,8 +9,8 @@ from conftest import small_plain_arch, small_residual_arch
 from hingenet import linalg, losses, net
 from hingenet.hinge import FIRST_IN_BASIC, SECOND_IN_BASIC, STANDALONE, ConvMeta
 from hingenet.compaction import compact
-from hingenet.net import (ArchSpec, BlockDef, Conv2d, GlobalAvgPool, HingedConv2d, ReLU,
-                          attach_hinges, build_network, col2im, im2col)
+from hingenet.net import (ArchSpec, BlockDef, Conv2d, HingedConv2d, attach_hinges,
+                          build_network, col2im, im2col)
 
 
 def naive_conv(x, w_mat, bias, meta):
@@ -193,9 +193,8 @@ class TestWeightGradOrientation:
             w = rng.normal(size=(meta.patch_size, k))
             a = None if rank is None else rng.normal(size=(rank, meta.out_channels))
             conv = Conv2d(meta, w, a)
-            conv.needs_input_grad = False
             conv.forward(x)
-            conv.backward(dy)
+            conv.backward(dy, input_grad=False)
             w_cols, dpre = net._patch_rows(w, meta), dz
             if a is not None:
                 pre = col @ w_cols
@@ -275,16 +274,25 @@ def inference_case(kind):
 
 
 def caching_parts(model):
-    """Every object of `model` that keeps something for backward."""
-    return [*model.layers.values(), *model.relus.values(), model.pool]
+    """What `model` keeps for backward: "<name>/conv" for each conv that
+    holds a cache and "<name>/relu" for each relu mask the network holds."""
+    return ({f"{name}/conv" for name, layer in model.layers.items() if layer._cache is not None}
+            | {f"{name}/relu" for name in model.relu_masks})
 
 
-LAYER_KINDS = ("conv", "hinged", "kept-pair", "linear", "relu", "pool")
+def every_part(arch):
+    """What a caching forward of `arch` keeps: one cache per conv, one mask
+    per relu row."""
+    return {f"{e.name}/conv" for e in arch.table} | {f"{e.name}/relu" for e in arch.table
+                                                     if e.relu}
+
+
+LAYER_KINDS = ("conv", "hinged", "kept-pair", "linear")
 
 
 def layer_case(rng, kind):
-    """One layer of each kind that caches for backward, and an input;
-    "linear" is the head, a 1x1 conv on pooled features."""
+    """One conv of each kind, and an input; "linear" is the head, a 1x1
+    conv on pooled features."""
     meta = ConvMeta(2, 3, 3, 3, 1, 1, 4, 4)
     scheme = linalg.GroupScheme(linalg.ROWS, (3, 3))
     return {
@@ -296,8 +304,6 @@ def layer_case(rng, kind):
                       rng.normal(size=(2, 2, 4, 4))),
         "linear": (Conv2d(ConvMeta(5, 3, 1, 1, 1, 0, 1, 1), rng.normal(size=(5, 3))),
                    rng.normal(size=(2, 5, 1, 1))),
-        "relu": (ReLU(), rng.normal(size=(2, 5))),
-        "pool": (GlobalAvgPool(), rng.normal(size=(2, 3, 4, 4))),
     }[kind]
 
 
@@ -308,9 +314,14 @@ class TestInferenceForward:
         arch = model.arch
         x = rng.normal(size=(3, arch.input_channels, arch.input_h, arch.input_w))
         cached = model.forward(x)
-        assert all(part._cache is not None for part in caching_parts(model))
+        assert caching_parts(model) == every_part(arch)
+        model.backward(np.ones_like(cached))
+        assert not caching_parts(model)
+        with pytest.raises(RuntimeError, match="backward called before forward"):
+            model.backward(np.ones_like(cached))
+        model.forward(x)  # the inference forward drops what this one keeps
         assert np.array_equal(model.forward(x, cache=False), cached)
-        assert all(part._cache is None for part in caching_parts(model))
+        assert not caching_parts(model)
         with pytest.raises(RuntimeError, match="backward called before forward"):
             model.backward(np.ones_like(cached))
 
@@ -350,12 +361,12 @@ class TestBackwardCache:
                 seen[name] = (x, x.copy())
                 return fwd(x, cache)
 
-            def backward(dy, name=name, layer=layer, bwd=layer.backward):
+            def backward(dy, input_grad=True, name=name, layer=layer, bwd=layer.backward):
                 x, x0 = seen[name]
                 assert layer._cache[0] is x, name
                 assert np.array_equal(x, x0), name
                 checked.append(name)
-                return bwd(dy)
+                return bwd(dy, input_grad)
             monkeypatch.setattr(layer, "forward", forward)
             monkeypatch.setattr(layer, "backward", backward)
         x = rng.normal(size=(3, arch.input_channels, arch.input_h, arch.input_w))
@@ -364,7 +375,7 @@ class TestBackwardCache:
             assert layer._cache[0] is seen[name][0], name
         model.backward(np.ones_like(logits))
         assert sorted(checked) == sorted(model.layers)
-        assert all(part._cache is None for part in caching_parts(model))
+        assert not caching_parts(model)
         monkeypatch.undo()  # the head's own backward is the first to raise
         with pytest.raises(RuntimeError, match="backward called before forward"):
             model.backward(np.ones_like(logits))
@@ -422,7 +433,7 @@ class TestSlicedInference:
         sizes = record_stem_batches(monkeypatch, model)
         got = model.forward(x, cache=False)
         assert sizes == [7, 7, 3]
-        assert all(part._cache is None for part in caching_parts(model))
+        assert not caching_parts(model)
         per_slice = np.concatenate([model.forward(x[s:s + 7]) for s in (0, 7, 14)])
         per_sample = np.concatenate([model.forward(x[i:i + 1]) for i in range(17)])
         assert np.array_equal(got, per_slice)
@@ -436,7 +447,7 @@ class TestSlicedInference:
         sizes = record_stem_batches(monkeypatch, model)
         got = model.forward(x, cache=False)
         assert sizes == [1, 1, 1]
-        assert all(part._cache is None for part in caching_parts(model))
+        assert not caching_parts(model)
         assert np.array_equal(got, np.concatenate([model.forward(x[i:i + 1]) for i in range(3)]))
 
 
@@ -457,17 +468,16 @@ def training_step(model):
 
 
 class TestForwardMemory:
-    """The forward drops every activation after its last reader, and adds
-    the bias, sums the skip and applies the relu in place. A caching conv
-    keeps its input, not its patch matrix (9x larger for a 3x3 kernel),
-    and every backward takes its layer's cache. Measured peaks (numpy
-    2.4): the wide inference forward 10.78 MiB, the toy caching forward
-    12.54 MiB, a toy training step at batch 32 13.56 MiB and a hinged toy
-    step at batch 16, the phase's batch, 8.30 MiB. Caching patch matrices,
-    they read 10.85, 27.86, 30.61 and 17.44 MiB. Keeping every output to
-    the end of the forward reads 11.22 MiB for the wide forward. With the
-    patch matrix freed before the epilogues, running those out of place
-    moves none of these peaks."""
+    """The forward drops every activation after its last reader, and an
+    inference forward each relu mask once applied. A caching conv keeps its
+    input, not its patch matrix (9x larger for a 3x3 kernel), and every
+    backward takes its layer's cache. Measured peaks (numpy 2.4): the wide
+    inference forward 10.78 MiB, the toy caching forward 12.54 MiB, a toy
+    training step at batch 32 13.55 MiB and a hinged toy step at batch 16,
+    the phase's batch, 8.30 MiB. Caching patch matrices, they read 10.85,
+    27.86, 30.61 and 17.44 MiB. Keeping every output to the end of the
+    forward reads 11.22 MiB for the wide forward, and keeping the last relu
+    mask until the next one 10.89 MiB."""
 
     def test_wide_inference_forward_peak(self, rng):
         # perfbench's wide-compress net: 16 samples run as slices of 7, 7, 2
@@ -553,7 +563,7 @@ class TestLayerTable:
         assert model.forward(x).shape == (1, arch.classes)
 
     @pytest.mark.parametrize("case", list(TABLE_CASES))
-    def test_network_runs_the_table_wiring(self, case):
+    def test_network_runs_the_table_wiring(self, monkeypatch, case):
         # a skip projection is evaluated before its block's convs, every
         # other entry is followed by its own relu, and only the stem reads
         # the network input
@@ -570,10 +580,16 @@ class TestLayerTable:
         for name in downs:
             block = name.rpartition(".")[0]
             assert order.index(name) < order.index(f"{block}.conv1")
-        assert sorted(model.relus) == sorted(row[0] for row in want if row[5])
-        assert not model.layers["stem"].needs_input_grad
-        assert all(layer.needs_input_grad for name, layer in model.layers.items()
-                   if name != "stem")
+        input_grads = {}
+        for name, layer in model.layers.items():
+            def backward(dy, input_grad=True, name=name, bwd=layer.backward):
+                input_grads[name] = input_grad
+                return bwd(dy, input_grad)
+            monkeypatch.setattr(layer, "backward", backward)
+        logits = model.forward(np.zeros((1, arch.input_channels, arch.input_h, arch.input_w)))
+        assert sorted(model.relu_masks) == sorted(row[0] for row in want if row[5])
+        model.backward(np.ones_like(logits))
+        assert input_grads == {name: name != "stem" for name in model.layers}
 
     def test_spatial_sizes_follow_strides(self):
         arch = small_residual_arch()
@@ -700,8 +716,9 @@ def gradient_state(model, x, y):
 
 
 class TestInPlaceEpilogues:
-    """The bias add, the skip sum and the relu run in place on the conv
-    output the forward just made; nothing else may change."""
+    """The bias add, the skip sum and the relu each make a new array: no
+    forward changes its input, and handing every conv output on as a
+    private copy changes no logit and no gradient bit."""
 
     @pytest.mark.parametrize("kind", ["plain", "basic", "hinged", "compacted-kept-pair"])
     def test_network_forward_leaves_input_unchanged(self, rng, kind):
@@ -746,12 +763,6 @@ class TestInPlaceEpilogues:
         assert grads.keys() == want.keys()
         for name in grads:
             assert np.array_equal(grads[name], want[name]), name
-
-    def test_relu_consumes_its_input(self, rng):
-        x = rng.normal(size=(3, 4))
-        want = np.where(x > 0, x, 0.0)
-        assert ReLU().forward(x) is x
-        assert np.array_equal(x, want)
 
 
 def test_every_product_goes_through_matmul(rng, monkeypatch):
