@@ -17,9 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import checkpoint, compaction, net, solver, train as training, verify
+from . import checkpoint, compaction, cost, net, solver, train as training, verify
 from .config import ConfigError, load_config
-from .cost import compression_ratio
 from .linalg import NumericError
 
 EXIT_OK = 0
@@ -108,7 +107,7 @@ def cmd_compress(args) -> int:
 
     state = solver.run_compression(model, dataset, cfg.compress, log=_log)
 
-    floor = compression_ratio(model, np.inf)
+    floor = cost.compression_ratio(model, np.inf)
     report = {
         "target_ratio": target,
         "stop_margin": cfg.compress.stop_margin,
@@ -130,10 +129,9 @@ def cmd_compress(args) -> int:
     search = solver.binary_search_threshold(model, target,
                                             criterion=SEARCH_CRITERION)
     solver.apply_threshold(model, search.threshold)
-    compact_model = compaction.compact(model)
-    deviation = compaction.verify_equivalence(model, compact_model.network,
-                                              n_inputs=16, seed=cfg.seed)
-    checkpoint.save(args.out, compact_model.network.state_tensors(compact_model.modes))
+    compacted, plans = compaction.compact(model)
+    deviation = compaction.verify_equivalence(model, compacted, n_inputs=16, seed=cfg.seed)
+    checkpoint.save(args.out, compacted.state_tensors({p.name: p.mode for p in plans}))
 
     report.update({
         "threshold": search.threshold,
@@ -142,10 +140,10 @@ def cmd_compress(args) -> int:
         "equivalence_max_abs_deviation": deviation,
         "infeasible": False,
     })
-    report.update(compact_model.report.to_dict())
+    report.update(cost.report(plans))
     if args.report:
         _write_json(args.report, report)
-    _log({"event": "compressed", "gamma": compact_model.report.gamma,
+    _log({"event": "compressed", "gamma": report["gamma"],
           "threshold": search.threshold, "exact": search.exact})
     return EXIT_OK
 

@@ -9,16 +9,16 @@ pair (W restricted to alive columns, A to alive rows) as two convolutions
 when that is cheaper, and merge back otherwise. Channel removal propagates
 into the next layer's input rows, and biases ride with the output side.
 The compacted network computes the same function as the masked one up to
-float roundoff. `Network.state_tensors(CompactModel.modes)` writes it with
-a mode byte per layer.
+float roundoff. `compact` returns it with the cost plan it was built
+from: the plan's layer modes are the mode bytes its checkpoint stores,
+and `cost.report` prices it.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from . import cost
-from .cost import build_plan, report_from_plan
+from .cost import build_plan
 from .hinge import MODE_BYTES, PRUNE, UNTOUCHED
 from .linalg import NumericError, matmul, quiet_overflow
 from .net import Network, network_from_tensors
@@ -46,21 +46,16 @@ def _conv_tensors(layer, plan) -> dict:
     return {"W": matmul(w, a), "b": layer.b.copy()}
 
 
-@dataclass
-class CompactModel:
+class Compacted(NamedTuple):
     network: Network
-    report: cost.CostReport
-
-    @property
-    def modes(self) -> dict:
-        return {p.name: p.mode for p in self.report.per_layer}
+    plans: list   # cost.LayerPlan per layer, in table order
 
 
-def compact(net: Network) -> CompactModel:
-    """Compact `net` according to its current masks. The masks are applied
-    (dead groups zeroed) first, which is the state the equivalence claim
-    refers to. Dead channels are removed end to end, the head's input
-    channels included."""
+def compact(net: Network) -> Compacted:
+    """Compact `net` according to its current masks; the network and the
+    plan it was built from. The masks are applied (dead groups zeroed)
+    first, which is the state the equivalence claim refers to. Dead
+    channels are removed end to end, the head's input channels included."""
     for _, layer in net.hinged_layers():
         layer.apply_mask()
     plans = build_plan(net, threshold=None)
@@ -70,7 +65,7 @@ def compact(net: Network) -> CompactModel:
         for key, t in _conv_tensors(net.layers[plan.name], plan).items():
             tensors[f"{plan.name}/{key}"] = t
     network, _ = network_from_tensors(net.arch, tensors)
-    return CompactModel(network=network, report=report_from_plan(plans))
+    return Compacted(network, plans)
 
 
 @quiet_overflow()

@@ -103,8 +103,8 @@ _ANY, _POSITIVE = {"low": None}, {"strict": True}
 _TRAIN_RULES = {"epochs": _INT, "batch_size": _COUNT, "lr": _POSITIVE, "momentum": {},
                 "weight_decay": {}, "finetune_epochs": _INT, "finetune_lr": _POSITIVE}
 _COMPRESS_RULES = {"target_ratio": _ANY, "stop_margin": _ANY, "nullify_threshold": {},
-                   "eta": _POSITIVE, "lr_ratio": {}, "m": _ANY, "weight_decay": {},
-                   "max_epochs": _INT, "batch_size": _COUNT}
+                   "eta": _POSITIVE, "lr_ratio": {}, "m": _ANY, "max_epochs": _INT,
+                   "batch_size": _COUNT}
 
 _DEFAULT_BLOCKS = [{"kind": "basic", "channels": 16, "stride": 1},
                    {"kind": "basic", "channels": 32, "stride": 2}]
@@ -166,11 +166,12 @@ def _parse_regularizer(section: dict) -> RegularizerSpec:
         raise ConfigError(str(exc)) from exc
 
 
-def _parse_compress(section: dict, seed: int) -> CompressionConfig:
+def _parse_compress(section: dict, seed: int, weight_decay: float) -> CompressionConfig:
     kwargs = _checked(section, _COMPRESS_RULES, "compress", other_keys={"regularizer"})
     reg = _parse_regularizer(section.get("regularizer", {}))
-    try:  # the phase's shuffle draws from the run's seed
-        return CompressionConfig(regularizer=reg, seed=seed, **kwargs)
+    try:  # the phase shuffles by the run's seed and decays filters as training does
+        return CompressionConfig(regularizer=reg, seed=seed, weight_decay=weight_decay,
+                                 **kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -196,7 +197,7 @@ def parse_config(doc: dict) -> RunConfig:
                                          for i, d in enumerate(drops))
     train_cfg = TrainConfig(**train_kwargs)
 
-    compress_cfg = _parse_compress(doc.get("compress", {}), seed)
+    compress_cfg = _parse_compress(doc.get("compress", {}), seed, train_cfg.weight_decay)
 
     try:
         distill_cfg = DistillConfig(**_checked(

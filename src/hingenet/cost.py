@@ -8,9 +8,9 @@ per kept output; the head is a 1x1 conv at one position. gamma is
 always measured against the original un-hinged model.
 
 `build_plan` is the single source of truth for what a nullified model
-costs: the ratio during optimization and the search, the report of the
-compacted model and the tensors `compaction.compact` builds all come from
-it. Column groups prune the outputs; row groups set a rank `r`, and the
+costs: the ratio during optimization and the search, the cost fields of
+the compress report (`report`, the one place gamma is computed) and the
+tensors `compaction.compact` builds all come from it. Column groups prune the outputs; row groups set a rank `r`, and the
 reduced pair is kept only when `r * (k + out) < k * out`. It is the one
 guard that refuses to prune a layer whose output a skip reads.
 """
@@ -39,33 +39,6 @@ class LayerPlan:
     params_original: int
     alive_out_idx: np.ndarray = field(repr=False)
     alive_in_idx: np.ndarray = field(repr=False)  # source's alive outputs
-
-
-@dataclass
-class CostReport:
-    flops_original: int
-    flops_compressed: int
-    params_original: int
-    params_compressed: int
-    gamma: float
-    per_layer: list
-
-    def to_dict(self) -> dict:
-        return {
-            "flop_convention": "2*MAC, biases and activations ignored",
-            "flops_original": self.flops_original,
-            "flops_compressed": self.flops_compressed,
-            "params_original": self.params_original,
-            "params_compressed": self.params_compressed,
-            "gamma": self.gamma,
-            "per_layer": [
-                {"name": p.name, "mode": p.mode, "alive_in": p.alive_in,
-                 "alive_out": p.alive_out, "rank": p.rank,
-                 "kept_pair": p.kept_pair, "flops": p.flops, "params": p.params,
-                 "flops_original": p.flops_original,
-                 "ratio": p.flops / p.flops_original if p.flops_original else 1.0}
-                for p in self.per_layer],
-        }
 
 
 def _plan(name, mode, in_idx, out_idx, rank, taps, positions, nominal) -> LayerPlan:
@@ -115,16 +88,29 @@ def build_plan(net: Network, threshold: float | None = None) -> list:
     return list(plans.values())
 
 
-def report_from_plan(plans: list) -> CostReport:
+def report(plans: list) -> dict:
+    """The cost fields of the compress report: totals, gamma and one row
+    per layer plan."""
     flops_orig = sum(p.flops_original for p in plans)
     flops_comp = sum(p.flops for p in plans)
-    return CostReport(flops_original=flops_orig, flops_compressed=flops_comp,
-                      params_original=sum(p.params_original for p in plans),
-                      params_compressed=sum(p.params for p in plans),
-                      gamma=flops_comp / flops_orig, per_layer=plans)
+    return {
+        "flop_convention": "2*MAC, biases and activations ignored",
+        "flops_original": flops_orig,
+        "flops_compressed": flops_comp,
+        "params_original": sum(p.params_original for p in plans),
+        "params_compressed": sum(p.params for p in plans),
+        "gamma": flops_comp / flops_orig,
+        "per_layer": [
+            {"name": p.name, "mode": p.mode, "alive_in": p.alive_in,
+             "alive_out": p.alive_out, "rank": p.rank,
+             "kept_pair": p.kept_pair, "flops": p.flops, "params": p.params,
+             "flops_original": p.flops_original,
+             "ratio": p.flops / p.flops_original if p.flops_original else 1.0}
+            for p in plans],
+    }
 
 
 def compression_ratio(net: Network, threshold: float | None) -> float:
     """gamma = FLOPs after hypothetical nullification at `threshold`,
     divided by the original un-hinged model's FLOPs. Pure."""
-    return report_from_plan(build_plan(net, threshold=threshold)).gamma
+    return report(build_plan(net, threshold=threshold))["gamma"]

@@ -41,8 +41,9 @@ def _blob_centers(classes: int, h: int, w: int) -> np.ndarray:
 
 def class_templates(classes: int, channels: int, h: int, w: int) -> np.ndarray:
     """(classes, channels, h, w) noiseless prototypes, peak value 1."""
-    with _sized_by("input"):  # the pixel grid, before anything per class
+    with _sized_by("input"):  # the pixel grid and one sample, before anything per class
         yy, xx = np.mgrid[0:h, 0:w]
+        np.empty((channels, h, w))  # numpy refuses a sample too large here
     with _sized_by("classes"):
         centers = _blob_centers(classes, h, w)
         sigma = BLOB_SIGMA_FRACTION * h

@@ -11,9 +11,10 @@ them) gets rows, so its output channels survive. `cost.build_plan` refuses
 to prune such a layer.
 
 The phase's group bookkeeping lives here too: `mean_alive_norm` is the one
-mean over alive groups (lambda balancing, the gradient-ratio lr rule and
-the epoch log read it), and `update_mask` kills groups at epoch end and in
-the threshold search. `HingedConv2d.apply_mask` zeroes the dead groups.
+mean over alive groups (the phase's epoch-end norms, which the log and the
+next epoch's lambdas read, and the gradient-ratio lr rule), and
+`update_mask` kills groups at epoch end and in the threshold search.
+`HingedConv2d.apply_mask` zeroes the dead groups.
 """
 
 from dataclasses import dataclass

@@ -410,15 +410,6 @@ class Network:
         return [(name, layer) for name, layer in self.named_layers()
                 if isinstance(layer, HingedConv2d)]
 
-    def hinged_basic_pairs(self):
-        """(block name, conv1, conv2) for every basic block whose convs are
-        both hinged; used by the gradient-ratio learning-rate rule."""
-        hinged = dict(self.hinged_layers())
-        return [(entry.name.rpartition(".")[0], hinged[entry.source], hinged[entry.name])
-                for entry in self.arch.table
-                if entry.position == hinge.SECOND_IN_BASIC
-                and entry.name in hinged and entry.source in hinged]
-
     def params(self):
         for name, layer in self.named_layers():
             yield from layer.params(name)

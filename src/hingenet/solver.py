@@ -1,17 +1,18 @@
 """Proximal-gradient compression and the nullifying-threshold search.
 
 Each epoch is one `train.sgd_epoch` pass, the batch loop training uses.
-Its per-batch step gives the filter weights a small plain-SGD step while
-each hinge matrix takes a gradient step followed by the closed-form group
-prox, and is then masked once: its dead groups, and a pruned layer's dead
-biases, are zeroed. The pass has checked the loss and every gradient before
-the step runs. At the end of every epoch, groups whose norm fell below the
-nullifying threshold are masked (permanently), the compression ratio is
-recomputed, and the learning rate of the first matrix in each residual pair
-is adjusted by the ratio of the mean alive gradient group norms. Each epoch
-starts by rebalancing each layer's regularization factor by its mean alive
-group norm (`hinge.mean_alive_norm`). The loop stops when the ratio is
-within the stop margin of the target.
+Its per-batch step gives the filters a small plain-SGD step (weight decay
+`train.weight_decay`) while each hinge matrix takes a gradient step and
+the closed-form group prox at its layer's λ, the base λ times the layer's
+mean alive group norm (`hinge.mean_alive_norm`); then it masks each hinge
+once, zeroing its dead groups and a pruned layer's dead biases. The pass
+has checked the loss and every gradient before the step runs. At the end
+of every epoch, groups whose norm fell below the nullifying threshold are
+masked (permanently), the ratio and the mean alive group norms (the next
+epoch's λ balance) are measured, and the first matrix of each residual
+pair gets the lr of the gradient-ratio rule. The phase keys every
+per-layer map by layer name. The loop stops when the ratio is within the
+stop margin of the target.
 
 The threshold search afterwards bisects the sorted alive group norms: the
 ratio is a non-increasing staircase in the threshold that steps only at
@@ -42,7 +43,7 @@ class CompressionConfig:
     eta: float = 0.1                  # learning rate of the hinge matrices
     lr_ratio: float = 0.01            # filter lr = lr_ratio * eta
     m: float = 1.35                   # exponent of the gradient-ratio lr rule
-    weight_decay: float = 1e-4
+    weight_decay: float = 1e-4        # the run's train.weight_decay
     max_epochs: int = 500
     seed: int = 0
     batch_size: int = 32
@@ -65,42 +66,19 @@ class CompressionState:
     gamma_history: list = field(default_factory=list)
 
 
-def sgd_step_w(param: np.ndarray, grad: np.ndarray, eta_s: float,
-               mu: float) -> np.ndarray:
-    """One plain SGD step with weight decay folded into the gradient."""
-    return param - eta_s * (grad + mu * param)
-
-
-def prox_step_a(layer, grad_a: np.ndarray, lr: float, kind: str,
-                layer_lambda: float) -> np.ndarray:
-    """The hinge matrix after a gradient step and the group prox of
-    regularizer `kind` at strength layer_lambda * lr. Dead groups are not
-    zeroed here: the phase's step masks the layer once it assigns it. The
-    layer is not changed."""
-    moved = layer.a - lr * grad_a
-    return prox(moved, layer.scheme, kind, layer_lambda * lr)
-
-
-def balance_lambda(layer, base_lambda: float) -> float:
-    """Layer regularization factor: base factor times the mean alive group
-    norm, so layers with large norms get proportionally more shrinkage."""
-    return base_lambda * hinge.mean_alive_norm(layer.a, layer.scheme, layer.mask)
-
-
-def adjust_learning_rates(pairs, grad_sums: dict, eta: float, m: float,
+def adjust_learning_rates(pairs, hinged: dict, grad_sums: dict, eta: float, m: float,
                           prev_rho: dict, warn=None) -> tuple[dict, dict]:
     """Per-matrix learning rates for the next epoch. For each residual
-    pair, rho is the ratio of mean gradient group norms (first over second
-    matrix) and the first matrix's lr is eta / rho^m; an lr that is not
-    finite, or is zero, raises NumericError. Returns the lr per matrix id
-    and the rho per block."""
+    pair (block, first conv, second conv; layer names into `hinged` and
+    `grad_sums`), rho is the ratio of mean alive gradient group norms
+    (first over second matrix) and the first matrix's lr is eta / rho^m;
+    an lr that is not finite, or is zero, raises NumericError. Returns the
+    lr per layer name and the rho per block."""
     lr_map = {}
     rho_map = {}
-    for block_name, conv1, conv2 in pairs:
-        g1 = grad_sums[id(conv1)]
-        g2 = grad_sums[id(conv2)]
-        mean1 = hinge.mean_alive_norm(g1, conv1.scheme, conv1.mask)
-        mean2 = hinge.mean_alive_norm(g2, conv2.scheme, conv2.mask)
+    for block_name, first, second in pairs:
+        mean1, mean2 = (hinge.mean_alive_norm(grad_sums[name], hinged[name].scheme,
+                                              hinged[name].mask) for name in (first, second))
         if mean2 == 0.0 or not math.isfinite(mean1 / mean2) or mean1 == 0.0:
             rho = prev_rho.get(block_name, 1.0)
             if warn is not None:
@@ -116,9 +94,14 @@ def adjust_learning_rates(pairs, grad_sums: dict, eta: float, m: float,
         if not math.isfinite(lr) or lr == 0.0:
             raise NumericError(f"{block_name}: learning rate eta / rho^m is zero or not "
                                f"finite (rho {rho:.6g}, compress.m {m:g})")
-        lr_map[id(conv1)] = lr
-        lr_map[id(conv2)] = eta
+        lr_map[first] = lr
+        lr_map[second] = eta
     return lr_map, rho_map
+
+
+def _mean_norms(hinged: dict) -> dict:
+    return {name: hinge.mean_alive_norm(layer.a, layer.scheme, layer.mask)
+            for name, layer in hinged.items()}
 
 
 @quiet_overflow()
@@ -129,57 +112,59 @@ def run_compression(net: Network, dataset, config: CompressionConfig,
     is hit. Masks are permanent, so the ratio is non-increasing across
     epochs."""
     state = CompressionState()
-    hinged = net.hinged_layers()
+    hinged = dict(net.hinged_layers())
     if not hinged:
         raise ValueError("run_compression needs a hinged network")
-    pairs = net.hinged_basic_pairs()
-    lr_map = {id(layer): config.eta for _, layer in hinged}
-    prev_rho = {}
+    # the lr rule's (block, first conv, second conv) of every residual block
+    # hinged on both convs; any other hinge keeps eta
+    pairs = [(entry.name.rpartition(".")[0], entry.source, entry.name)
+             for entry in net.arch.table
+             if entry.position == hinge.SECOND_IN_BASIC
+             and entry.name in hinged and entry.source in hinged]
+    lr = dict.fromkeys(hinged, config.eta)
+    rho = {}
+    mean_norms = _mean_norms(hinged)  # epoch 0 balances lambda by the attach-time norms
+    kind, lam_base, eta_s = config.regularizer.kind, config.regularizer.lam, config.eta_s
     rng = np.random.default_rng(config.seed)
 
     def score(logits, idx):
         return losses.cross_entropy(logits, dataset.y_train[idx])
 
-    def step():  # reads this epoch's lr_map, lam_l and grad_sums
+    def step():  # reads this epoch's lr, lam and grad_sums
         # every prox runs before any tensor moves, so one that raises
         # leaves the network as it was
-        new_a = [prox_step_a(layer, layer.grad_a, lr_map[id(layer)],
-                             config.regularizer.kind, lam_l[name]) for name, layer in hinged]
-        for _, kind, layer, attr in net.params():
-            if kind == HINGE:
+        new_a = {name: prox(layer.a - lr[name] * layer.grad_a, layer.scheme, kind,
+                            lam[name] * lr[name]) for name, layer in hinged.items()}
+        for _, param_kind, layer, attr in net.params():
+            if param_kind == HINGE:
                 continue
-            mu = config.weight_decay if kind == WEIGHT else 0.0
-            setattr(layer, attr, sgd_step_w(getattr(layer, attr),
-                                            getattr(layer, f"grad_{attr}"),
-                                            config.eta_s, mu))
-        for (_, layer), a in zip(hinged, new_a):
-            grad_sums[id(layer)] += layer.grad_a
-            layer.a = a
+            mu = config.weight_decay if param_kind == WEIGHT else 0.0
+            p = getattr(layer, attr)
+            setattr(layer, attr, p - eta_s * (getattr(layer, f"grad_{attr}") + mu * p))
+        for name, layer in hinged.items():
+            grad_sums[name] += layer.grad_a
+            layer.a = new_a[name]
             layer.apply_mask()  # the step's one mask: dead groups and dead biases
 
     for epoch in range(config.max_epochs):
-        lam_l = {name: balance_lambda(layer, config.regularizer.lam)
-                 for name, layer in hinged}
-        grad_sums = {id(layer): np.zeros_like(layer.a) for _, layer in hinged}
+        lam = {name: lam_base * mean for name, mean in mean_norms.items()}
+        grad_sums = {name: np.zeros_like(layer.a) for name, layer in hinged.items()}
         sgd_epoch(net, dataset, config.batch_size, rng, score, step, "compression", epoch)
 
         # Epoch end: mask, measure, adjust.
         apply_threshold(net, config.nullify_threshold)
         state.gamma_c = compression_ratio(net, None)  # prices the masks just set
         state.gamma_history.append(state.gamma_c)
-        mean_norms = {name: hinge.mean_alive_norm(layer.a, layer.scheme, layer.mask)
-                      for name, layer in hinged}
-        if pairs:  # layers outside a residual pair keep eta
-            pair_lr, prev_rho = adjust_learning_rates(
-                pairs, grad_sums, config.eta, config.m, prev_rho, warn=log)
-            lr_map.update(pair_lr)
+        mean_norms = _mean_norms(hinged)  # the next epoch's too: nothing moves in between
+        pair_lr, rho = adjust_learning_rates(pairs, hinged, grad_sums, config.eta, config.m,
+                                             rho, warn=log)
+        lr.update(pair_lr)
 
         if log is not None:
             log({"epoch": epoch, "gamma_c": state.gamma_c,
                  "mean_group_norms": mean_norms,
-                 "alive_groups": {name: int(layer.mask.sum()) for name, layer in hinged},
-                 "lambda_layer": dict(lam_l),
-                 "rho": dict(prev_rho) if pairs else {}})
+                 "alive_groups": {name: int(layer.mask.sum()) for name, layer in hinged.items()},
+                 "lambda_layer": lam, "rho": rho})
         if state.gamma_c - config.target_ratio <= config.stop_margin:
             state.converged = True
             break

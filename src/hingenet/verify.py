@@ -230,11 +230,11 @@ def equivalence_suite(cases: int = 100, seed: int = 11, tol: float = 1e-10,
     for case in range(cases):
         model = random_masked_model(rng)
         hypothetical = compression_ratio(model, None)
-        compact_model = compaction.compact(model)
-        dev = compaction.verify_equivalence(model, compact_model.network,
+        compacted, _ = compaction.compact(model)
+        dev = compaction.verify_equivalence(model, compacted,
                                             n_inputs=8, seed=int(rng.integers(2 ** 31)))
         # the un-hinged model's W has the hinged W's shape
-        gamma = (_tensor_flops(compact_model.network, count_a=True)
+        gamma = (_tensor_flops(compacted, count_a=True)
                  / _tensor_flops(model, count_a=False))
         gdev = abs(gamma - hypothetical)
         devs.append(dev)

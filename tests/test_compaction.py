@@ -1,17 +1,29 @@
 import hashlib
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from conftest import small_plain_arch, small_residual_arch
-from hingenet import checkpoint, cost, hinge, linalg, verify
+from hingenet import checkpoint, compaction, cost, hinge, linalg, verify
 from hingenet import net as net_module
-from hingenet.compaction import StructuralError, compact, verify_equivalence
+from hingenet.compaction import StructuralError, verify_equivalence
 from hingenet.config import load_config
 from hingenet.net import (Conv2d, HingedConv2d, attach_hinges, build_network,
                           network_from_tensors)
+
+
+def compact(model):
+    """`compaction.compact`, read as this module's tests read it: the
+    network, its layer modes, and the report, `cost.report` of the plans
+    with the plans as `per_layer`."""
+    network, plans = compaction.compact(model)
+    fields = cost.report(plans)
+    report = SimpleNamespace(**{**fields, "per_layer": plans}, to_dict=lambda: fields)
+    return SimpleNamespace(network=network, modes={p.name: p.mode for p in plans},
+                           report=report)
 
 
 def one_hinge_net(rng, kind, n=8):
@@ -384,7 +396,7 @@ def test_phase_free_compression_is_one_global_singular_value_cutoff(tmp_path, mo
     hinge's row i has norm s_i, so each compacted pair W_r A_r is that
     layer's rank-r truncated SVD (Denton et al. 2014, one cutoff for all
     layers)."""
-    from hingenet import cli, compaction
+    from hingenet import cli
     doc = json.loads((Path(__file__).parent.parent / "configs" / "toy.json").read_text())
     doc["arch"]["first_hinge_groups"] = "rows"
     doc["compress"]["max_epochs"] = 0
@@ -404,9 +416,9 @@ def test_phase_free_compression_is_one_global_singular_value_cutoff(tmp_path, mo
     assert cli.main(["compress", "--config", str(cfg), "--ckpt", str(base),
                      "--out", str(tmp_path / "c.hngw"), "--report", str(report)]) == 0
     threshold = json.loads(report.read_text())["threshold"]
-    [cm] = compacted
+    [(network, plans)] = compacted
     ranks = {}
-    for plan in cm.report.per_layer[:-1]:
+    for plan in plans[:-1]:
         if plan.mode == hinge.UNTOUCHED:
             continue
         assert plan.mode == hinge.DECOMPOSE
@@ -418,7 +430,7 @@ def test_phase_free_compression_is_one_global_singular_value_cutoff(tmp_path, mo
         at_or_above = int(np.sum(s >= threshold * (1.0 - 1e-12)))
         assert plan.rank == max(at_or_above, 1)  # update_mask keeps one group
         r = plan.rank
-        layer = cm.network.layers[plan.name]
+        layer = network.layers[plan.name]
         product = layer.w if layer.a is None else layer.w @ layer.a
         truncated = (svd.u[:, :r] * s[:r]) @ svd.vt[:r]
         assert np.abs(product - truncated).max() <= 1e-12

@@ -9,9 +9,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hingenet import checkpoint, cli, data, hinge, regularizers
-from hingenet.config import ConfigError, load_config, parse_config
+from hingenet.config import ConfigError, RunConfig, load_config, parse_config
 from hingenet.net import (ArchSpec, BlockDef, Network, attach_hinges, build_network,
                           network_from_tensors)
 from hingenet.train import evaluate
@@ -55,7 +56,8 @@ class TestConfigParsing:
         assert cfg.compress.m == 1.35
         assert cfg.compress.stop_margin == 0.1
         assert cfg.compress.nullify_threshold == 0.005
-        assert cfg.compress.weight_decay == 1e-4
+        assert cfg.compress.weight_decay == cfg.train.weight_decay == 1e-4
+        assert parse_config({"train": {"weight_decay": 0.5}}).compress.weight_decay == 0.5
         assert cfg.distill.balance == 0.4
         assert cfg.distill.temperature == 4.0
 
@@ -234,6 +236,19 @@ def test_unallocatable_input_size_error_names_its_key(tmp_path, capsys, key):
     assert err.startswith("error: arch.input is too large: numpy cannot allocate")
 
 
+def test_unallocatable_input_channels_error_names_input(tmp_path, capsys):
+    # one (channels, height, width) sample would take 2**61 bytes: it is
+    # refused under arch.input before any per-class array is sized
+    doc = _with_key(("arch", "input", "channels"), 2 ** 50)
+    doc["arch"]["hinge_init"] = "identity"
+    cfg = write_config(tmp_path, doc)
+    rc = cli.main(["train", "--config", cfg, "--out", str(tmp_path / "o.hngw")])
+    err = capsys.readouterr().err
+    assert rc == cli.EXIT_USAGE
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: arch.input is too large: numpy cannot allocate")
+
+
 # architecture widths that fit in int64 but whose first weights in draw
 # order hold more bytes than an index (stem) or an address space (block0's
 # skip projection), so numpy refuses them without allocating anything;
@@ -273,7 +288,9 @@ def test_removed_anneal_key_is_unknown(tmp_path, capsys, key):
     ("compress.regularizer", "epsilon"),   # derived from the step: 0.5*sqrt(step)
     ("train", "lr_drop_factor"),           # always 0.1
     ("compress", "seed"),                  # the phase uses the run's seed
-], ids=["compress.regularizer.epsilon", "train.lr_drop_factor", "compress.seed"])
+    ("compress", "weight_decay"),          # the phase uses train.weight_decay
+], ids=["compress.regularizer.epsilon", "train.lr_drop_factor", "compress.seed",
+        "compress.weight_decay"])
 def test_removed_key_is_unknown(tmp_path, capsys, section, key):
     # a config that still sets a removed key is refused before any work,
     # not run as if the key were honoured
@@ -289,6 +306,58 @@ def test_oversized_integer_error_names_its_key(path, value):
     with pytest.raises(ConfigError,
                        match=rf"^{re.escape(_key_name(path))} must fit in a 64-bit integer"):
         parse_config(_with_key(path, value))
+
+
+TOY_DOC = json.loads((Path(__file__).resolve().parents[1] / "configs" / "toy.json")
+                     .read_text(encoding="utf-8"))
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2 ** 64, 2 ** 64)
+    | st.floats(allow_nan=True, allow_infinity=True) | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner,
+                                                                max_size=3),
+    max_leaves=8)
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _paths(node, path=()):
+    """The path of every key and list entry under `node`, parents first."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, value in items:
+        yield path + (key,)
+        yield from _paths(value, path + (key,))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(data=st.data())
+def test_mutated_toy_config_parses_or_raises_config_error(data):
+    # one to three edits of the shipped config: delete a key or a list entry,
+    # add a key to an object, or set a key or an entry to any JSON value
+    doc = json.loads(json.dumps(TOY_DOC))
+    for _ in range(data.draw(st.integers(1, 3))):
+        op = data.draw(st.sampled_from(["delete", "add", "set"]))
+        paths = list(_paths(doc))
+        if op == "add":
+            objects = [()] + [p for p in paths if isinstance(_at(doc, p), dict)]
+            path = data.draw(st.sampled_from(objects)) + (data.draw(st.text(max_size=8)),)
+        elif paths:
+            path = data.draw(st.sampled_from(paths))
+        else:
+            continue
+        parent = _at(doc, path[:-1])
+        if op == "delete":
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = data.draw(JSON_VALUES)
+    try:
+        assert isinstance(parse_config(doc), RunConfig)
+    except ConfigError:
+        pass
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

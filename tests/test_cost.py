@@ -148,17 +148,18 @@ class TestParams:
         seen = set()
         for _ in range(12):
             model = verify.random_masked_model(rng)
-            cm = compaction.compact(model)
-            seen |= {(p.mode, p.kept_pair) for p in cm.report.per_layer}
-            tensors = cm.network.state_tensors(cm.modes)
-            for p in cm.report.per_layer:
+            network, plans = compaction.compact(model)
+            seen |= {(p.mode, p.kept_pair) for p in plans}
+            tensors = network.state_tensors({p.name: p.mode for p in plans})
+            report = cost.report(plans)
+            for p in plans:
                 positions = model.layers[p.name].meta.spatial
                 weights = sum(tensors[f"{p.name}/{key}"].size
                               for key in ("W", "A") if f"{p.name}/{key}" in tensors)
                 assert p.flops == 2 * positions * weights, p.name
                 assert p.params == weights + tensors[f"{p.name}/b"].size, p.name
             walk = sum(t.size for name, t in tensors.items() if not name.endswith("/mode"))
-            assert walk == cm.report.params_compressed
+            assert walk == report["params_compressed"]
             baseline = build_network(model.arch, seed=0).state_tensors()
-            assert cm.report.params_original == sum(t.size for t in baseline.values())
+            assert report["params_original"] == sum(t.size for t in baseline.values())
         assert len(seen) == 4   # untouched, pruned, kept pair and merged back

@@ -7,33 +7,59 @@ import numpy as np
 import pytest
 
 from conftest import small_residual_arch, staircase
-from hingenet import compaction, cost, data, linalg, losses, net, solver, train
+from hingenet import compaction, cost, data, hinge, linalg, losses, net, solver, train
 from hingenet.net import attach_hinges, build_network
-from hingenet.regularizers import RegularizerSpec, prox_oracle
+from hingenet.regularizers import RegularizerSpec, prox, prox_oracle
 from hingenet.solver import (CompressionConfig, adjust_learning_rates,
-                             balance_lambda, binary_search_threshold,
-                             prox_step_a, run_compression, sgd_step_w)
+                             binary_search_threshold, run_compression)
 
 
-class TestSgdStepW:
-    def test_zero_lr_unchanged(self, rng):
-        w = rng.normal(size=(4, 3))
-        out = sgd_step_w(w, rng.normal(size=(4, 3)), 0.0, 1e-4)
-        assert np.array_equal(out, w)
+def pair_and_plain(init="identity"):
+    """A net with a residual pair (rows) and a plain block (columns), and
+    its data: the phase's per-step tests run on it."""
+    arch = net.ArchSpec(1, 8, 8, 3, 4, (net.BlockDef("basic", 4, 1),
+                                        net.BlockDef("plain", 5)))
+    ds = data.SyntheticDataset(seed=3, classes=3, n_train=32, n_test=16,
+                               channels=1, height=8, width=8)
+    model = build_network(arch, seed=3)
+    attach_hinges(model, init=init, plain_kind="columns")
+    return model, ds
 
-    def test_grad_equals_w_over_lr_zeroes(self, rng):
-        w = rng.normal(size=(4, 3))
-        out = sgd_step_w(w, w / 0.1, 0.1, 0.0)
-        assert np.abs(out).max() <= 1e-15
 
-    def test_matches_scalar_rule_elementwise(self, rng):
-        w = rng.normal(size=(5, 5))
-        g = rng.normal(size=(5, 5))
-        out = sgd_step_w(w, g, 0.01, 1e-3)
-        for i in range(5):
-            for j in range(5):
-                want = w[i, j] - 0.01 * (g[i, j] + 1e-3 * w[i, j])
-                assert abs(out[i, j] - want) <= 1e-15
+def phase_config(**kwargs):
+    return CompressionConfig(**{"target_ratio": 0.5, "stop_margin": 0.1,
+                                "regularizer": RegularizerSpec("l1", 1e-4), "eta": 0.1,
+                                "max_epochs": 1, "seed": 0, "batch_size": 16, **kwargs})
+
+
+def stepped_phase(monkeypatch, model, ds, cfg, prepare=None):
+    """Run the phase with its step wrapped. Before each step `prepare(model)`
+    may set gradients; then every tensor and gradient the step reads, the
+    masks and the epoch records logged so far are kept, with the tensors
+    after the step. Returns those (before, masks, records, after) and every
+    record."""
+    epoch, steps, records = solver.sgd_epoch, [], []
+
+    def wrapped_epoch(net_, dataset, batch_size, rng, score, step, *rest):
+        def wrapped_step():
+            if prepare is not None:
+                prepare(model)
+            before = {key: (getattr(layer, attr).copy(),
+                            getattr(layer, f"grad_{attr}").copy())
+                      for key, _, layer, attr in model.params()}
+            masks = {name: layer.mask.copy() for name, layer in model.hinged_layers()}
+            step()
+            after = {key: getattr(layer, attr).copy() for key, _, layer, attr in model.params()}
+            steps.append((before, masks, list(records), after))
+        return epoch(net_, dataset, batch_size, rng, score, wrapped_step, *rest)
+    monkeypatch.setattr(solver, "sgd_epoch", wrapped_epoch)
+    run_compression(model, ds, cfg, log=records.append)
+    return steps, records
+
+
+def mean_norms(model):
+    return {name: hinge.mean_alive_norm(layer.a, layer.scheme, layer.mask)
+            for name, layer in model.hinged_layers()}
 
 
 def make_hinged(rng, n=6, kind="rows"):
@@ -43,95 +69,186 @@ def make_hinged(rng, n=6, kind="rows"):
                             scheme=linalg.GroupScheme(kind, (n, n)))
 
 
+class TestSgdStepW:
+    """The phase's step on the filters and biases: plain SGD, weight decay
+    on the filters only."""
+
+    def test_zero_lr_unchanged(self, monkeypatch):
+        model, ds = pair_and_plain()
+        steps, _ = stepped_phase(monkeypatch, model, ds,
+                                 phase_config(lr_ratio=0.0, weight_decay=0.5))
+        for before, _, _, after in steps:
+            for key, kind, _, _ in model.params():
+                if kind != net.HINGE:
+                    assert np.array_equal(after[key], before[key][0]), key
+
+    def test_grad_equals_w_over_lr_zeroes(self, monkeypatch):
+        cfg = phase_config(lr_ratio=1.0, weight_decay=0.0)
+
+        def prepare(model):
+            for _, kind, layer, _ in model.params():
+                if kind == net.WEIGHT:
+                    layer.grad_w[...] = layer.w / cfg.eta_s
+        model, ds = pair_and_plain()
+        steps, _ = stepped_phase(monkeypatch, model, ds, cfg, prepare)
+        for _, _, _, after in steps:
+            for key, kind, _, _ in model.params():
+                if kind == net.WEIGHT:
+                    assert np.abs(after[key]).max() <= 1e-15, key
+
+    def test_matches_scalar_rule_elementwise(self, monkeypatch):
+        # every group alive: the step's mask leaves each bias as it is
+        model, ds = pair_and_plain("svd")
+        cfg = phase_config(lr_ratio=0.1, weight_decay=0.01, max_epochs=2)
+        steps, _ = stepped_phase(monkeypatch, model, ds, cfg)
+        assert len(steps) == 4
+        for before, _, _, after in steps:
+            for key, kind, _, _ in model.params():
+                if kind == net.HINGE:
+                    continue
+                p, g = before[key]
+                mu = cfg.weight_decay if kind == net.WEIGHT else 0.0
+                assert np.array_equal(after[key], p - cfg.eta_s * (g + mu * p)), key
+
+
 class TestProxStepA:
-    def test_zero_grad_zero_lambda_unchanged(self, rng):
-        layer = make_hinged(rng)
-        before = layer.a.copy()
-        out = prox_step_a(layer, np.zeros_like(layer.a), 0.5, "l1", 0.0)
-        assert np.array_equal(out, before)
-        assert np.array_equal(layer.a, before)  # the layer is not changed
+    """The phase's step on the hinge matrices: a gradient step at the
+    layer's lr, the group prox at its lambda times that lr, then the mask."""
 
-    def test_pure_shrinkage_zeroes_small_group(self, rng):
-        layer = make_hinged(rng)
-        layer.a[2] *= 1e-3 / np.linalg.norm(layer.a[2])  # tiny row group
-        out = prox_step_a(layer, np.zeros_like(layer.a), 1.0,
-                          "l1", 0.01)  # threshold 0.01 > 1e-3
-        assert np.all(out[2] == 0.0)
+    def test_zero_grad_zero_lambda_unchanged(self, monkeypatch):
+        def prepare(model):
+            for _, layer in model.hinged_layers():
+                layer.grad_a[...] = 0.0
+        model, ds = pair_and_plain("svd")
+        steps, _ = stepped_phase(monkeypatch, model, ds,
+                                 phase_config(regularizer=RegularizerSpec("l1", 0.0)), prepare)
+        for before, _, _, after in steps:
+            for name, _ in model.hinged_layers():
+                assert np.array_equal(after[f"{name}/A"], before[f"{name}/A"][0]), name
 
-    def test_equals_grad_step_then_oracle(self, rng):
-        moved_norms, steps, got = [], [], []
-        for _ in range(20):
-            layer = make_hinged(rng)
-            grad = rng.normal(size=layer.a.shape)
-            lr = float(rng.uniform(0.01, 0.5))
-            lam_l = float(rng.uniform(0.01, 0.5))
-            moved = layer.a - lr * grad
-            moved_norms.append(linalg.group_norms(moved, layer.scheme))
-            steps.append(np.full(layer.scheme.group_count, lam_l * lr))
-            got.append(linalg.group_norms(prox_step_a(layer, grad, lr, "l1", lam_l),
-                                          layer.scheme))
-        want = prox_oracle(np.concatenate(moved_norms), "l1", np.concatenate(steps))
+    def test_pure_shrinkage_zeroes_small_group(self, monkeypatch):
+        def prepare(model):
+            for _, layer in model.hinged_layers():
+                layer.grad_a[...] = 0.0
+        model, ds = pair_and_plain()
+        layer = model.layers["block0.conv1"]   # rows
+        layer.a[2] *= 1e-3 / np.linalg.norm(layer.a[2])   # a tiny row group
+        # lambda_l * lr is about 0.05 * 0.75 * 0.1 > 1e-3
+        steps, _ = stepped_phase(monkeypatch, model, ds,
+                                 phase_config(regularizer=RegularizerSpec("l1", 0.05)), prepare)
+        _, _, _, after = steps[0]
+        assert np.all(after["block0.conv1/A"][2] == 0.0)
+        assert np.all(np.linalg.norm(np.delete(after["block0.conv1/A"], 2, axis=0), axis=1) > 0.9)
+
+    def test_equals_grad_step_then_oracle(self, monkeypatch):
+        """Bit for bit the masked prox of the gradient step, at this epoch's
+        lr (the lr rule's for the pair's first conv after epoch 0) and
+        lambda; its alive group norms also match the numeric oracle."""
+        model, ds = pair_and_plain("svd")
+        for _, layer in model.hinged_layers():
+            layer.mask[1] = False
+            layer.apply_mask()
+        attach_means = mean_norms(model)
+        cfg = phase_config(regularizer=RegularizerSpec("l1", 0.01), max_epochs=2)
+        steps, _ = stepped_phase(monkeypatch, model, ds, cfg)
+        assert len(steps) == 4
+        moved_norms, prox_steps, got = [], [], []
+        for before, masks, records, after in steps:
+            means = records[-1]["mean_group_norms"] if records else attach_means
+            for name, layer in model.hinged_layers():
+                lr = cfg.eta
+                if records and name == "block0.conv1":
+                    lr = cfg.eta / records[-1]["rho"]["block0"] ** cfg.m
+                lam = cfg.regularizer.lam * means[name]
+                a, grad_a = before[f"{name}/A"]
+                moved = a - lr * grad_a
+                want = linalg.scale_groups(prox(moved, layer.scheme, "l1", lam * lr),
+                                           layer.scheme, masks[name])
+                assert np.array_equal(after[f"{name}/A"], want), name
+                alive = masks[name]
+                moved_norms.append(linalg.group_norms(moved, layer.scheme)[alive])
+                prox_steps.append(np.full(int(alive.sum()), lam * lr))
+                got.append(linalg.group_norms(after[f"{name}/A"], layer.scheme)[alive])
+        want = prox_oracle(np.concatenate(moved_norms), "l1", np.concatenate(prox_steps))
         assert np.abs(np.concatenate(got) - want).max() <= 1e-6
 
 
 class TestBalanceLambda:
-    def test_stated_equation(self, rng):
-        layer = make_hinged(rng, n=4)
-        norms = linalg.group_norms(layer.a, layer.scheme)
-        layer.a *= 0.5 / norms.mean() * np.ones_like(layer.a)  # scale mean to 0.5
-        assert balance_lambda(layer, 2e-4) == pytest.approx(2e-4 * 0.5, rel=1e-12)
+    """Each epoch's lambda per layer is the base lambda times the layer's
+    mean alive group norm, as the previous epoch's record logged it."""
 
-    def test_survivor_mean_one_gives_base(self, rng):
-        layer = make_hinged(rng, n=4)
-        layer.a = np.eye(4)
-        layer.mask = np.array([True, False, True, False])
-        layer.apply_mask()
-        assert balance_lambda(layer, 2e-4) == pytest.approx(2e-4)
+    def test_stated_equation(self):
+        model, ds = pair_and_plain("svd")
+        for _, layer in model.hinged_layers():
+            layer.mask[0] = False
+            layer.apply_mask()
+        attach_means = mean_norms(model)
+        cfg = phase_config(regularizer=RegularizerSpec("l1", 0.5), max_epochs=3)
+        records = []
+        run_compression(model, ds, cfg, log=records.append)
+        assert len(records) == 3
+        previous = [attach_means] + [r["mean_group_norms"] for r in records[:-1]]
+        for record, means in zip(records, previous):
+            assert record["lambda_layer"] == {name: 0.5 * mean for name, mean in means.items()}
+        assert records[1]["lambda_layer"] != records[0]["lambda_layer"]
 
-    def test_homogeneous_in_scale(self, rng):
-        layer = make_hinged(rng, n=5)
-        lam1 = balance_lambda(layer, 1e-3)
-        layer.a = 2.0 * layer.a
-        assert balance_lambda(layer, 1e-3) == pytest.approx(2 * lam1, rel=1e-12)
+    def test_survivor_mean_one_gives_base(self):
+        model, ds = pair_and_plain()   # identity: every group norm is 1
+        for _, layer in model.hinged_layers():
+            layer.mask[::2] = False
+            layer.apply_mask()
+        records = []
+        run_compression(model, ds, phase_config(), log=records.append)
+        assert set(records[0]["lambda_layer"].values()) == {1e-4}
+
+    def test_homogeneous_in_scale(self):
+        lams = []
+        for scale in (1.0, 2.0):
+            model, ds = pair_and_plain("svd")
+            for _, layer in model.hinged_layers():
+                layer.a = scale * layer.a
+            records = []
+            run_compression(model, ds, phase_config(), log=records.append)
+            lams.append(records[0]["lambda_layer"])
+        for name, lam in lams[0].items():
+            assert lams[1][name] == pytest.approx(2 * lam, rel=1e-12)
 
 
 class TestAdjustLearningRates:
     def pair(self, rng, n=4):
-        c1 = make_hinged(rng, n=n)
-        c2 = make_hinged(rng, n=n)
-        return [("block0", c1, c2)], c1, c2
+        hinged = {"block0.conv1": make_hinged(rng, n=n), "block0.conv2": make_hinged(rng, n=n)}
+        return [("block0", "block0.conv1", "block0.conv2")], hinged
 
     def test_equal_scales_give_unit_rho(self, rng):
-        pairs, c1, c2 = self.pair(rng)
-        g = rng.normal(size=c1.a.shape)
-        lr_map, rho = adjust_learning_rates(pairs, {id(c1): g, id(c2): g.copy()},
-                                            0.1, 1.35, {})
+        pairs, hinged = self.pair(rng)
+        g = rng.normal(size=hinged["block0.conv1"].a.shape)
+        lr_map, rho = adjust_learning_rates(
+            pairs, hinged, {"block0.conv1": g, "block0.conv2": g.copy()}, 0.1, 1.35, {})
         assert rho["block0"] == pytest.approx(1.0)
-        assert lr_map[id(c1)] == pytest.approx(0.1)
+        assert lr_map["block0.conv1"] == pytest.approx(0.1)
 
     def test_rho_two_divides_by_power(self, rng):
-        pairs, c1, c2 = self.pair(rng)
-        g2 = rng.normal(size=c2.a.shape)
-        norms = linalg.group_norms(g2, c2.scheme)
+        pairs, hinged = self.pair(rng)
+        g2 = rng.normal(size=hinged["block0.conv2"].a.shape)
         g1 = g2 * 2.0  # doubles every group norm: means 0.2/0.1 shape
-        lr_map, rho = adjust_learning_rates(pairs, {id(c1): g1, id(c2): g2},
-                                            0.1, 1.35, {})
+        lr_map, rho = adjust_learning_rates(
+            pairs, hinged, {"block0.conv1": g1, "block0.conv2": g2}, 0.1, 1.35, {})
         assert rho["block0"] == pytest.approx(2.0)
-        assert lr_map[id(c1)] == pytest.approx(0.1 / 2.5491212546385245, rel=1e-12)
-        assert lr_map[id(c2)] == pytest.approx(0.1)
+        assert lr_map["block0.conv1"] == pytest.approx(0.1 / 2.5491212546385245, rel=1e-12)
+        assert lr_map["block0.conv2"] == pytest.approx(0.1)
 
     def test_small_rho_increases_lr(self, rng):
-        pairs, c1, c2 = self.pair(rng)
-        g2 = rng.normal(size=c2.a.shape)
-        lr_map, rho = adjust_learning_rates(pairs, {id(c1): 0.5 * g2, id(c2): g2},
-                                            0.1, 1.35, {})
-        assert lr_map[id(c1)] > 0.1
+        pairs, hinged = self.pair(rng)
+        g2 = rng.normal(size=hinged["block0.conv2"].a.shape)
+        lr_map, rho = adjust_learning_rates(
+            pairs, hinged, {"block0.conv1": 0.5 * g2, "block0.conv2": g2}, 0.1, 1.35, {})
+        assert lr_map["block0.conv1"] > 0.1
 
     def test_zero_denominator_keeps_previous(self, rng):
-        pairs, c1, c2 = self.pair(rng)
+        pairs, hinged = self.pair(rng)
         warned = []
         lr_map, rho = adjust_learning_rates(
-            pairs, {id(c1): np.ones_like(c1.a), id(c2): np.zeros_like(c2.a)},
+            pairs, hinged, {"block0.conv1": np.ones((4, 4)), "block0.conv2": np.zeros((4, 4))},
             0.1, 1.35, {"block0": 3.0}, warn=warned.append)
         assert rho["block0"] == 3.0
         assert warned and warned[0]["event"] == "rho_degenerate"
