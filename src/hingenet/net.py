@@ -6,18 +6,23 @@ and one backward; `HingedConv2d` adds only the compression state (group
 scheme and mask). Blocks are either a plain conv+relu or a residual pair
 of 3x3 convs with an optional projection on the skip path. The classifier
 head is a 1x1 conv on the global average of the last block's output. All
-parameters are float64 numpy arrays. Only the caching forward
-(`cache=True`, the default) keeps what backward needs: a conv keeps its
-input, not its patch matrix, which either forward frees as soon as its
-product exists, and `Network` keeps each relu row's mask in one dict.
-Backward takes each conv's cache and pops each mask, so a step's state is
-freed as backward passes it, and a second backward raises, as does one
-after an inference forward (`cache=False`), which keeps nothing. The
-inference forward runs its batch in slices of `Network.inference_batch`
-samples, the most that keep every nominal patch matrix of the layer table
-within `INFERENCE_PATCH_BYTES` (at least one). Its logits equal caching
-forwards of the same slices bit for bit; a whole-batch forward can differ
-in the last bit where BLAS rounds a row by the row count of its product.
+parameters are float64 numpy arrays. Either conv forward unfolds its
+batch in blocks of samples, as many as keep a block's patch matrix within
+`PATCH_BLOCK_BYTES` (at least one); a batch of several blocks has each
+block's product written into one preallocated `pre` while its patches are
+still in cache. Only the caching forward (`cache=True`, the default)
+keeps what backward needs: a conv keeps its input, not its patch matrix,
+and `Network` keeps each relu row's mask in one dict. Backward takes each
+conv's cache and pops each mask, so a step's state is freed as backward
+passes it, and a second backward raises, as does one after an inference
+forward (`cache=False`), which keeps nothing. The inference forward runs its batch in slices of
+`Network.inference_batch` samples, the most that keep every nominal
+whole-slice patch matrix of the layer table within
+`INFERENCE_PATCH_BYTES` (at least one): the slices bound the activations
+and fix the logits' bits, while the blocks bound what is unfolded. Its
+logits equal caching forwards of the same slices bit for bit; a
+whole-batch forward, or another block size, can differ in the last bit
+where BLAS rounds a row by the row count of its product.
 
 Layer table: `layer_table` lists every conv of an `ArchSpec` in checkpoint
 order with its nominal geometry, the layer it reads, its hinge position,
@@ -68,7 +73,12 @@ WEIGHT = "weight"   # updated by plain SGD, subject to weight decay
 BIAS = "bias"       # updated by plain SGD, no decay
 HINGE = "hinge"     # the sparsity-inducing matrices, updated by prox steps
 
-INFERENCE_PATCH_BYTES = 8 * 2 ** 20  # largest patch matrix of an inference slice
+# inference slices are sized by the nominal patch matrix of a whole slice,
+# though a conv forward never unfolds more than one block of it at once
+INFERENCE_PATCH_BYTES = 8 * 2 ** 20
+# largest patch block a conv forward unfolds, unless one sample's is larger;
+# the best for the toy and wide nets together in a sweep of 128 KiB to 2 MiB
+PATCH_BLOCK_BYTES = 2 ** 19
 
 
 class ArchSizeError(ValueError):
@@ -134,9 +144,11 @@ def _patch_rows(w: np.ndarray, meta: ConvMeta, inverse: bool = False) -> np.ndar
 class Conv2d:
     """Convolution `patches @ w [@ a] + b`: `w` is (patch_size x rank), and
     the optional `a` (rank x out_channels) is a hinge or a kept decomposed pair.
-    A caching forward keeps its input array, which backward unfolds again,
-    so a caller must not write into a conv's input between its forward and
-    its backward."""
+    The forward unfolds and multiplies its batch in blocks of samples whose
+    patch matrix fits `PATCH_BLOCK_BYTES`; the block size follows from the
+    geometry alone. A caching forward keeps its input array, which backward
+    unfolds again as a whole, so a caller must not write into a conv's
+    input between its forward and its backward."""
 
     def __init__(self, meta: ConvMeta, w: np.ndarray, a: np.ndarray | None = None,
                  b: np.ndarray | None = None):
@@ -157,14 +169,21 @@ class Conv2d:
         self.grad_a = None if a is None else np.zeros_like(self.a)
         self.grad_b = np.zeros_like(self.b)
         self._cache = None
+        patch_bytes = 8 * meta.out_h * meta.out_w * meta.patch_size  # one sample's, float64
+        self._block = max(1, PATCH_BLOCK_BYTES // patch_bytes)  # samples per forward block
 
     def forward(self, x: np.ndarray, cache: bool = True) -> np.ndarray:
         m = self.meta
         self._cache = None  # free the previous batch's state before unfolding
-        col = im2col(x, m.kernel_h, m.kernel_w, m.stride, m.padding)
         w = _patch_rows(self.w, m)
-        pre = matmul(col, w)
-        del col  # backward unfolds `x` again
+        n, rows = self._block, m.out_h * m.out_w
+        if len(x) <= n:  # no buffer or slices: they cost a tiny conv about 1 us a call
+            pre = matmul(im2col(x, m.kernel_h, m.kernel_w, m.stride, m.padding), w)
+        else:  # backward unfolds `x` again, so each block is freed once multiplied
+            pre = np.empty((len(x) * rows, w.shape[1]))
+            for s in range(0, len(x), n):
+                matmul(im2col(x[s:s + n], m.kernel_h, m.kernel_w, m.stride, m.padding), w,
+                       out=pre[s * rows:(s + n) * rows])
         z = (pre if self.a is None else matmul(pre, self.a)) + self.b
         if cache:  # backward needs `pre` only for grad_a
             self._cache = (x, w, None if self.a is None else pre)

@@ -172,12 +172,21 @@ def channels_last(rng, shape):
     return rng.normal(size=(b, h, w, c)).transpose(0, 3, 1, 2)
 
 
+def block_samples(meta):
+    """Samples per conv forward block: as many as keep the block's patch
+    matrix within `PATCH_BLOCK_BYTES`, at least one."""
+    return max(1, net.PATCH_BLOCK_BYTES // (8 * meta.out_h * meta.out_w * meta.patch_size))
+
+
 class TestWeightGradOrientation:
     """Weight gradients are products `(dz.T @ col).T`, which BLAS runs
     faster than `col.T @ dz`. The change rests on the two giving the same
     bits; this sweep pins that on every layer shape the toy and
     wide-compress runs multiply, at the train, compress and inference
-    batch sizes, for a plain conv and kept pairs of rank 1 to 33."""
+    batch sizes, for a plain conv and kept pairs of rank 1 to 33. The
+    forward makes `pre` block by block, and BLAS can round a row of a
+    product whose width mod 8 is 1 to 4 by its row count, so `grad_a`'s
+    reference `pre` is made from the same blocks."""
 
     @pytest.mark.parametrize("batch", [1, 7, 16, 32])
     @pytest.mark.parametrize("layer", list(SWEPT_CONVS))
@@ -188,6 +197,7 @@ class TestWeightGradOrientation:
         col = im2col(x, meta.kernel_h, meta.kernel_w, meta.stride, meta.padding)
         dy = channels_last(rng, (batch, meta.out_channels, meta.out_h, meta.out_w))
         dz = dy.transpose(0, 2, 3, 1).reshape(-1, meta.out_channels)
+        rows = block_samples(meta) * meta.out_h * meta.out_w  # patch rows per forward block
         for rank in [None, *range(1, 34)]:
             k = meta.out_channels if rank is None else rank
             w = rng.normal(size=(meta.patch_size, k))
@@ -197,7 +207,8 @@ class TestWeightGradOrientation:
             conv.backward(dy, input_grad=False)
             w_cols, dpre = net._patch_rows(w, meta), dz
             if a is not None:
-                pre = col @ w_cols
+                pre = np.concatenate([col[s:s + rows] @ w_cols
+                                      for s in range(0, len(col), rows)])
                 assert np.array_equal(conv.grad_a, pre.T @ dz), rank
                 dpre = dz @ a.T
             want = net._patch_rows(col.T @ dpre, meta, inverse=True)
@@ -214,6 +225,44 @@ class TestWeightGradOrientation:
         head.forward(x[:, :, None, None])
         head.backward(dy[:, :, None, None])
         assert np.array_equal(head.grad_w, x.T @ dy)
+
+
+class TestBlockedForward:
+    """A conv forward unfolds its batch in blocks of `block_samples`
+    samples, so no patch matrix it materializes is larger than
+    `PATCH_BLOCK_BYTES` unless one sample's alone is, and that sample
+    runs alone. The blocks change no bit of the product."""
+
+    @pytest.mark.parametrize("batch", [1, 7, 16, 28, 32])
+    @pytest.mark.parametrize("arch", [TOY_ARCH, WIDE_ARCH], ids=["toy", "wide"])
+    def test_no_patch_block_over_budget(self, rng, monkeypatch, arch, batch):
+        model = build_network(arch, seed=0)
+        blocks, unfold = [], net.im2col
+
+        def recorded(x, *args):
+            col = unfold(x, *args)
+            blocks.append((len(x), col.nbytes))
+            return col
+        monkeypatch.setattr(net, "im2col", recorded)
+        x = rng.normal(size=(batch, arch.input_channels, arch.input_h, arch.input_w))
+        for cache in (True, False):
+            model.forward(x, cache)
+        assert sum(samples for samples, _ in blocks) == 2 * batch * len(arch.table)
+        over = [samples for samples, nbytes in blocks if nbytes > net.PATCH_BLOCK_BYTES]
+        assert set(over) <= {1}, max(nbytes for _, nbytes in blocks)
+
+    @pytest.mark.parametrize("batch", [1, 7, 16, 28, 32])
+    @pytest.mark.parametrize("layer", list(SWEPT_CONVS))
+    def test_blocked_forward_equals_whole_batch_product(self, rng, layer, batch):
+        meta = SWEPT_CONVS[layer]
+        h = meta.out_h * meta.stride  # the input size of every swept conv
+        x = channels_last(rng, (batch, meta.in_channels, h, h))
+        conv = Conv2d(meta, rng.normal(size=(meta.patch_size, meta.out_channels)),
+                      b=rng.normal(size=meta.out_channels))
+        col = im2col(x, meta.kernel_h, meta.kernel_w, meta.stride, meta.padding)
+        want = col @ net._patch_rows(conv.w, meta) + conv.b
+        got = conv.forward(x, cache=False)
+        assert np.array_equal(got.transpose(0, 2, 3, 1).reshape(want.shape), want)
 
 
 class TestNetworkForward:
@@ -469,27 +518,29 @@ def training_step(model):
 
 class TestForwardMemory:
     """The forward drops every activation after its last reader, and an
-    inference forward each relu mask once applied. A caching conv keeps its
-    input, not its patch matrix (9x larger for a 3x3 kernel), and every
-    backward takes its layer's cache. Measured peaks (numpy 2.4): the wide
-    inference forward 10.78 MiB, the toy caching forward 12.54 MiB, a toy
-    training step at batch 32 13.55 MiB and a hinged toy step at batch 16,
-    the phase's batch, 8.30 MiB. Caching patch matrices, they read 11.72,
-    31.21, 35.43 and 19.54 MiB. Keeping every output to the end of the
-    forward reads 11.22 MiB for the wide forward, and keeping the last relu
-    mask until the next one 10.89 MiB."""
+    inference forward each relu mask once applied. A conv forward unfolds
+    its batch in blocks within `PATCH_BLOCK_BYTES`; a caching conv keeps
+    its input, not its patch matrix (9x larger for a 3x3 kernel), and
+    every backward takes its layer's cache and unfolds the whole batch
+    again. Measured peaks (numpy 2.4): the wide inference forward 4.19 MiB,
+    the toy caching forward 5.65 MiB, a toy training step at batch 32
+    13.55 MiB and a hinged toy step at batch 16, the phase's batch,
+    8.30 MiB; the backward's unfolding sets the last two. Caching patch
+    matrices, they read 11.73, 31.23, 35.45 and 19.55 MiB. Keeping every
+    output to the end of the forward reads 6.16 MiB for the wide forward,
+    and keeping the last relu mask until the next one 4.30 MiB."""
 
     def test_wide_inference_forward_peak(self, rng):
         # perfbench's wide-compress net: 16 samples run as slices of 7, 7, 2
         model = build_network(WIDE_ARCH, seed=0)
         peak = traced_peak(lambda x: model.forward(x, cache=False),
                            rng.normal(size=(16, 3, 16, 16)))
-        assert peak <= 10.83 * 2 ** 20
+        assert peak <= 4.25 * 2 ** 20
 
     def test_toy_caching_forward_peak(self, rng):
         model = build_network(TOY_ARCH, seed=0)
         peak = traced_peak(model.forward, rng.normal(size=(32, 1, 16, 16)))
-        assert peak <= 12.8 * 2 ** 20
+        assert peak <= 5.9 * 2 ** 20
 
     def test_toy_training_step_peak(self, rng):
         model = build_network(TOY_ARCH, seed=0)
@@ -769,8 +820,8 @@ def test_every_product_goes_through_matmul(rng, monkeypatch):
     # perfbench books BLAS time to the `linalg.matmul` span through the
     # `net.matmul` binding; a product made around it would be booked to
     # its caller. One toy forward and backward makes per conv one forward
-    # product, one weight gradient and, below the stem, one product per
-    # kernel tap; the head makes three; a hinge adds one forward and two
+    # product per block of samples, one weight gradient and, below the
+    # stem, one product per kernel tap; a hinge adds one forward and two
     # backward products (grad_a and the gradient of `pre`).
     calls, counted = [], net.matmul
 
@@ -780,7 +831,12 @@ def test_every_product_goes_through_matmul(rng, monkeypatch):
     monkeypatch.setattr(net, "matmul", counting)
     model = build_network(TOY_ARCH, seed=0)
     x = rng.normal(size=(8, 1, 16, 16))
-    for hinged, want in ((False, 6 + 6 + 4 * 9 + 1 + 3), (True, 52 + 4 * 3)):
+    table = TOY_ARCH.table
+    blocks = sum(-(-len(x) // block_samples(e.meta)) for e in table)
+    assert blocks > len(table)  # some conv runs the batch in several blocks
+    taps = sum(e.meta.kernel_h * e.meta.kernel_w for e in table if e.source is not None)
+    plain = blocks + len(table) + taps
+    for hinged, want in ((False, plain), (True, plain + 4 * 3)):
         if hinged:
             attach_hinges(model, init="svd")
         calls.clear()

@@ -3,6 +3,10 @@ the package must fail here rather than silently break `--trace 1`."""
 
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -50,3 +54,46 @@ def test_workload_argv_parse(workload, tmp_path):
     for op in ops:
         args = cli.build_parser().parse_args(op.argv)
         assert args.command == op.argv[0]
+
+
+# Installs the tracer in a child process: `tracing.install` rebinds the
+# package's functions for the rest of the process that calls it.
+TRACED_RUN = """
+import importlib.util, json, sys, time
+import numpy as np
+spec = importlib.util.spec_from_file_location("perfbench_tracing", sys.argv[1])
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+recorder = tracing.Recorder(time.perf_counter)
+missed = tracing.install(recorder)
+from hingenet import net
+arch = net.ArchSpec(1, 16, 16, 4, 16, (net.BlockDef("basic", 16, 1),
+                                       net.BlockDef("basic", 32, 2)))
+model = net.build_network(arch, seed=0)
+x = np.random.default_rng(0).normal(size=(64, 1, 16, 16))
+for hinged in (False, True):
+    if hinged:
+        net.attach_hinges(model)
+    model.backward(np.ones_like(model.forward(x[:32])))
+model.forward(x, cache=False)
+print(json.dumps({"missed": missed,
+                  "violations": [m for _, m in tracing.child_rule_violations(recorder)],
+                  "calls": {k: v["calls"] for k, v in tracing.summarize(recorder).items()}}))
+"""
+
+
+def test_tracer_wraps_a_conv_forward_and_backward():
+    """One toy training step, plain and hinged, and one sliced inference
+    forward under the tracer: every binding is wrapped and every conv
+    span has the children `--trace 1` checks."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run([sys.executable, "-c", TRACED_RUN,
+                           str(ROOT / "perfbench" / "tracing.py")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["missed"] == []
+    assert result["violations"] == []
+    calls = result["calls"]  # 7 convs: two caching forwards, three inference slices
+    assert (calls["net.conv.forward"], calls["net.conv.backward"]) == (5 * 7, 2 * 7)
