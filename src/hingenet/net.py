@@ -10,14 +10,16 @@ parameters are float64 numpy arrays. Either conv forward unfolds its
 batch in blocks of samples, as many as keep a block's patch matrix within
 `PATCH_BLOCK_BYTES` (at least one); a batch of several blocks has each
 block's product written into one preallocated `pre` while its patches are
-still in cache. Only the caching forward (`cache=True`, the default)
-keeps what backward needs: a conv keeps its input, not its patch matrix,
-and `Network` keeps each relu row's mask in one dict. Backward takes each
+still in cache. A conv whose product width mod 8 is 1 to 4 multiplies
+its batch whole, since BLAS rounds a row of such a product by its row
+count. Only the caching forward (`cache=True`, the default) keeps what
+backward needs: a conv keeps its input, not its patch matrix, and
+`Network` keeps each relu row's mask in one dict. Backward takes each
 conv's cache and pops each mask, so a step's state is freed as backward
 passes it, and a second backward raises, as does one after an inference
-forward (`cache=False`), which keeps nothing. The inference forward runs its batch in slices of
-`Network.inference_batch` samples, the most that keep every nominal
-whole-slice patch matrix of the layer table within
+forward (`cache=False`), which keeps nothing. The inference forward runs
+its batch in slices of `Network.inference_batch` samples, the most that
+keep every nominal whole-slice patch matrix of the layer table within
 `INFERENCE_PATCH_BYTES` (at least one): the slices bound the activations
 and fix the logits' bits, while the blocks bound what is unfolded. Its
 logits equal caching forwards of the same slices bit for bit; a
@@ -60,6 +62,7 @@ compaction's row restriction use; `_patch_rows` is the one place that
 permutes them, so the checkpoint format and its meaning are unchanged.
 """
 
+import sys
 from collections import Counter, OrderedDict
 from dataclasses import dataclass, field, replace
 
@@ -146,9 +149,9 @@ class Conv2d:
     the optional `a` (rank x out_channels) is a hinge or a kept decomposed pair.
     The forward unfolds and multiplies its batch in blocks of samples whose
     patch matrix fits `PATCH_BLOCK_BYTES`; the block size follows from the
-    geometry alone. A caching forward keeps its input array, which backward
-    unfolds again as a whole, so a caller must not write into a conv's
-    input between its forward and its backward."""
+    geometry and the width of `w` alone. A caching forward keeps its input
+    array, which backward unfolds again as a whole, so a caller must not
+    write into a conv's input between its forward and its backward."""
 
     def __init__(self, meta: ConvMeta, w: np.ndarray, a: np.ndarray | None = None,
                  b: np.ndarray | None = None):
@@ -169,8 +172,12 @@ class Conv2d:
         self.grad_a = None if a is None else np.zeros_like(self.a)
         self.grad_b = np.zeros_like(self.b)
         self._cache = None
+        # samples per forward block; BLAS rounds a row of a product whose width
+        # mod 8 is 1 to 4 by the product's row count, so a conv of such a width
+        # (a kept pair's rank, a pruned conv's outputs) multiplies its batch whole
         patch_bytes = 8 * meta.out_h * meta.out_w * meta.patch_size  # one sample's, float64
-        self._block = max(1, PATCH_BLOCK_BYTES // patch_bytes)  # samples per forward block
+        self._block = (sys.maxsize if self.w.shape[1] % 8 in (1, 2, 3, 4)
+                       else max(1, PATCH_BLOCK_BYTES // patch_bytes))
 
     def forward(self, x: np.ndarray, cache: bool = True) -> np.ndarray:
         m = self.meta

@@ -172,20 +172,14 @@ def channels_last(rng, shape):
     return rng.normal(size=(b, h, w, c)).transpose(0, 3, 1, 2)
 
 
-def block_samples(meta):
-    """Samples per conv forward block: as many as keep the block's patch
-    matrix within `PATCH_BLOCK_BYTES`, at least one."""
-    return max(1, net.PATCH_BLOCK_BYTES // (8 * meta.out_h * meta.out_w * meta.patch_size))
-
-
 class TestWeightGradOrientation:
     """Weight gradients are products `(dz.T @ col).T`, which BLAS runs
     faster than `col.T @ dz`. The change rests on the two giving the same
     bits; this sweep pins that on every layer shape the toy and
     wide-compress runs multiply, at the train, compress and inference
     batch sizes, for a plain conv and kept pairs of rank 1 to 33. The
-    forward makes `pre` block by block, and BLAS can round a row of a
-    product whose width mod 8 is 1 to 4 by its row count, so `grad_a`'s
+    forward makes `pre` in the conv's blocks of samples, and a blocked
+    product can differ in the last bit from a whole one, so `grad_a`'s
     reference `pre` is made from the same blocks."""
 
     @pytest.mark.parametrize("batch", [1, 7, 16, 32])
@@ -197,7 +191,6 @@ class TestWeightGradOrientation:
         col = im2col(x, meta.kernel_h, meta.kernel_w, meta.stride, meta.padding)
         dy = channels_last(rng, (batch, meta.out_channels, meta.out_h, meta.out_w))
         dz = dy.transpose(0, 2, 3, 1).reshape(-1, meta.out_channels)
-        rows = block_samples(meta) * meta.out_h * meta.out_w  # patch rows per forward block
         for rank in [None, *range(1, 34)]:
             k = meta.out_channels if rank is None else rank
             w = rng.normal(size=(meta.patch_size, k))
@@ -207,6 +200,7 @@ class TestWeightGradOrientation:
             conv.backward(dy, input_grad=False)
             w_cols, dpre = net._patch_rows(w, meta), dz
             if a is not None:
+                rows = conv._block * meta.out_h * meta.out_w  # patch rows per forward block
                 pre = np.concatenate([col[s:s + rows] @ w_cols
                                       for s in range(0, len(col), rows)])
                 assert np.array_equal(conv.grad_a, pre.T @ dz), rank
@@ -228,10 +222,14 @@ class TestWeightGradOrientation:
 
 
 class TestBlockedForward:
-    """A conv forward unfolds its batch in blocks of `block_samples`
+    """A conv forward unfolds its batch in blocks of `Conv2d._block`
     samples, so no patch matrix it materializes is larger than
     `PATCH_BLOCK_BYTES` unless one sample's alone is, and that sample
-    runs alone. The blocks change no bit of the product."""
+    runs alone. A conv whose width mod 8 is 1 to 4 multiplies its batch
+    whole. So the blocks change no bit of a toy layer's product at any
+    width from 1 to 33, nor of a wide layer's at its own width. On the
+    wide layers of 576 and 1152 patch columns, BLAS rounds some narrower
+    products (5 to 27 wide) by their row count too; those are not pinned."""
 
     @pytest.mark.parametrize("batch", [1, 7, 16, 28, 32])
     @pytest.mark.parametrize("arch", [TOY_ARCH, WIDE_ARCH], ids=["toy", "wide"])
@@ -257,12 +255,17 @@ class TestBlockedForward:
         meta = SWEPT_CONVS[layer]
         h = meta.out_h * meta.stride  # the input size of every swept conv
         x = channels_last(rng, (batch, meta.in_channels, h, h))
-        conv = Conv2d(meta, rng.normal(size=(meta.patch_size, meta.out_channels)),
-                      b=rng.normal(size=meta.out_channels))
         col = im2col(x, meta.kernel_h, meta.kernel_w, meta.stride, meta.padding)
-        want = col @ net._patch_rows(conv.w, meta) + conv.b
-        got = conv.forward(x, cache=False)
-        assert np.array_equal(got.transpose(0, 2, 3, 1).reshape(want.shape), want)
+        ranks = [r for r in range(1, 34) if layer.startswith("toy") or r % 8 in (1, 2, 3, 4)]
+        for rank in [None, *ranks]:
+            k = meta.out_channels if rank is None else rank
+            a = None if rank is None else rng.normal(size=(rank, meta.out_channels))
+            conv = Conv2d(meta, rng.normal(size=(meta.patch_size, k)), a,
+                          b=rng.normal(size=meta.out_channels))
+            want = col @ net._patch_rows(conv.w, meta)
+            want = (want if a is None else want @ a) + conv.b
+            got = conv.forward(x, cache=False)
+            assert np.array_equal(got.transpose(0, 2, 3, 1).reshape(want.shape), want), rank
 
 
 class TestNetworkForward:
@@ -832,7 +835,7 @@ def test_every_product_goes_through_matmul(rng, monkeypatch):
     model = build_network(TOY_ARCH, seed=0)
     x = rng.normal(size=(8, 1, 16, 16))
     table = TOY_ARCH.table
-    blocks = sum(-(-len(x) // block_samples(e.meta)) for e in table)
+    blocks = sum(-(-len(x) // model.layers[e.name]._block) for e in table)
     assert blocks > len(table)  # some conv runs the batch in several blocks
     taps = sum(e.meta.kernel_h * e.meta.kernel_w for e in table if e.source is not None)
     plain = blocks + len(table) + taps
