@@ -217,10 +217,11 @@ class Conv2d:
         return col2im(dz, w, x.shape, m.kernel_h, m.kernel_w, m.stride, m.padding)
 
     def params(self, prefix: str):
-        yield f"{prefix}/W", WEIGHT, self, "w"
+        """(key, kind, value, gradient) per parameter; a step writes into value."""
+        yield f"{prefix}/W", WEIGHT, self.w, self.grad_w
         if self.a is not None:
-            yield f"{prefix}/A", HINGE, self, "a"
-        yield f"{prefix}/b", BIAS, self, "b"
+            yield f"{prefix}/A", HINGE, self.a, self.grad_a
+        yield f"{prefix}/b", BIAS, self.b, self.grad_b
 
 
 class HingedConv2d(Conv2d):
@@ -243,10 +244,11 @@ class HingedConv2d(Conv2d):
     def apply_mask(self) -> None:
         """Zero every dead group of `a`; for column groups the matching
         bias entries go too, so a dead output channel is exactly zero.
-        Idempotent: each entry is multiplied by 1.0 or 0.0."""
+        Idempotent: each entry is multiplied by 1.0 or 0.0. `b` is scaled in
+        place, as the phase's filter optimizer holds it; `a` is replaced."""
         self.a = linalg.scale_groups(self.a, self.scheme, self.mask)
         if self.scheme.kind == linalg.COLUMNS:
-            self.b = self.b * self.mask.astype(np.float64)
+            self.b *= self.mask
 
 
 @dataclass(frozen=True)
@@ -441,8 +443,7 @@ class Network:
             yield from layer.params(name)
 
     def zero_grads(self):
-        for _, _, layer, attr in self.params():
-            grad = getattr(layer, f"grad_{attr}")
+        for _, _, _, grad in self.params():
             grad[...] = 0.0
 
     def state_tensors(self, modes: dict | None = None) -> OrderedDict:
@@ -455,8 +456,8 @@ class Network:
             if modes is not None:
                 byte = hinge.MODE_BYTES[modes.get(name, hinge.UNTOUCHED)]
                 out[f"{name}/mode"] = np.array([byte], dtype=np.uint8)
-            for key, _, _, attr in layer.params(name):
-                out[key] = getattr(layer, attr)
+            for key, _, value, _ in layer.params(name):
+                out[key] = value
             if isinstance(layer, HingedConv2d):
                 out[f"{name}/mask"] = layer.mask.astype(np.uint8)
         return out

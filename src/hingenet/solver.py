@@ -1,8 +1,9 @@
 """Proximal-gradient compression and the nullifying-threshold search.
 
 Each epoch is one `train.sgd_epoch` pass, the batch loop training uses.
-Its per-batch step gives the filters a small plain-SGD step (weight decay
-`train.weight_decay`) while each hinge matrix takes a gradient step and
+Its per-batch step gives the filters and biases a small plain-SGD step, a
+`train.SgdMomentum` without momentum (weight decay `train.weight_decay` on
+the filters), while each hinge matrix takes a gradient step and
 the closed-form group prox at its layer's λ, the base λ times the layer's
 mean alive group norm (`hinge.mean_alive_norm`); then it masks each hinge
 once, zeroing its dead groups and a pruned layer's dead biases. The pass
@@ -28,9 +29,9 @@ import numpy as np
 from . import hinge, losses
 from .cost import compression_ratio
 from .linalg import NumericError, quiet_overflow
-from .net import HINGE, WEIGHT, Network
+from .net import HINGE, Network
 from .regularizers import RegularizerSpec, prox
-from .train import sgd_epoch
+from .train import SgdMomentum, sgd_epoch
 
 
 @dataclass
@@ -124,23 +125,22 @@ def run_compression(net: Network, dataset, config: CompressionConfig,
     lr = dict.fromkeys(hinged, config.eta)
     rho = {}
     mean_norms = _mean_norms(hinged)  # epoch 0 balances lambda by the attach-time norms
-    kind, lam_base, eta_s = config.regularizer.kind, config.regularizer.lam, config.eta_s
+    kind, lam_base = config.regularizer.kind, config.regularizer.lam
     rng = np.random.default_rng(config.seed)
 
     def score(logits, idx):
         return losses.cross_entropy(logits, dataset.y_train[idx])
+
+    # every hinge is replaced by its prox each step, so no optimizer holds it
+    filters = SgdMomentum([p for p in net.params() if p[1] != HINGE], config.eta_s,
+                          momentum=0.0, weight_decay=config.weight_decay)
 
     def step():  # reads this epoch's lr, lam and grad_sums
         # every prox runs before any tensor moves, so one that raises
         # leaves the network as it was
         new_a = {name: prox(layer.a - lr[name] * layer.grad_a, layer.scheme, kind,
                             lam[name] * lr[name]) for name, layer in hinged.items()}
-        for _, param_kind, layer, attr in net.params():
-            if param_kind == HINGE:
-                continue
-            mu = config.weight_decay if param_kind == WEIGHT else 0.0
-            p = getattr(layer, attr)
-            setattr(layer, attr, p - eta_s * (getattr(layer, f"grad_{attr}") + mu * p))
+        filters.step()
         for name, layer in hinged.items():
             grad_sums[name] += layer.grad_a
             layer.a = new_a[name]

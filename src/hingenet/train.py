@@ -10,31 +10,33 @@ from .linalg import NumericError, quiet_overflow
 from .net import WEIGHT, Network
 
 LR_DROP_FACTOR = 0.1  # the learning rate is multiplied by this at each of `lr_drops`
+# `evaluate` sums its loss over blocks of this many samples, which fix the loss's bits
+# (test_distilled_finetune_golden_sha256); one cross-entropy over the split moves them
+EVAL_BATCH = 128
 
 
 class SgdMomentum:
-    """v = momentum*v + (g + wd*p); p -= lr*v. Decay applies to weight
-    matrices only, never biases or hinge matrices."""
+    """v = momentum*v + (g + wd*p); p -= lr*v, in place on the arrays of
+    `params` (`Network.params` tuples). Decay applies to weight matrices
+    only, never biases or hinge matrices. Momentum 0 keeps no v: p -= lr*(g + wd*p)."""
 
-    def __init__(self, net: Network, lr: float, momentum: float = 0.9,
+    def __init__(self, params, lr: float, momentum: float = 0.9,
                  weight_decay: float = 1e-4):
-        self.net = net
         self.lr = lr
         self.momentum = momentum
         self.weight_decay = weight_decay
-        self.velocity = {name: np.zeros_like(getattr(layer, attr))
-                         for name, _, layer, attr in net.params()}
+        self.params = [(kind, value, grad, np.zeros_like(value) if momentum else None)
+                       for _, kind, value, grad in params]
 
     def step(self):
-        for name, kind, layer, attr in self.net.params():
-            p = getattr(layer, attr)
-            g = getattr(layer, f"grad_{attr}")
+        for kind, p, g, v in self.params:
             if kind == WEIGHT:
                 g = g + self.weight_decay * p
-            v = self.velocity[name]
-            v *= self.momentum
-            v += g
-            setattr(layer, attr, p - self.lr * v)
+            if v is not None:
+                v *= self.momentum
+                v += g
+                g = v
+            p -= self.lr * g
 
 
 def batches(n: int, batch_size: int, rng: np.random.Generator):
@@ -52,36 +54,33 @@ def sgd_epoch(net: Network, dataset, batch_size: int, rng: np.random.Generator,
     moves any parameter, so a non-finite value raises `NumericError` with
     every tensor as it was. Returns the epoch's mean loss."""
     total = 0.0
-    seen = 0
     for idx in batches(len(dataset.x_train), batch_size, rng):
         net.zero_grads()
         loss, dlogits = score(net.forward(dataset.x_train[idx]), idx)
         if not np.isfinite(loss):
             raise NumericError(f"{stage} diverged at epoch {epoch} (loss={loss})")
         net.backward(dlogits)
-        for name, _, layer, attr in net.params():
-            if not np.all(np.isfinite(getattr(layer, f"grad_{attr}"))):
-                raise NumericError(f"non-finite gradient of {name} at epoch {epoch}")
+        for key, _, _, grad in net.params():
+            if not np.all(np.isfinite(grad)):
+                raise NumericError(f"non-finite gradient of {key} at epoch {epoch}")
         step()
         total += loss * len(idx)
-        seen += len(idx)
-    return total / seen
+    return total / len(dataset.x_train)
 
 
 @quiet_overflow()
-def evaluate(net: Network, x: np.ndarray, y: np.ndarray, batch_size: int = 128):
+def evaluate(net: Network, x: np.ndarray, y: np.ndarray):
     """Top-1 accuracy and mean cross-entropy over a split, by the inference
-    forward; pure."""
+    forward in blocks of `EVAL_BATCH` samples; pure."""
     correct = 0
     total_loss = 0.0
-    for start in range(0, len(x), batch_size):
-        xb = x[start:start + batch_size]
-        yb = y[start:start + batch_size]
-        logits = net.forward(xb, cache=False)
+    for start in range(0, len(x), EVAL_BATCH):
+        yb = y[start:start + EVAL_BATCH]
+        logits = net.forward(x[start:start + EVAL_BATCH], cache=False)
         loss, _ = losses.cross_entropy(logits, yb)
         if not np.isfinite(loss):
             raise NumericError(f"evaluation loss is not finite ({loss})")
-        total_loss += loss * len(xb)
+        total_loss += loss * len(yb)
         correct += int((logits.argmax(axis=1) == yb).sum())
     return correct / len(x), total_loss / len(x)
 
@@ -97,7 +96,7 @@ def train(net: Network, dataset, epochs: int, lr: float, batch_size: int = 32,
     teacher is frozen, so its logits on the training split come from one
     inference forward per run, before the first epoch, and are indexed per
     batch. Each epoch is one `sgd_epoch` stepping `SgdMomentum`."""
-    opt = SgdMomentum(net, lr, momentum, weight_decay)
+    opt = SgdMomentum(net.params(), lr, momentum, weight_decay)
     rng = np.random.default_rng(seed)
     history = []
     if teacher is not None and epochs > 0:

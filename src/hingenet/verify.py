@@ -114,9 +114,7 @@ def finite_difference_check(model, x, loss_fn, rng, samples_per_param: int = 3,
     model.backward(dlogits)
 
     rels, where = [], []
-    for name, kind, layer, attr in model.params():
-        p = getattr(layer, attr)
-        analytic = getattr(layer, f"grad_{attr}")
+    for name, _, p, analytic in model.params():
         flat = p.reshape(-1)
         aflat = analytic.reshape(-1)
         count = min(samples_per_param, flat.size)

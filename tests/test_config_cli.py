@@ -852,8 +852,8 @@ class TestCliVerify:
 
     def test_nan_gradient_detected(self, monkeypatch):
         def nan_backward(model, dlogits):
-            for _, _, layer, attr in model.params():
-                getattr(layer, f"grad_{attr}")[...] = np.nan
+            for _, _, _, grad in model.params():
+                grad[...] = np.nan
         monkeypatch.setattr(Network, "backward", nan_backward)
         from hingenet import verify
         results = verify.grad_suite()

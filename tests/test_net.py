@@ -1,16 +1,20 @@
 import hashlib
+import importlib.util
 import itertools
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import small_plain_arch, small_residual_arch
-from hingenet import linalg, losses, net
+from hingenet import config, linalg, losses, net
 from hingenet.hinge import FIRST_IN_BASIC, SECOND_IN_BASIC, STANDALONE, ConvMeta
 from hingenet.compaction import compact
 from hingenet.net import (ArchSpec, BlockDef, Conv2d, HingedConv2d, attach_hinges,
                           build_network, col2im, im2col)
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def naive_conv(x, w_mat, bias, meta):
@@ -272,8 +276,8 @@ class TestNetworkForward:
     def test_zero_weights_uniform_logits(self, rng):
         arch = small_residual_arch()
         model = build_network(arch, seed=0)
-        for _, _, layer, attr in model.params():
-            setattr(layer, attr, np.zeros_like(getattr(layer, attr)))
+        for _, _, value, _ in model.params():
+            value[...] = 0.0
         logits = model.forward(rng.normal(size=(4, 1, 8, 8)))
         assert np.all(logits == 0.0)
 
@@ -645,6 +649,24 @@ class TestLayerTable:
         model.backward(np.ones_like(logits))
         assert input_grads == {name: name != "stem" for name in model.layers}
 
+    @pytest.mark.parametrize("case", [*TABLE_CASES, "toy", "wide"])
+    def test_every_hinge_position_has_a_relu(self, case):
+        # the phase's column mask rests on it: a dead column's output channel
+        # reads 0, and the relu after it passes no gradient to the dead bias
+        if case == "toy":
+            arch = config.load_config(ROOT / "configs" / "toy.json").arch
+        elif case == "wide":
+            spec = importlib.util.spec_from_file_location(
+                "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+            workloads = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(workloads)
+            arch = config.parse_config(workloads.WIDE_CONFIG).arch
+        else:
+            arch = TABLE_CASES[case][0]
+        hinged = [e for e in arch.table if e.position is not None]
+        assert hinged
+        assert all(e.relu for e in hinged), [e.name for e in hinged if not e.relu]
+
     def test_spatial_sizes_follow_strides(self):
         arch = small_residual_arch()
         metas = {e.name: e.meta for e in arch.table}
@@ -682,11 +704,9 @@ class TestGradients:
 
     def fd_check(self, model, x, y, rng, samples=3, h=1e-5, tol=1e-4):
         self.loss_grad(model, x, y)
-        grads = {name: getattr(layer, f"grad_{attr}").copy()
-                 for name, _, layer, attr in model.params()}
+        grads = {name: grad.copy() for name, _, _, grad in model.params()}
         worst = 0.0
-        for name, _, layer, attr in model.params():
-            p = getattr(layer, attr)
+        for name, _, p, _ in model.params():
             flat = p.reshape(-1)
             gflat = grads[name].reshape(-1)
             for idx in rng.choice(flat.size, size=min(samples, flat.size), replace=False):
@@ -705,8 +725,8 @@ class TestGradients:
         model.zero_grads()
         model.forward(rng.normal(size=(2, 1, 8, 8)))
         model.backward(np.zeros((2, 3)))
-        for name, _, layer, attr in model.params():
-            assert np.all(getattr(layer, f"grad_{attr}") == 0.0), name
+        for name, _, _, grad in model.params():
+            assert np.all(grad == 0.0), name
 
     @pytest.mark.parametrize("case", list(TABLE_CASES))
     def test_hinged_finite_differences(self, rng, case):
@@ -765,8 +785,7 @@ def gradient_state(model, x, y):
     model.zero_grads()
     logits = model.forward(x)
     model.backward(losses.cross_entropy(logits, y)[1])
-    return logits, {name: getattr(layer, f"grad_{attr}").copy()
-                    for name, _, layer, attr in model.params()}
+    return logits, {name: grad.copy() for name, _, _, grad in model.params()}
 
 
 class TestInPlaceEpilogues:

@@ -76,16 +76,31 @@ for hinged in (False, True):
         net.attach_hinges(model)
     model.backward(np.ones_like(model.forward(x[:32])))
 model.forward(x, cache=False)
+calls = {k: v["calls"] for k, v in tracing.summarize(recorder).items()}
+from hingenet import data, solver
+ds = data.SyntheticDataset(seed=0, classes=4, n_train=48, n_test=16, channels=1,
+                           height=16, width=16)
+first = len(recorder.spans)
+solver.run_compression(model, ds, solver.CompressionConfig(max_epochs=1, batch_size=16))
+spans = recorder.spans
+def ancestors(i):
+    while spans[i][3] >= 0:
+        i = spans[i][3]
+        yield spans[i][0]
 print(json.dumps({"missed": missed,
                   "violations": [m for _, m in tracing.child_rule_violations(recorder)],
-                  "calls": {k: v["calls"] for k, v in tracing.summarize(recorder).items()}}))
+                  "calls": calls,
+                  "phase_steps": [list(ancestors(i)) for i in range(first, len(spans))
+                                  if spans[i][0] == "train.sgd_step"]}))
 """
 
 
 def test_tracer_wraps_a_conv_forward_and_backward():
-    """One toy training step, plain and hinged, and one sliced inference
-    forward under the tracer: every binding is wrapped and every conv
-    span has the children `--trace 1` checks."""
+    """One toy training step, plain and hinged, one sliced inference
+    forward and one compression-phase epoch under the tracer: every
+    binding is wrapped, every conv span has the children `--trace 1`
+    checks, and the phase steps its filters by one `SgdMomentum.step` per
+    batch."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     done = subprocess.run([sys.executable, "-c", TRACED_RUN,
@@ -97,3 +112,6 @@ def test_tracer_wraps_a_conv_forward_and_backward():
     assert result["violations"] == []
     calls = result["calls"]  # 7 convs: two caching forwards, three inference slices
     assert (calls["net.conv.forward"], calls["net.conv.backward"]) == (5 * 7, 2 * 7)
+    # 48 samples in batches of 16: three phase batches
+    assert len(result["phase_steps"]) == 3
+    assert all("solver.phase" in chain for chain in result["phase_steps"])

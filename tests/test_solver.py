@@ -44,12 +44,11 @@ def stepped_phase(monkeypatch, model, ds, cfg, prepare=None):
         def wrapped_step():
             if prepare is not None:
                 prepare(model)
-            before = {key: (getattr(layer, attr).copy(),
-                            getattr(layer, f"grad_{attr}").copy())
-                      for key, _, layer, attr in model.params()}
+            before = {key: (value.copy(), grad.copy())
+                      for key, _, value, grad in model.params()}
             masks = {name: layer.mask.copy() for name, layer in model.hinged_layers()}
             step()
-            after = {key: getattr(layer, attr).copy() for key, _, layer, attr in model.params()}
+            after = {key: value.copy() for key, _, value, _ in model.params()}
             steps.append((before, masks, list(records), after))
         return epoch(net_, dataset, batch_size, rng, score, wrapped_step, *rest)
     monkeypatch.setattr(solver, "sgd_epoch", wrapped_epoch)
@@ -86,9 +85,9 @@ class TestSgdStepW:
         cfg = phase_config(lr_ratio=1.0, weight_decay=0.0)
 
         def prepare(model):
-            for _, kind, layer, _ in model.params():
+            for _, kind, value, grad in model.params():
                 if kind == net.WEIGHT:
-                    layer.grad_w[...] = layer.w / cfg.eta_s
+                    grad[...] = value / cfg.eta_s
         model, ds = pair_and_plain()
         steps, _ = stepped_phase(monkeypatch, model, ds, cfg, prepare)
         for _, _, _, after in steps:
@@ -96,19 +95,54 @@ class TestSgdStepW:
                 if kind == net.WEIGHT:
                     assert np.abs(after[key]).max() <= 1e-15, key
 
+    @staticmethod
+    def assert_scalar_rule(model, cfg, steps):
+        """Byte for byte `p - eta_s * (g + mu * p)`, so a flipped signed zero
+        fails; the step's mask then scales a column-group layer's bias."""
+        columns = {name for name, layer in model.hinged_layers()
+                   if layer.scheme.kind == linalg.COLUMNS}
+        for before, masks, _, after in steps:
+            for key, kind, _, _ in model.params():
+                if kind == net.HINGE:
+                    continue
+                p, g = before[key]
+                mu = cfg.weight_decay if kind == net.WEIGHT else 0.0
+                want = p - cfg.eta_s * (g + mu * p)
+                name = key.rpartition("/")[0]
+                if kind == net.BIAS and name in columns:
+                    want = want * masks[name]
+                assert after[key].tobytes() == want.tobytes(), key
+
     def test_matches_scalar_rule_elementwise(self, monkeypatch):
         # every group alive: the step's mask leaves each bias as it is
         model, ds = pair_and_plain("svd")
         cfg = phase_config(lr_ratio=0.1, weight_decay=0.01, max_epochs=2)
         steps, _ = stepped_phase(monkeypatch, model, ds, cfg)
         assert len(steps) == 4
-        for before, _, _, after in steps:
-            for key, kind, _, _ in model.params():
-                if kind == net.HINGE:
-                    continue
-                p, g = before[key]
-                mu = cfg.weight_decay if kind == net.WEIGHT else 0.0
-                assert np.array_equal(after[key], p - cfg.eta_s * (g + mu * p)), key
+        self.assert_scalar_rule(model, cfg, steps)
+
+    def test_matches_scalar_rule_with_dying_columns(self, monkeypatch):
+        """The plain conv's column groups 0 and 2 are dead from the start,
+        over biases of both signs, and more die at an epoch end; each dead
+        bias takes a gradient of -0.0, which its relu passes when every
+        gradient it masks is negative."""
+        model, ds = pair_and_plain("svd")
+        plain = model.layers["block1.conv"]
+        assert plain.scheme.kind == linalg.COLUMNS
+        plain.b[...] = np.random.default_rng(5).normal(size=plain.b.shape)
+        plain.b[:3] = [-1.0, 1.0, -1.0]
+        plain.mask[[0, 2]] = False
+        plain.apply_mask()
+
+        def prepare(model):
+            plain.grad_b[~plain.mask] = -0.0
+        cfg = phase_config(lr_ratio=0.1, weight_decay=0.01, max_epochs=3, target_ratio=0.2,
+                           stop_margin=0.05, regularizer=RegularizerSpec("l1", 4.0))
+        steps, _ = stepped_phase(monkeypatch, model, ds, cfg, prepare)
+        assert len(steps) == 6
+        assert np.signbit(steps[0][0]["block1.conv/b"][0][0])  # a dead -0.0 bias
+        assert steps[-1][1]["block1.conv"].sum() < steps[0][1]["block1.conv"].sum()
+        self.assert_scalar_rule(model, cfg, steps)
 
 
 class TestProxStepA:

@@ -1,13 +1,15 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from hingenet import data, losses, net, train
+from hingenet.compaction import compact
 from hingenet.linalg import NumericError
 from hingenet.net import BlockDef, attach_hinges, build_network
 from hingenet.regularizers import RegularizerSpec
-from hingenet.solver import CompressionConfig, run_compression
+from hingenet.solver import CompressionConfig, apply_threshold, run_compression
 
 
 def tiny_setup(seed=3, n_train=48, n_test=96):
@@ -127,11 +129,56 @@ def test_evaluate_non_finite_weight_raises(value):
 def test_weight_decay_applies_to_weights_only():
     model, ds = tiny_setup()
     model.layers["head"].b[:] = 5.0
-    opt = train.SgdMomentum(model, lr=0.1, momentum=0.0, weight_decay=0.5)
+    opt = train.SgdMomentum(model.params(), lr=0.1, momentum=0.0, weight_decay=0.5)
     model.zero_grads()
     opt.step()  # zero grads: only decay acts
     assert np.all(model.layers["head"].b == 5.0)          # bias untouched
     assert np.all(model.layers["head"].grad_w == 0.0)
+
+
+def _filters(model):
+    """The W and b array of every conv: the optimizers hold them."""
+    return {key: value for key, kind, value, _ in model.params() if kind != net.HINGE}
+
+
+def _assert_disjoint(*models):
+    """No two parameter or gradient arrays of `models` share memory."""
+    arrays = [(key, a) for model in models for key, _, value, grad in model.params()
+              for a in (value, grad)]
+    for (k1, a1), (k2, a2) in itertools.combinations(arrays, 2):
+        assert not np.shares_memory(a1, a2), (k1, k2)
+
+
+def test_parameters_are_updated_in_place():
+    """Each W and b stays the array it was through a training epoch, a
+    phase in which column groups die, the threshold and compaction;
+    and no network shares memory with itself or with its compacted copy."""
+    model, ds = tiny_setup()
+    _assert_disjoint(model)
+    held = _filters(model)
+    train.train(model, ds, epochs=1, lr=0.01, batch_size=16, seed=0)
+    assert all(_filters(model)[key] is value for key, value in held.items())
+
+    attach_hinges(model, init="identity")
+    _assert_disjoint(model)
+    hinged = dict(model.hinged_layers())
+    assert {layer.scheme.kind for layer in hinged.values()} == {"columns"}
+    held = _filters(model)
+    # all but one group of each conv dies at the first epoch's end, so the
+    # second epoch steps dead biases
+    records = []
+    run_compression(model, ds, CompressionConfig(target_ratio=0.1, stop_margin=0.01,
+                                                 max_epochs=2, batch_size=16,
+                                                 regularizer=RegularizerSpec("l1", 4.0)),
+                    log=records.append)
+    assert len(records) == 2
+    assert records[0]["alive_groups"] == {name: 1 for name in hinged}
+    apply_threshold(model, 0.5)
+    compacted, _ = compact(model)
+    assert all(_filters(model)[key] is value for key, value in held.items())
+    _assert_disjoint(model)
+    _assert_disjoint(compacted)
+    _assert_disjoint(model, compacted)
 
 
 def _teacher_run(monkeypatch, epochs):
