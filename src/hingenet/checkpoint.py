@@ -3,9 +3,9 @@
 Layout: magic bytes ``HNGW``, u32 LE version (=1), u32 LE tensor count, then
 per tensor: u16 LE name length, UTF-8 name, u8 ndim, ndim u64 LE dims, and
 the row-major payload. Payloads are f32 LE except for tensors whose name
-ends in ``/mask`` or ``/mode``, which are stored as u8 (one byte per entry,
-values 0/1 for masks, 0/1/2 for layer modes). `net.Network.state_tensors`
-orders the tensors and `net.network_from_tensors` reads them back.
+ends in ``/mode``, one u8 per layer (0 untouched, 1 prune, 2 decompose).
+`net.Network.state_tensors` orders the tensors of a baseline or a
+compacted network and `net.network_from_tensors` reads them back.
 """
 
 import math
@@ -22,10 +22,6 @@ class CheckpointError(IOError):
     """Malformed or truncated checkpoint data."""
 
 
-def _is_byte_tensor(name: str) -> bool:
-    return name.endswith("/mask") or name.endswith("/mode")
-
-
 def save(path, tensors: "OrderedDict[str, np.ndarray]") -> None:
     """Write tensors to `path`. Float tensors are stored as f32, and one
     with an entry that is not finite there (NaN, inf, or a finite value
@@ -37,7 +33,7 @@ def save(path, tensors: "OrderedDict[str, np.ndarray]") -> None:
     blob += struct.pack("<I", len(tensors))
     for name, arr in tensors.items():
         arr = np.asarray(arr)
-        if _is_byte_tensor(name):
+        if name.endswith("/mode"):
             payload = np.ascontiguousarray(arr, dtype=np.uint8)
         else:
             with np.errstate(over="ignore"):  # a finite value beyond f32 becomes inf
@@ -90,7 +86,7 @@ def load(path) -> "OrderedDict[str, np.ndarray]":
             raise CheckpointError(f"tensor {name!r} appears more than once")
         (ndim,) = struct.unpack("<B", take(1))
         dims = struct.unpack(f"<{ndim}Q", take(8 * ndim))
-        byte_tensor = _is_byte_tensor(name)
+        byte_tensor = name.endswith("/mode")
         dtype = np.dtype(np.uint8 if byte_tensor else "<f4")
         # Python ints, so a product of u64 dims cannot wrap around to a
         # size that fits; `take` refuses any size beyond the bytes left.

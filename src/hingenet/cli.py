@@ -59,6 +59,14 @@ def _check_outputs(paths: dict):
             raise ConfigError(f"{label} {path}: directory {path.parent} does not exist")
 
 
+def _read_network(arch, path) -> net.Network:
+    """The network in the checkpoint at `path`; a CheckpointError names the file."""
+    try:
+        return net.network_from_tensors(arch, checkpoint.load(path))
+    except checkpoint.CheckpointError as exc:
+        raise checkpoint.CheckpointError(f"{path}: {exc}") from exc
+
+
 def _final_metrics(model, dataset, history):
     """Test accuracy and loss of the trained model. The last epoch's record
     already evaluated this model on the test split; a run of zero epochs
@@ -98,8 +106,8 @@ def cmd_compress(args) -> int:
     target = cfg.compress.target_ratio
     # only the phase's epochs read the data
     dataset = cfg.make_dataset() if cfg.compress.max_epochs > 0 else None
-    model, modes = net.network_from_tensors(cfg.arch, checkpoint.load(args.ckpt))
-    if modes is not None or any(layer.a is not None for layer in model.layers.values()):
+    model = _read_network(cfg.arch, args.ckpt)
+    if model.compacted:
         raise checkpoint.CheckpointError(
             f"{args.ckpt} is not a baseline checkpoint; compress needs one")
     net.attach_hinges(model, init=cfg.hinge_init,
@@ -132,7 +140,7 @@ def cmd_compress(args) -> int:
     solver.apply_threshold(model, search.threshold)
     compacted, plans = compaction.compact(model)
     deviation = compaction.verify_equivalence(model, compacted, n_inputs=16, seed=cfg.seed)
-    checkpoint.save(args.out, compacted.state_tensors({p.name: p.mode for p in plans}))
+    checkpoint.save(args.out, compacted.state_tensors())
 
     report.update({
         "threshold": search.threshold,
@@ -156,21 +164,15 @@ def cmd_finetune(args) -> int:
     cfg = load_config(args.config)
     _check_outputs({"--out": args.out, "metrics file": _metrics_path(args.out)})
     dataset = cfg.make_dataset()
-    model, modes = net.network_from_tensors(cfg.arch, checkpoint.load(args.ckpt))
-
-    teacher = None
-    distill_cfg = None
-    if args.distill:
-        teacher, _ = net.network_from_tensors(cfg.arch, checkpoint.load(args.teacher))
-        distill_cfg = cfg.distill
-
+    model = _read_network(cfg.arch, args.ckpt)
+    teacher = _read_network(cfg.arch, args.teacher) if args.distill else None
     tc = cfg.train
     history = training.train(model, dataset, epochs=tc.finetune_epochs,
                              lr=tc.finetune_lr, batch_size=tc.batch_size,
                              momentum=tc.momentum, weight_decay=tc.weight_decay,
                              seed=cfg.seed, teacher=teacher,
-                             distill_cfg=distill_cfg, log=_log)
-    checkpoint.save(args.out, model.state_tensors(modes))
+                             distill_cfg=cfg.distill, log=_log)
+    checkpoint.save(args.out, model.state_tensors())
     acc, loss = _final_metrics(model, dataset, history)
     _write_json(_metrics_path(args.out),
                 {"test_accuracy": acc, "test_loss": loss, "history": history,
@@ -181,7 +183,7 @@ def cmd_finetune(args) -> int:
 def cmd_evaluate(args) -> int:
     cfg = load_config(args.config)
     dataset = cfg.make_dataset()
-    model, _ = net.network_from_tensors(cfg.arch, checkpoint.load(args.ckpt))
+    model = _read_network(cfg.arch, args.ckpt)
     acc, loss = training.evaluate(model, dataset.x_test, dataset.y_test)
     print(json.dumps({"test_accuracy": acc, "test_loss": loss}, sort_keys=True))
     return EXIT_OK

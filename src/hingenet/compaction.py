@@ -9,9 +9,8 @@ pair (W restricted to alive columns, A to alive rows) as two convolutions
 when that is cheaper, and merge back otherwise. Channel removal propagates
 into the next layer's input rows, and biases ride with the output side.
 The compacted network computes the same function as the masked one up to
-float roundoff. `compact` returns it with the cost plan it was built
-from: the plan's layer modes are the mode bytes its checkpoint stores,
-and `cost.report` prices it.
+float roundoff. `compact` returns it, carrying the plan's layer modes,
+with the cost plan it was built from, which `cost.report` prices.
 """
 
 from typing import NamedTuple
@@ -64,8 +63,7 @@ def compact(net: Network) -> Compacted:
     for plan in plans:
         for key, t in _conv_tensors(net.layers[plan.name], plan).items():
             tensors[f"{plan.name}/{key}"] = t
-    network, _ = network_from_tensors(net.arch, tensors)
-    return Compacted(network, plans)
+    return Compacted(network_from_tensors(net.arch, tensors), plans)
 
 
 @quiet_overflow()

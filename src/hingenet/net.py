@@ -39,9 +39,9 @@ around its conv itself, out of place: the pooled read, the skip sum and
 the relu. The forward drops each output after its last reader, counted
 from the table; no step writes into an array another one made.
 
-Checkpoints: `Network.state_tensors` writes every checkpoint and
-`network_from_tensors` reads every one back, baseline or compacted; it
-also builds the network `compaction.compact` returns.
+Checkpoints: `Network.state_tensors` writes a baseline or a compacted
+network and `network_from_tensors` reads either back, with its layer
+modes; it also builds the network `compaction.compact` returns.
 
 Memory layout: activations are logically (B, C, H, W) but physically
 channels-last, because a conv output is the (B*H*W, C) product reshaped
@@ -363,9 +363,10 @@ class Network:
     stem reads the network input, so it computes no input gradient.
     """
 
-    def __init__(self, arch: ArchSpec, layers: dict):
+    def __init__(self, arch: ArchSpec, layers: dict, modes: dict | None = None):
         self.arch = arch
         self.layers = dict(layers)
+        self.modes = modes  # layer name -> mode in a compacted network, else None
         self.relu_masks = {}
         # how many readers each output has: its convs and its skips
         self._readers = Counter([e.source for e in arch.order]
@@ -430,6 +431,10 @@ class Network:
             if entry.source is not None:
                 add(entry.source, d)
 
+    @property
+    def compacted(self) -> bool:
+        return self.modes is not None
+
     def named_layers(self):
         for entry in self.arch.table:
             yield entry.name, self.layers[entry.name]
@@ -446,20 +451,16 @@ class Network:
         for _, _, _, grad in self.params():
             grad[...] = 0.0
 
-    def state_tensors(self, modes: dict | None = None) -> OrderedDict:
-        """The checkpoint tensors in table order: each layer's params, then
-        its mask while it is being compressed. Given `modes` (layer name ->
-        mode, untouched where absent), each layer's tensors follow its mode
-        byte, as in a compacted checkpoint."""
+    def state_tensors(self) -> OrderedDict:
+        """The checkpoint tensors in table order: each layer's params, after
+        its mode byte in a compacted network. A network under compression
+        gives its params alone, which no checkpoint reader accepts."""
         out = OrderedDict()
         for name, layer in self.named_layers():
-            if modes is not None:
-                byte = hinge.MODE_BYTES[modes.get(name, hinge.UNTOUCHED)]
-                out[f"{name}/mode"] = np.array([byte], dtype=np.uint8)
+            if self.modes is not None:
+                out[f"{name}/mode"] = np.array([hinge.MODE_BYTES[self.modes[name]]], np.uint8)
             for key, _, value, _ in layer.params(name):
                 out[key] = value
-            if isinstance(layer, HingedConv2d):
-                out[f"{name}/mask"] = layer.mask.astype(np.uint8)
         return out
 
 
@@ -469,20 +470,22 @@ _MODE_NAMES = {byte: mode for mode, byte in hinge.MODE_BYTES.items()}
 def _tensor(tensors, key):
     if key not in tensors:
         raise checkpoint.CheckpointError(f"checkpoint missing tensor {key!r}")
-    return tensors[key]
+    return tensors.pop(key)
 
 
 def _mode(tensors, name):
-    """The mode a compacted checkpoint records for a layer; None for a
-    byte that names no mode."""
+    """The mode a compacted checkpoint records for a layer."""
     mode_t = _tensor(tensors, f"{name}/mode")
-    return _MODE_NAMES.get(int(mode_t.flat[0])) if mode_t.size == 1 else None
+    if mode_t.size != 1 or int(mode_t.flat[0]) not in _MODE_NAMES:
+        raise checkpoint.CheckpointError(f"{name}: mode {mode_t.tolist()} is not one "
+                                         f"of the bytes {sorted(_MODE_NAMES)}")
+    return _MODE_NAMES[int(mode_t.flat[0])]
 
 
 def _checked_layer(entry, tensors, layers, compacted):
-    """The mode of one conv and the conv built from its tensors, checked
-    against its table entry and against the layer it reads. A baseline
-    layer is read as untouched."""
+    """The mode of one conv and the conv built from its tensors, taken out
+    of `tensors` and checked against its table entry and against the layer
+    it reads. A baseline layer is read as untouched."""
     name, nominal = entry.name, entry.meta
     mode = _mode(tensors, name) if compacted else hinge.UNTOUCHED
     if entry.position is None and mode != hinge.UNTOUCHED:
@@ -490,14 +493,13 @@ def _checked_layer(entry, tensors, layers, compacted):
             f"{name}: mode byte is not {hinge.MODE_BYTES[hinge.UNTOUCHED]} (untouched), "
             "and a layer without a hinge position is never compressed")
     w, b = _tensor(tensors, f"{name}/W"), _tensor(tensors, f"{name}/b")
-    a = tensors.get(f"{name}/A")
-    if compacted and a is not None and mode != hinge.DECOMPOSE:
+    a = tensors.pop(f"{name}/A", None)
+    if a is not None and mode != hinge.DECOMPOSE:
         raise checkpoint.CheckpointError(
             f"{name}: an A tensor in mode {mode}; only a decomposed layer keeps a pair")
     out_ch = b.shape[0] if b.ndim == 1 else 0
     full = mode != hinge.PRUNE or entry.protected
-    if (mode is None or not 0 < out_ch <= nominal.out_channels
-            or (full and out_ch != nominal.out_channels)):
+    if not 0 < out_ch <= nominal.out_channels or (full and out_ch != nominal.out_channels):
         raise checkpoint.CheckpointError(
             f"{name}: bias {b.shape} in mode {mode}, the architecture has "
             f"{nominal.out_channels} output channels")
@@ -510,22 +512,23 @@ def _checked_layer(entry, tensors, layers, compacted):
         raise checkpoint.CheckpointError(f"{name}: {exc}") from exc
 
 
-def network_from_tensors(arch: ArchSpec, tensors):
-    """The network in a baseline or a compacted checkpoint, and its layer
-    modes (None for a baseline). A file without mode bytes is a baseline,
-    read as if every layer were untouched. Channel counts come from the
-    stored tensor shapes and must fit the architecture: whole kernels per
-    input channel, as many inputs as the source layer produces, and no
-    more outputs than nominal (exactly nominal unless the layer was
-    pruned, and always for a protected layer). In a compacted file a
-    layer without a hinge position (the stem, a skip projection, the
-    head) is untouched, and only a decomposed layer has an `A`."""
+def network_from_tensors(arch: ArchSpec, tensors) -> Network:
+    """The network in a baseline or a compacted checkpoint, carrying the
+    layer modes it was read with (None for a baseline). A file without
+    mode bytes is a baseline, read as if every layer were untouched.
+    Channel counts come from the stored tensor shapes and must fit the
+    architecture: whole kernels per input channel, as many inputs as the
+    source layer produces, and no more outputs than nominal (exactly
+    nominal unless pruned, and always for a protected layer). A layer
+    without a hinge position is untouched, only a decomposed layer has
+    an `A`, and every tensor belongs to a layer."""
     compacted = any(key.endswith("/mode") for key in tensors)
-    layers, modes = {}, {}
+    left, layers, modes = dict(tensors), {}, {}
     for entry in arch.table:
-        modes[entry.name], layers[entry.name] = _checked_layer(entry, tensors, layers,
-                                                               compacted)
-    return Network(arch, layers), modes if compacted else None
+        modes[entry.name], layers[entry.name] = _checked_layer(entry, left, layers, compacted)
+    if left:
+        raise checkpoint.CheckpointError(f"tensor {next(iter(left))!r} belongs to no layer")
+    return Network(arch, layers, modes if compacted else None)
 
 
 def build_network(arch: ArchSpec, seed: int) -> Network:

@@ -28,6 +28,19 @@ def small_plain_arch(channels=(5, 4), input_channels=2, size=8, classes=3):
     return net.ArchSpec(input_channels, size, size, classes, channels[0], blocks)
 
 
+def state_with_masks(model):
+    """`model.state_tensors()` with each hinged layer's mask, as u8, after
+    its params: the whole state of a network under compression, whose
+    masks no checkpoint stores, in the order the pinned digests read."""
+    out = {}
+    for key, value in model.state_tensors().items():
+        out[key] = value
+        name, _, param = key.rpartition("/")
+        if param == "b" and isinstance(model.layers[name], net.HingedConv2d):
+            out[f"{name}/mask"] = model.layers[name].mask.astype(np.uint8)
+    return out
+
+
 def staircase(model):
     """The exhaustive reference for the threshold search: the compression
     ratio at threshold 0, just above every group norm and at infinity, in

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import staircase
+from conftest import staircase, state_with_masks
 from hingenet import cli, cost, data, linalg, net, solver, train, verify
 from hingenet.config import load_config
 from hingenet.linalg import ROWS, GroupScheme, group_norms
@@ -151,8 +151,7 @@ def test_criterion_5_compaction_equivalence():
 def test_criterion_6_threshold_search(toy_pipeline):
     cfg = load_config(TOY_CONFIG)
     from hingenet import checkpoint
-    model, _ = net.network_from_tensors(cfg.arch,
-                                        checkpoint.load(toy_pipeline["baseline_ckpt"]))
+    model = net.network_from_tensors(cfg.arch, checkpoint.load(toy_pipeline["baseline_ckpt"]))
     attach_hinges(model, init=cfg.hinge_init)
 
     achievable = set(staircase(model))
@@ -214,8 +213,8 @@ def test_criterion_8_solver_invariants(tmp_path):
     solver.run_compression(twin, ds, cfg)
     from hingenet import checkpoint
     p1, p2 = tmp_path / "a.hngw", tmp_path / "b.hngw"
-    checkpoint.save(p1, model.state_tensors())
-    checkpoint.save(p2, twin.state_tensors())
+    checkpoint.save(p1, state_with_masks(model))
+    checkpoint.save(p2, state_with_masks(twin))
     deterministic = p1.read_bytes() == p2.read_bytes()
 
     ok = monotone_gamma and masked_zero and gamma_recomputed and deterministic

@@ -14,7 +14,7 @@ def sample_tensors(rng):
         ("stem/b", rng.normal(size=4)),
         ("block0.conv1/W", rng.normal(size=(36, 4))),
         ("block0.conv1/A", rng.normal(size=(4, 4))),
-        ("block0.conv1/mask", np.array([1, 0, 1, 1], dtype=np.uint8)),
+        ("block0.conv1/mode", np.array([2], dtype=np.uint8)),
         ("head/W", rng.normal(size=(4, 3))),
     ])
 
@@ -26,7 +26,7 @@ def test_round_trip(tmp_path, rng):
     loaded = checkpoint.load(path)
     assert list(loaded) == list(tensors)  # order preserved
     for name, arr in tensors.items():
-        if name.endswith("/mask"):
+        if name.endswith("/mode"):
             assert loaded[name].dtype == np.uint8
             assert np.array_equal(loaded[name], arr)
         else:
@@ -152,7 +152,7 @@ def test_mutated_or_truncated_file_raises_checkpoint_error_or_loads(tmp_path_fac
     # Small tensors, so the headers are a large share of the bytes.
     checkpoint.save(path, OrderedDict([
         ("a/W", np.arange(6.0).reshape(2, 3)),
-        ("a/mask", np.array([1, 0, 1], dtype=np.uint8)),
+        ("b/mode", np.array([1], dtype=np.uint8)),
         ("s", np.array(2.5)),
         ("a/mode", np.array([2], dtype=np.uint8)),
     ]))

@@ -17,13 +17,12 @@ from hingenet.net import (Conv2d, HingedConv2d, attach_hinges, build_network,
 
 def compact(model):
     """`compaction.compact`, read as this module's tests read it: the
-    network, its layer modes, and the report, `cost.report` of the plans
-    with the plans as `per_layer`."""
+    network, and the report, `cost.report` of the plans with the plans as
+    `per_layer`."""
     network, plans = compaction.compact(model)
     fields = cost.report(plans)
     report = SimpleNamespace(**{**fields, "per_layer": plans}, to_dict=lambda: fields)
-    return SimpleNamespace(network=network, modes={p.name: p.mode for p in plans},
-                           report=report)
+    return SimpleNamespace(network=network, report=report)
 
 
 def one_hinge_net(rng, kind, n=8):
@@ -256,33 +255,31 @@ class TestSerialization:
             layer.apply_mask()
         cm = compact(model)
         path = tmp_path / "compact.hngw"
-        checkpoint.save(path, cm.network.state_tensors(cm.modes))
+        checkpoint.save(path, cm.network.state_tensors())
 
-        rebuilt, modes = network_from_tensors(model.arch, checkpoint.load(path))
-        assert modes["stem"] == hinge.UNTOUCHED
-        assert modes["block0.conv1"] in (hinge.PRUNE, hinge.DECOMPOSE)
+        rebuilt = network_from_tensors(model.arch, checkpoint.load(path))
+        assert rebuilt.modes == cm.network.modes
+        assert rebuilt.modes["stem"] == hinge.UNTOUCHED
+        assert rebuilt.modes["block0.conv1"] in (hinge.PRUNE, hinge.DECOMPOSE)
         # f32 storage: equality up to single-precision rounding
         assert verify_equivalence(cm.network, rebuilt, 8, seed=1) <= 1e-4
 
     @pytest.mark.parametrize("kind", ["baseline", "compacted"])
     def test_read_then_write_is_byte_equal(self, tmp_path, kind):
         model = build_network(small_residual_arch(channels=(6, 8)), seed=17)
-        modes = None
         if kind == "compacted":
             attach_hinges(model, init="svd", first_kind="columns")
             for _, layer in model.hinged_layers():
                 layer.mask[[0, 2, 3]] = False
-            cm = compact(model)
-            model, modes = cm.network, cm.modes
-            assert {hinge.PRUNE, hinge.DECOMPOSE} <= set(modes.values())
+            model = compact(model).network
+            assert {hinge.PRUNE, hinge.DECOMPOSE} <= set(model.modes.values())
             assert any(layer.a is not None for layer in model.layers.values())
             assert not any(isinstance(layer, HingedConv2d) for layer in model.layers.values())
         first, second = tmp_path / "first.hngw", tmp_path / "second.hngw"
-        checkpoint.save(first, model.state_tensors(modes))
-        rebuilt, read_modes = network_from_tensors(model.arch, checkpoint.load(first))
-        assert read_modes == (None if modes is None
-                              else {e.name: modes[e.name] for e in model.arch.table})
-        checkpoint.save(second, rebuilt.state_tensors(read_modes))
+        checkpoint.save(first, model.state_tensors())
+        rebuilt = network_from_tensors(model.arch, checkpoint.load(first))
+        assert rebuilt.modes == model.modes
+        checkpoint.save(second, rebuilt.state_tensors())
         assert second.read_bytes() == first.read_bytes()
 
     def test_pruned_plain_round_trip(self, rng):
@@ -292,7 +289,7 @@ class TestSerialization:
             layer.mask[[0, 2]] = False
             layer.apply_mask()
         cm = compact(model)
-        rebuilt, _ = network_from_tensors(model.arch, cm.network.state_tensors(cm.modes))
+        rebuilt = network_from_tensors(model.arch, cm.network.state_tensors())
         assert rebuilt.layers["block1.conv"].meta.in_channels == 3
         assert verify_equivalence(cm.network, rebuilt, 8, seed=2) == 0.0
 
@@ -306,7 +303,7 @@ class TestSerialization:
         model = build_network(arch, seed=16)
         attach_hinges(model, init="svd")
         cm = compact(model)
-        tensors = cm.network.state_tensors(cm.modes)
+        tensors = cm.network.state_tensors()
         if corrupt == "rows-not-whole-kernels":
             tensors["block0.conv1/W"] = tensors["block0.conv1/W"][:-1]
         elif corrupt == "input-channels":
@@ -380,7 +377,7 @@ def test_compaction_golden_sha256():
     seen = set()
     for _ in range(30):
         cm = compact(verify.random_masked_model(rng))
-        for name, arr in cm.network.state_tensors(cm.modes).items():
+        for name, arr in cm.network.state_tensors().items():
             h.update(name.encode())
             h.update(np.ascontiguousarray(arr).tobytes())
         h.update(json.dumps(cm.report.to_dict(), sort_keys=True).encode())
@@ -405,7 +402,7 @@ def test_phase_free_compression_is_one_global_singular_value_cutoff(tmp_path, mo
     arch = load_config(cfg).arch
     base = tmp_path / "base.hngw"
     checkpoint.save(base, build_network(arch, seed=42).state_tensors())
-    baseline, _ = network_from_tensors(arch, checkpoint.load(base))  # the stored filters
+    baseline = network_from_tensors(arch, checkpoint.load(base))  # the stored filters
     compact_fn, compacted = compaction.compact, []
 
     def recording(model):

@@ -452,7 +452,7 @@ def test_unusable_path_is_usage_error(pipeline, capsys, case):
         argv = (["finetune", "--ckpt", str(pipeline["compact"])] if case.startswith("finetune")
                 else ["train"]) + ["--config", cfg, "--out", str(again)]
     elif case == "compress-hinged-state":   # a network still being compressed
-        model, _ = network_from_tensors(load_config(cfg).arch, checkpoint.load(pipeline["base"]))
+        model = network_from_tensors(load_config(cfg).arch, checkpoint.load(pipeline["base"]))
         named = str(tmp / "hinged.hngw")
         checkpoint.save(named, attach_hinges(model).state_tensors())
         argv = compress + ["--ckpt", named]
@@ -785,7 +785,7 @@ class TestCliFinetune:
         rc = cli.main(["evaluate", "--config", pipeline["cfg"], "--ckpt", str(path)])
         assert rc == cli.EXIT_USAGE
         err = capsys.readouterr().err
-        assert len(err.splitlines()) == 1 and err.startswith(f"error: {layer}: mode byte")
+        assert len(err.splitlines()) == 1 and err.startswith(f"error: {path}: {layer}: mode byte")
 
     def test_evaluate_pair_on_untouched_layer_is_usage_error(self, pipeline, capsys):
         # only a decomposed layer keeps an `A`: on the untouched stem it
@@ -799,7 +799,7 @@ class TestCliFinetune:
         rc = cli.main(["evaluate", "--config", pipeline["cfg"], "--ckpt", str(path)])
         assert rc == cli.EXIT_USAGE
         err = capsys.readouterr().err
-        assert len(err.splitlines()) == 1 and err.startswith("error: stem: an A tensor")
+        assert len(err.splitlines()) == 1 and err.startswith(f"error: {path}: stem: an A tensor")
 
     def test_evaluate_repeated_tensor_is_usage_error(self, pipeline, capsys):
         # the baseline with its stem/W record appended again, count one higher
@@ -813,7 +813,49 @@ class TestCliFinetune:
         capsys.readouterr()
         rc = cli.main(["evaluate", "--config", pipeline["cfg"], "--ckpt", str(path)])
         assert rc == cli.EXIT_USAGE
-        assert capsys.readouterr().err == "error: tensor 'stem/W' appears more than once\n"
+        assert capsys.readouterr().err == f"error: {path}: tensor 'stem/W' appears more than once\n"
+
+    @pytest.mark.parametrize("command", ["evaluate", "finetune-ckpt", "finetune-teacher",
+                                         "compress"])
+    @pytest.mark.parametrize("case,named", [
+        ("hinged", "block0.conv1: an A tensor in mode untouched"),
+        ("stray-tensor", "tensor 'junk/W' belongs to no layer"),
+        ("missing-tensor", "checkpoint missing tensor 'head/b'"),
+        ("pair-on-untouched", "stem: an A tensor in mode untouched"),
+        ("mode-3", "block0.conv1: mode [3] is not one of the bytes [0, 1, 2]")],
+        ids=["hinged", "stray-tensor", "missing-tensor", "pair-on-untouched", "mode-3"])
+    def test_bad_checkpoint_names_its_file(self, pipeline, capsys, command, case, named):
+        """Each command that reads a checkpoint refuses one that is neither
+        a baseline nor a compacted network, or does not fit the
+        architecture, with exit 2 and one line naming the file."""
+        cfg, tmp = pipeline["cfg"], pipeline["tmp"]
+        base = network_from_tensors(load_config(cfg).arch, checkpoint.load(pipeline["base"]))
+        tensors = checkpoint.load(pipeline["compact"])
+        if case == "hinged":   # a network under compression
+            tensors = attach_hinges(base).state_tensors()
+        elif case == "stray-tensor":
+            tensors = dict(base.state_tensors(), **{"junk/W": np.ones((1, 1))})
+        elif case == "missing-tensor":
+            tensors = base.state_tensors()
+            del tensors["head/b"]
+        elif case == "pair-on-untouched":
+            tensors["stem/W"] = tensors["stem/W"][:, :2]
+            tensors["stem/A"] = np.ones((2, tensors["stem/b"].size))
+        else:
+            tensors["block0.conv1/mode"] = np.array([3], dtype=np.uint8)
+        path, out = tmp / f"bad_{case}.hngw", tmp / "bad_out.hngw"
+        checkpoint.save(path, tensors)
+        argv = {"evaluate": ["evaluate", "--ckpt", str(path)],
+                "finetune-ckpt": ["finetune", "--ckpt", str(path), "--out", str(out)],
+                "finetune-teacher": ["finetune", "--ckpt", str(pipeline["compact"]),
+                                     "--teacher", str(path), "--distill", "--out", str(out)],
+                "compress": ["compress", "--ckpt", str(path), "--out", str(out)]}[command]
+        capsys.readouterr()
+        rc = cli.main(argv + ["--config", cfg])
+        assert rc == cli.EXIT_USAGE
+        [err] = capsys.readouterr().err.splitlines()
+        assert err.startswith(f"error: {path}: {named}")
+        assert not out.exists()
 
     def test_evaluate_compact(self, pipeline, capsys):
         rc = cli.main(["evaluate", "--config", pipeline["cfg"],

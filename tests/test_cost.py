@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from conftest import small_plain_arch, small_residual_arch, staircase
+from conftest import small_plain_arch, small_residual_arch, staircase, state_with_masks
 from hingenet import cost
 from hingenet.net import ArchSpec, BlockDef, attach_hinges, build_network
 
@@ -71,7 +71,7 @@ class TestDecomposeSaves:
 
 def model_digest(model):
     h = hashlib.sha256()
-    for name, arr in model.state_tensors().items():
+    for name, arr in state_with_masks(model).items():
         h.update(name.encode())
         h.update(np.ascontiguousarray(arr).tobytes())
     return h.hexdigest()
@@ -150,7 +150,7 @@ class TestParams:
             model = verify.random_masked_model(rng)
             network, plans = compaction.compact(model)
             seen |= {(p.mode, p.kept_pair) for p in plans}
-            tensors = network.state_tensors({p.name: p.mode for p in plans})
+            tensors = network.state_tensors()
             report = cost.report(plans)
             for p in plans:
                 positions = model.layers[p.name].meta.spatial

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import small_residual_arch, staircase
+from conftest import small_residual_arch, staircase, state_with_masks
 from hingenet import compaction, cost, data, hinge, linalg, losses, net, solver, train
 from hingenet.net import attach_hinges, build_network
 from hingenet.regularizers import RegularizerSpec, prox, prox_oracle
@@ -394,9 +394,9 @@ class TestRunCompression:
                                 regularizer=RegularizerSpec("l1", 0.0),
                                 eta=0.1, lr_ratio=0.0, max_epochs=2,
                                 seed=0, batch_size=8)
-        before = {k: v.copy() for k, v in model.state_tensors().items()}
+        before = {k: v.copy() for k, v in state_with_masks(model).items()}
         run_compression(model, ZeroData(), cfg)
-        after = model.state_tensors()
+        after = state_with_masks(model)
         for key in before:
             assert np.array_equal(before[key], after[key]), key
 
@@ -409,7 +409,7 @@ class TestRunCompression:
         m1, m2 = copy.deepcopy(model), copy.deepcopy(model)
         run_compression(m1, ds, cfg)
         run_compression(m2, ds, cfg)
-        t1, t2 = m1.state_tensors(), m2.state_tensors()
+        t1, t2 = state_with_masks(m1), state_with_masks(m2)
         for key in t1:
             assert np.array_equal(t1[key], t2[key]), key
 
@@ -525,7 +525,7 @@ def test_train_then_phase_golden_sha256():
     state = run_compression(model, ds, cfg, log=records.append)
     assert len(state.gamma_history) == 3 and state.gamma_c < 1.0
     h = hashlib.sha256()
-    for name, arr in model.state_tensors().items():
+    for name, arr in state_with_masks(model).items():
         h.update(name.encode())
         h.update(np.ascontiguousarray(arr).tobytes())
     records = [dict(r, lambda_base=dict.fromkeys(r["lambda_layer"], cfg.regularizer.lam))
@@ -557,7 +557,7 @@ def test_distilled_finetune_golden_sha256():
                           teacher=teacher, distill_cfg=losses.DistillConfig(0.4, 4.0))
     result = train.evaluate(student, ds.x_test, ds.y_test)
     h = hashlib.sha256()
-    for name, arr in student.state_tensors().items():
+    for name, _, arr, _ in student.params():   # the tensors without the mode bytes
         h.update(name.encode())
         h.update(np.ascontiguousarray(arr).tobytes())
     h.update(json.dumps([history, result], sort_keys=True).encode())

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import state_with_masks
 from hingenet import data, losses, net, train
 from hingenet.compaction import compact
 from hingenet.linalg import NumericError
@@ -89,7 +90,7 @@ def test_nan_gradient_stops_before_any_parameter_moves(monkeypatch, run):
     their step moves any tensor."""
     model, ds = tiny_setup()
     attach_hinges(model, init="identity")
-    before = {k: v.copy() for k, v in model.state_tensors().items()}
+    before = {k: v.copy() for k, v in state_with_masks(model).items()}
     backward = model.backward
 
     def nan_head_bias_grad(dlogits):
@@ -98,7 +99,7 @@ def test_nan_gradient_stops_before_any_parameter_moves(monkeypatch, run):
     monkeypatch.setattr(model, "backward", nan_head_bias_grad)
     with pytest.raises(NumericError, match="head/b at epoch 0"):
         run(model, ds)
-    for key, val in model.state_tensors().items():
+    for key, val in state_with_masks(model).items():
         assert np.array_equal(before[key], val), key
 
 
@@ -110,11 +111,11 @@ def test_failing_prox_stops_before_any_parameter_moves(spec, error):
     prox that raises leaves the network as it was."""
     model, ds = tiny_setup()
     attach_hinges(model, init="identity")
-    before = {k: v.copy() for k, v in model.state_tensors().items()}
+    before = {k: v.copy() for k, v in state_with_masks(model).items()}
     with pytest.raises(error):
         run_compression(model, ds, CompressionConfig(target_ratio=0.5, max_epochs=1,
                                                      batch_size=16, regularizer=spec))
-    for key, val in model.state_tensors().items():
+    for key, val in state_with_masks(model).items():
         assert np.array_equal(before[key], val), key
 
 
