@@ -6,18 +6,19 @@ and one backward; `HingedConv2d` adds only the compression state (group
 scheme and mask). Blocks are either a plain conv+relu or a residual pair
 of 3x3 convs with an optional projection on the skip path. The classifier
 head is a 1x1 conv on the global average of the last block's output. All
-parameters are float64 numpy arrays. Either conv forward unfolds its
-batch in blocks of samples, as many as keep a block's patch matrix within
-`PATCH_BLOCK_BYTES` (at least one); a batch of several blocks has each
-block's product written into one preallocated `pre` while its patches are
-still in cache. A conv whose product width mod 8 is 1 to 4 multiplies
-its batch whole, since BLAS rounds a row of such a product by its row
-count. Only the caching forward (`cache=True`, the default) keeps what
-backward needs: a conv keeps its input, not its patch matrix, and
-`Network` keeps each relu row's mask in one dict. Backward takes each
-conv's cache and pops each mask, so a step's state is freed as backward
-passes it, and a second backward raises, as does one after an inference
-forward (`cache=False`), which keeps nothing. The inference forward runs
+parameters are float64 numpy arrays. Either conv forward, and the input
+gradient of a stride-1 conv, unfolds its batch in blocks of samples, as
+many as keep a block's patch matrix within `PATCH_BLOCK_BYTES` (at least
+one); a batch of several blocks has each block's product written into
+one preallocated result while its patches are still in cache. A product
+whose width mod 8 is 1 to 4 takes its batch whole, since BLAS rounds a
+row of such a product by its row count. Only the caching forward
+(`cache=True`, the default) keeps what backward needs: a conv keeps its
+input, not its patch matrix, and `Network` keeps each relu row's mask in
+one dict. Backward takes each conv's cache and pops each mask, so a
+step's state is freed as backward passes it, and a second backward
+raises, as does one after an inference forward (`cache=False`), which
+keeps nothing. The inference forward runs
 its batch in slices of `Network.inference_batch` samples, the most that
 keep every nominal whole-slice patch matrix of the layer table within
 `INFERENCE_PATCH_BYTES` (at least one): the slices bound the activations
@@ -48,11 +49,15 @@ channels-last, because a conv output is the (B*H*W, C) product reshaped
 and viewed as NCHW. `im2col` reads its input through the free
 `transpose(0, 2, 3, 1)` view and emits patch features in (kh, kw, c)
 order; `col2im` returns an NCHW view of channels-last memory, so neither
-direction makes a layout copy. `col2im` is the whole conv input gradient:
-it multiplies the output gradient by one kernel tap's filter rows at a
-time into one (B*out_h*out_w, C) buffer and adds it into that tap's
-window, so the (B*out_h*out_w, kh*kw*C) patch-gradient matrix is never
-built. Weight gradients are the products `(dz.T @ col).T`: the same dot
+direction makes a layout copy. `col2im` is the whole conv input gradient.
+At stride 1 it is a conv itself (Dumoulin and Visin 2016,
+arXiv:1603.07285): the output gradient, seen as a channels-last image,
+unfolded at padding `kh - 1 - pad`, times the filters flipped in space
+with input channels and outputs swapped, in blocks as the forward runs.
+A strided conv multiplies the output gradient by one kernel tap's filter
+rows at a time into one (B*out_h*out_w, C) buffer and adds it into that
+tap's window. Neither builds the (B*out_h*out_w, kh*kw*C) patch-gradient
+matrix. Weight gradients are the products `(dz.T @ col).T`: the same dot
 products as `col.T @ dz`, bit for bit, in the orientation BLAS runs
 faster. Backward unfolds `col` again from the cached input, a pure copy
 with the forward's bits, and frees it before `col2im`. The skip sum and
@@ -79,8 +84,9 @@ HINGE = "hinge"     # the sparsity-inducing matrices, updated by prox steps
 # inference slices are sized by the nominal patch matrix of a whole slice,
 # though a conv forward never unfolds more than one block of it at once
 INFERENCE_PATCH_BYTES = 8 * 2 ** 20
-# largest patch block a conv forward unfolds, unless one sample's is larger;
-# the best for the toy and wide nets together in a sweep of 128 KiB to 2 MiB
+# largest patch block a conv forward or a stride-1 input gradient unfolds,
+# unless one sample's is larger; the best forward for the toy and wide nets
+# together in a sweep of 128 KiB to 2 MiB
 PATCH_BLOCK_BYTES = 2 ** 19
 
 
@@ -112,15 +118,59 @@ def im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int) -> np.ndarray
     return windows.reshape(b * out_h * out_w, kh * kw * c)
 
 
+def _samples_per_block(width: int, sample_patch_bytes: int) -> int:
+    """Samples a conv product unfolds and multiplies at once: as many as
+    keep a block's patch matrix within `PATCH_BLOCK_BYTES` (at least one).
+    BLAS rounds a row of a product whose width mod 8 is 1 to 4 by the
+    product's row count, so such a product takes its batch whole."""
+    if width % 8 in (1, 2, 3, 4):
+        return sys.maxsize
+    return max(1, PATCH_BLOCK_BYTES // sample_patch_bytes)
+
+
+def _unfolded_product(x: np.ndarray, w: np.ndarray, kh: int, kw: int, stride: int,
+                      pad: int, block: int) -> np.ndarray:
+    """`im2col(x, kh, kw, stride, pad) @ w`, `block` samples at a time: each
+    block's product goes into its rows of one preallocated result while
+    its patches are still in cache, and the block is freed once multiplied."""
+    if len(x) <= block:  # no buffer or slices: they cost a tiny conv about 1 us a call
+        return matmul(im2col(x, kh, kw, stride, pad), w)
+    _, _, h, w_in = x.shape
+    rows = ((h + 2 * pad - kh) // stride + 1) * ((w_in + 2 * pad - kw) // stride + 1)
+    out = np.empty((len(x) * rows, w.shape[1]))
+    for s in range(0, len(x), block):
+        matmul(im2col(x[s:s + block], kh, kw, stride, pad), w,
+               out=out[s * rows:(s + block) * rows])
+    return out
+
+
 def col2im(dz: np.ndarray, w: np.ndarray, x_shape, kh: int, kw: int, stride: int,
            pad: int) -> np.ndarray:
-    """Input gradient of the conv `im2col(x) @ w`: the adjoint of im2col
-    applied to `dz @ w.T`, one kernel tap at a time. `w` has im2col's
+    """Input gradient of the conv `im2col(x) @ w`, whose `w` has im2col's
     (kh, kw, c) row order. The result is a (B, C, H, W) view of
-    channels-last memory."""
+    channels-last memory.
+
+    A stride-1 conv with a square kernel has as input gradient a conv too:
+    `dz`, seen as a channels-last image padded by `kh - 1 - pad`, unfolded
+    and multiplied by the filters flipped in space with channels and
+    outputs swapped, `w_flip[(i, j, k), c] = w[(kh-1-i, kw-1-j, c), k]`.
+    It runs in blocks of samples, as the forward does, the block size
+    following from `PATCH_BLOCK_BYTES` and the width `c` of the product.
+    A strided conv applies the adjoint of im2col to `dz @ w.T` one kernel
+    tap at a time, multiplying each tap's filter rows into one
+    (B*out_h*out_w, C) buffer and adding it into that tap's window, so
+    the patch-gradient matrix is never built."""
     b, c, h, w_in = x_shape
     out_h = (h + 2 * pad - kh) // stride + 1
     out_w = (w_in + 2 * pad - kw) // stride + 1
+    if stride == 1 and kh == kw:
+        k = dz.shape[1]
+        w_flip = np.ascontiguousarray(
+            w.reshape(kh, kw, c, k)[::-1, ::-1].transpose(0, 1, 3, 2).reshape(-1, c))
+        block = _samples_per_block(c, 8 * h * w_in * w_flip.shape[0])  # float64
+        dz_img = dz.reshape(b, out_h, out_w, k).transpose(0, 3, 1, 2)
+        dx = _unfolded_product(dz_img, w_flip, kh, kw, 1, kh - 1 - pad, block)
+        return dx.reshape(b, h, w_in, c).transpose(0, 3, 1, 2)
     dxp = np.zeros((b, h + 2 * pad, w_in + 2 * pad, c), dtype=np.float64)
     dtap = np.empty((dz.shape[0], c))  # every tap's product, in turn
     for i in range(kh):
@@ -172,25 +222,17 @@ class Conv2d:
         self.grad_a = None if a is None else np.zeros_like(self.a)
         self.grad_b = np.zeros_like(self.b)
         self._cache = None
-        # samples per forward block; BLAS rounds a row of a product whose width
-        # mod 8 is 1 to 4 by the product's row count, so a conv of such a width
-        # (a kept pair's rank, a pruned conv's outputs) multiplies its batch whole
-        patch_bytes = 8 * meta.out_h * meta.out_w * meta.patch_size  # one sample's, float64
-        self._block = (sys.maxsize if self.w.shape[1] % 8 in (1, 2, 3, 4)
-                       else max(1, PATCH_BLOCK_BYTES // patch_bytes))
+        # samples per forward block: a kept pair's rank or a pruned conv's
+        # outputs whose width mod 8 is 1 to 4 multiplies its batch whole
+        self._block = _samples_per_block(
+            self.w.shape[1], 8 * meta.out_h * meta.out_w * meta.patch_size)  # float64
 
     def forward(self, x: np.ndarray, cache: bool = True) -> np.ndarray:
         m = self.meta
         self._cache = None  # free the previous batch's state before unfolding
         w = _patch_rows(self.w, m)
-        n, rows = self._block, m.out_h * m.out_w
-        if len(x) <= n:  # no buffer or slices: they cost a tiny conv about 1 us a call
-            pre = matmul(im2col(x, m.kernel_h, m.kernel_w, m.stride, m.padding), w)
-        else:  # backward unfolds `x` again, so each block is freed once multiplied
-            pre = np.empty((len(x) * rows, w.shape[1]))
-            for s in range(0, len(x), n):
-                matmul(im2col(x[s:s + n], m.kernel_h, m.kernel_w, m.stride, m.padding), w,
-                       out=pre[s * rows:(s + n) * rows])
+        # backward unfolds `x` again, so no patch block outlives its product
+        pre = _unfolded_product(x, w, m.kernel_h, m.kernel_w, m.stride, m.padding, self._block)
         z = (pre if self.a is None else matmul(pre, self.a)) + self.b
         if cache:  # backward needs `pre` only for grad_a
             self._cache = (x, w, None if self.a is None else pre)
@@ -494,6 +536,9 @@ def _checked_layer(entry, tensors, layers, compacted):
             "and a layer without a hinge position is never compressed")
     w, b = _tensor(tensors, f"{name}/W"), _tensor(tensors, f"{name}/b")
     a = tensors.pop(f"{name}/A", None)
+    for key, value in (("W", w), ("A", a), ("b", b)):
+        if value is not None and not np.isfinite(value).all():  # no writer stores one
+            raise checkpoint.CheckpointError(f"{name}/{key}: an entry is not finite")
     if a is not None and mode != hinge.DECOMPOSE:
         raise checkpoint.CheckpointError(
             f"{name}: an A tensor in mode {mode}; only a decomposed layer keeps a pair")
@@ -521,7 +566,7 @@ def network_from_tensors(arch: ArchSpec, tensors) -> Network:
     source layer produces, and no more outputs than nominal (exactly
     nominal unless pruned, and always for a protected layer). A layer
     without a hinge position is untouched, only a decomposed layer has
-    an `A`, and every tensor belongs to a layer."""
+    an `A`, every entry is finite, and every tensor belongs to a layer."""
     compacted = any(key.endswith("/mode") for key in tensors)
     left, layers, modes = dict(tensors), {}, {}
     for entry in arch.table:
@@ -560,8 +605,11 @@ def attach_hinges(net: Network, init: str = hinge.SVD_INIT,
     block (default rows), `plain_kind` for plain-block convs (default
     columns). A protected layer always gets rows: the skip reads its
     output channels, so they must survive. The stem, skip projections and
-    head have no hinge position and stay unhinged.
+    head have no hinge position and stay unhinged. A compacted network is
+    refused (ValueError) before any SVD: its layers are already cut.
     """
+    if net.compacted:
+        raise ValueError("the network is already compacted; hinges attach to a baseline")
     kinds = {hinge.FIRST_IN_BASIC: first_kind or linalg.ROWS,
              hinge.STANDALONE: plain_kind or linalg.COLUMNS}
     # the plain convs go together after the last SVD: freed between SVDs, they

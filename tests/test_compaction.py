@@ -123,6 +123,27 @@ class TestCompactDecompose:
             assert plan.flops == 2 * layer.meta.spatial * kept
 
 
+@pytest.mark.parametrize("kind", ["columns", "rows"], ids=["pruned", "kept-pair"])
+def test_attach_hinges_refuses_a_compacted_network(rng, monkeypatch, kind):
+    # a compacted layer is already cut: hinging it again would write mode
+    # bytes beside hinge `A`s, or fail on a kept pair's narrow filter
+    model, layer = one_hinge_net(rng, kind)
+    layer.mask[1:] = False
+    compacted = compact(model).network
+    conv = compacted.layers["block0.conv"]
+    if kind == "columns":
+        assert compacted.modes["block0.conv"] == hinge.PRUNE and conv.meta.out_channels == 1
+    else:
+        assert compacted.modes["block0.conv"] == hinge.DECOMPOSE and conv.a.shape == (1, 8)
+    layers = dict(compacted.layers)
+    attached = []
+    monkeypatch.setattr(hinge, "attach", lambda *args: attached.append(args))
+    with pytest.raises(ValueError, match="^the network is already compacted"):
+        attach_hinges(compacted)
+    assert attached == []   # refused before any SVD
+    assert compacted.layers == layers and not compacted.hinged_layers()
+
+
 class TestPropagate:
     def test_untouched_model_is_identical(self, rng):
         model = build_network(small_residual_arch(), seed=1)

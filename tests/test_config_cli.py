@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hingenet import checkpoint, cli, data, hinge, regularizers
 from hingenet.config import ConfigError, RunConfig, load_config, parse_config
@@ -856,6 +856,39 @@ class TestCliFinetune:
         [err] = capsys.readouterr().err.splitlines()
         assert err.startswith(f"error: {path}: {named}")
         assert not out.exists()
+
+    def test_mutated_compact_checkpoint_is_refused_or_evaluated(self, pipeline, capsys):
+        """Byte-mutated copies of a real compacted checkpoint: `evaluate`
+        scores each or refuses it with exit 2 and one line naming the file,
+        never an internal error, a numeric error or a traceback. A NaN or
+        an infinity in a stored weight is refused as the file's fault."""
+        blob = pipeline["compact"].read_bytes()
+        path = pipeline["tmp"] / "mutated.hngw"
+        argv = ["evaluate", "--config", pipeline["cfg"], "--ckpt", str(path)]
+        # the first entry of stem/W, after its name, ndim byte and two u64 dims
+        entry = blob.index(b"stem/W") + len("stem/W") + 1 + 2 * 8
+
+        @settings(max_examples=300, deadline=None, database=None)
+        @given(edits=st.lists(st.tuples(st.integers(0, len(blob) - 1), st.integers(0, 255)),
+                              min_size=1, max_size=4))
+        @example(edits=list(enumerate(np.float32(np.nan).tobytes(), start=entry)))
+        @example(edits=list(enumerate(np.float32(-np.inf).tobytes(), start=entry)))
+        def check(edits):
+            data = bytearray(blob)
+            for pos, value in edits:
+                data[pos] = value
+            path.write_bytes(bytes(data))
+            capsys.readouterr()
+            rc = cli.main(argv)
+            err = capsys.readouterr().err
+            if rc == cli.EXIT_OK:
+                assert err == ""
+            else:
+                assert rc == cli.EXIT_USAGE, err
+                [line] = err.splitlines()
+                assert line.startswith(f"error: {path}: ")
+
+        check()
 
     def test_evaluate_compact(self, pipeline, capsys):
         rc = cli.main(["evaluate", "--config", pipeline["cfg"],

@@ -47,6 +47,21 @@ def scatter_patch_rows(dcol, x_shape, kh, kw, stride, pad):
     return dxp[:, pad:pad + h, pad:pad + w].transpose(0, 3, 1, 2)
 
 
+def flipped_filter_product(dz, w, x_shape, kernel, pad):
+    """Oracle for a stride-1 col2im: `dz` as a channels-last image, padded
+    by `kernel - 1 - pad` and unfolded whole, times the filters flipped in
+    space with input channels and outputs swapped, built tap by tap."""
+    b, c, h, wd = x_shape
+    k, out = dz.shape[1], h + 2 * pad - kernel + 1  # square inputs
+    w_flip = np.empty((kernel * kernel * k, c))
+    for i, j in itertools.product(range(kernel), range(kernel)):
+        tap = ((kernel - 1 - i) * kernel + kernel - 1 - j) * c
+        w_flip[(i * kernel + j) * k:(i * kernel + j + 1) * k] = w[tap:tap + c].T
+    img = dz.reshape(b, out, out, k).transpose(0, 3, 1, 2)
+    dx = im2col(img, kernel, kernel, 1, kernel - 1 - pad) @ w_flip
+    return dx.reshape(b, h, wd, c).transpose(0, 3, 1, 2)
+
+
 class TestConv:
     @pytest.mark.parametrize("stride,pad", [(1, 1), (2, 1), (1, 0)])
     def test_against_naive_oracle(self, rng, stride, pad):
@@ -70,7 +85,11 @@ class TestConv:
         dx = col2im(dz, w, x.shape, 3, 3, stride, pad)
         assert abs(np.sum((col @ w) * dz) - np.sum(x * dx)) <= 1e-10
         want = scatter_patch_rows(dz @ w.T, x.shape, 3, 3, stride, pad)
-        if channels > 1:
+        if stride == 1:
+            # a conv of dz with the flipped filters: other sums than the scatter's
+            assert np.array_equal(dx, flipped_filter_product(dz, w, x.shape, 3, pad))
+            assert np.abs(dx - want).max() <= 1e-12
+        elif channels > 1:
             # tap by tap, the same sums in the same order as the oracle
             assert np.array_equal(dx, want)
         else:
@@ -270,6 +289,55 @@ class TestBlockedForward:
             want = (want if a is None else want @ a) + conv.b
             got = conv.forward(x, cache=False)
             assert np.array_equal(got.transpose(0, 2, 3, 1).reshape(want.shape), want), rank
+
+
+# the stride-1 convs below the stem of both nets: their input gradient is
+# a blocked conv of dz with the flipped filters
+STRIDE_1_CONVS = {f"{tag}-{e.name}": e.meta
+                  for tag, arch in (("toy", TOY_ARCH), ("wide", WIDE_ARCH))
+                  for e in arch.table if e.meta.stride == 1 and e.source is not None}
+
+
+class TestBlockedInputGrad:
+    """A stride-1 conv's input gradient unfolds dz in blocks of samples
+    whose patch matrix fits `PATCH_BLOCK_BYTES`, unless one sample's alone
+    does not, and a product whose width, the conv's input channels, mod 8
+    is 1 to 4 takes its batch whole. So the blocks change no bit of the
+    whole-batch flipped-filter product: at the nominal widths, at a pruned
+    predecessor's widths 1 to 4 mod 8, and at kept-pair ranks 1 to 33. On
+    the wide layers of 576 and 1152 patch columns BLAS rounds some narrower
+    products (5 to 8 and 13 wide) by their row count too; those are not
+    pinned."""
+
+    @pytest.mark.parametrize("batch", [1, 7, 16, 28, 32])
+    @pytest.mark.parametrize("layer", list(STRIDE_1_CONVS))
+    def test_blocked_input_grad_equals_whole_batch_product(self, rng, monkeypatch, layer,
+                                                          batch):
+        meta = STRIDE_1_CONVS[layer]
+        blocks, unfold = [], net.im2col
+
+        def recorded(x, *args):
+            col = unfold(x, *args)
+            blocks.append((len(x), col.nbytes))
+            return col
+        monkeypatch.setattr(net, "im2col", recorded)
+        c_in, k_out = meta.in_channels, meta.out_channels
+        pruned = [c_in - 8 + r for r in (1, 2, 3, 4) if c_in > 8]
+        for c, k in ([(c, k_out) for c in (c_in, *pruned)]
+                     + [(c_in, rank) for rank in range(1, 34)]):
+            x_shape = (batch, c, meta.out_h, meta.out_w)
+            dz = rng.normal(size=(batch * meta.out_h * meta.out_w, k))
+            w = rng.normal(size=(meta.kernel_h * meta.kernel_w * c, k))
+            blocks.clear()
+            got = col2im(dz, w, x_shape, meta.kernel_h, meta.kernel_w, 1, meta.padding)
+            assert sum(samples for samples, _ in blocks) == batch
+            if c % 8 in (1, 2, 3, 4):
+                assert len(blocks) == 1, (c, k)
+            else:
+                over = [samples for samples, nbytes in blocks if nbytes > net.PATCH_BLOCK_BYTES]
+                assert set(over) <= {1}, (c, k)
+            want = flipped_filter_product(dz, w, x_shape, meta.kernel_h, meta.padding)
+            assert np.array_equal(got, want), (c, k)
 
 
 class TestNetworkForward:
@@ -842,8 +910,9 @@ def test_every_product_goes_through_matmul(rng, monkeypatch):
     # `net.matmul` binding; a product made around it would be booked to
     # its caller. One toy forward and backward makes per conv one forward
     # product per block of samples, one weight gradient and, below the
-    # stem, one product per kernel tap; a hinge adds one forward and two
-    # backward products (grad_a and the gradient of `pre`).
+    # stem, the input gradient: one product per block of samples at stride
+    # 1 and one per kernel tap when strided; a hinge adds one forward and
+    # two backward products (grad_a and the gradient of `pre`).
     calls, counted = [], net.matmul
 
     def counting(*args, **kwargs):
@@ -855,8 +924,17 @@ def test_every_product_goes_through_matmul(rng, monkeypatch):
     table = TOY_ARCH.table
     blocks = sum(-(-len(x) // model.layers[e.name]._block) for e in table)
     assert blocks > len(table)  # some conv runs the batch in several blocks
-    taps = sum(e.meta.kernel_h * e.meta.kernel_w for e in table if e.source is not None)
-    plain = blocks + len(table) + taps
+
+    def input_grad_products(m):
+        if m.stride > 1:
+            return m.kernel_h * m.kernel_w
+        dz_patch_bytes = 8 * m.out_h * m.out_w * m.kernel_h * m.kernel_w * m.out_channels
+        return -(-len(x) // net._samples_per_block(m.in_channels, dz_patch_bytes))
+    below_stem = [e.meta for e in table if e.source is not None]
+    dx = [input_grad_products(m) for m in below_stem]
+    # some stride-1 input gradient runs in several blocks
+    assert any(n > 1 for m, n in zip(below_stem, dx) if m.stride == 1)
+    plain = blocks + len(table) + sum(dx)
     for hinged, want in ((False, plain), (True, plain + 4 * 3)):
         if hinged:
             attach_hinges(model, init="svd")

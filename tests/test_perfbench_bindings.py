@@ -67,6 +67,11 @@ spec.loader.exec_module(tracing)
 recorder = tracing.Recorder(time.perf_counter)
 missed = tracing.install(recorder)
 from hingenet import net
+strides, traced_col2im = [], net.col2im
+def col2im(dz, w, x_shape, kh, kw, stride, pad):  # each call's stride, in span order
+    strides.append(stride)
+    return traced_col2im(dz, w, x_shape, kh, kw, stride, pad)
+net.col2im = col2im
 arch = net.ArchSpec(1, 16, 16, 4, 16, (net.BlockDef("basic", 16, 1),
                                        net.BlockDef("basic", 32, 2)))
 model = net.build_network(arch, seed=0)
@@ -87,11 +92,18 @@ def ancestors(i):
     while spans[i][3] >= 0:
         i = spans[i][3]
         yield spans[i][0]
+col2im_spans = [i for i, span in enumerate(spans) if span[0] == "net.col2im"]
+col2im_children = {i: set() for i in col2im_spans}
+for name, _, _, parent, _ in spans:
+    if parent in col2im_children:
+        col2im_children[parent].add(name)
 print(json.dumps({"missed": missed,
                   "violations": [m for _, m in tracing.child_rule_violations(recorder)],
                   "calls": calls,
                   "phase_steps": [list(ancestors(i)) for i in range(first, len(spans))
-                                  if spans[i][0] == "train.sgd_step"]}))
+                                  if spans[i][0] == "train.sgd_step"],
+                  "col2im": [[stride, sorted(col2im_children[i])]
+                             for stride, i in zip(strides, col2im_spans, strict=True)]}))
 """
 
 
@@ -99,8 +111,9 @@ def test_tracer_wraps_a_conv_forward_and_backward():
     """One toy training step, plain and hinged, one sliced inference
     forward and one compression-phase epoch under the tracer: every
     binding is wrapped, every conv span has the children `--trace 1`
-    checks, and the phase steps its filters by one `SgdMomentum.step` per
-    batch."""
+    checks, every stride-1 input gradient books its unfolds and products
+    under its `net.col2im` span, and the phase steps its filters by one
+    `SgdMomentum.step` per batch."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     done = subprocess.run([sys.executable, "-c", TRACED_RUN,
@@ -112,6 +125,11 @@ def test_tracer_wraps_a_conv_forward_and_backward():
     assert result["violations"] == []
     calls = result["calls"]  # 7 convs: two caching forwards, three inference slices
     assert (calls["net.conv.forward"], calls["net.conv.backward"]) == (5 * 7, 2 * 7)
+    # two training steps and three phase batches, each backward running
+    # head, block1.conv2, .conv1, .down, block0.conv2 and .conv1
+    assert [stride for stride, _ in result["col2im"]] == [1, 1, 2, 2, 1, 1] * 5
+    assert all({"net.im2col", "linalg.matmul"} <= set(children)
+               for stride, children in result["col2im"] if stride == 1)
     # 48 samples in batches of 16: three phase batches
     assert len(result["phase_steps"]) == 3
     assert all("solver.phase" in chain for chain in result["phase_steps"])

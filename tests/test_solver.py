@@ -531,7 +531,7 @@ def test_train_then_phase_golden_sha256():
     records = [dict(r, lambda_base=dict.fromkeys(r["lambda_layer"], cfg.regularizer.lam))
                for r in records]
     h.update(json.dumps([history, records], sort_keys=True).encode())
-    assert h.hexdigest() == "1b4b4c3797d844ccf32d71e42847744c23e92e001167b9b828993eba36df7493"
+    assert h.hexdigest() == "bdcce2965769b870cc55b03674c0bccb6ed1e6a4a301f024e2b411ebdf5d2cf6"
 
 
 def test_distilled_finetune_golden_sha256():
@@ -561,7 +561,7 @@ def test_distilled_finetune_golden_sha256():
         h.update(name.encode())
         h.update(np.ascontiguousarray(arr).tobytes())
     h.update(json.dumps([history, result], sort_keys=True).encode())
-    assert h.hexdigest() == "7fe383301df0ff38daf6646f3bc63fb3052a2f79e021b4f988787874e9824b23"
+    assert h.hexdigest() == "dcd29722736e35ab6027006ac0ffe6f77ac5e0faba1c364f4d6fa0887382d70a"
 
 
 def test_config_validation():
