@@ -1,8 +1,8 @@
 """Bit-exact "HNGW" checkpoint container.
 
-Layout: magic bytes ``HNGW``, u32 LE version (=1), u32 LE tensor count, then
+Layout: magic bytes ``HNGW``, u32 LE version (=2), u32 LE tensor count, then
 per tensor: u16 LE name length, UTF-8 name, u8 ndim, ndim u64 LE dims, and
-the row-major payload. Payloads are f32 LE except for tensors whose name
+the row-major payload. Payloads are f64 LE except for tensors whose name
 ends in ``/mode``, one u8 per layer (0 untouched, 1 prune, 2 decompose).
 `net.Network.state_tensors` orders the tensors of a baseline or a
 compacted network and `net.network_from_tensors` reads them back.
@@ -15,7 +15,7 @@ from collections import OrderedDict
 import numpy as np
 
 MAGIC = b"HNGW"
-VERSION = 1
+VERSION = 2
 
 
 class CheckpointError(IOError):
@@ -23,10 +23,9 @@ class CheckpointError(IOError):
 
 
 def save(path, tensors: "OrderedDict[str, np.ndarray]") -> None:
-    """Write tensors to `path`. Float tensors are stored as f32, and one
-    with an entry that is not finite there (NaN, inf, or a finite value
-    beyond the f32 range) is a CheckpointError before the file is opened.
-    Insertion order is preserved byte-for-byte."""
+    """Write tensors to `path`. Float tensors are stored as f64, and one
+    with a NaN or an infinity is a CheckpointError before the file is
+    opened. Insertion order is preserved byte-for-byte."""
     blob = bytearray()
     blob += MAGIC
     blob += struct.pack("<I", VERSION)
@@ -36,18 +35,16 @@ def save(path, tensors: "OrderedDict[str, np.ndarray]") -> None:
         if name.endswith("/mode"):
             payload = np.ascontiguousarray(arr, dtype=np.uint8)
         else:
-            with np.errstate(over="ignore"):  # a finite value beyond f32 becomes inf
-                payload = np.ascontiguousarray(arr, dtype="<f4")
+            payload = np.ascontiguousarray(arr, dtype="<f8")
             if not np.all(np.isfinite(payload)):
-                raise CheckpointError(
-                    f"tensor {name!r} contains entries that are not finite in float32")
+                raise CheckpointError(f"tensor {name!r} contains entries that are not finite")
         encoded = name.encode("utf-8")
         blob += struct.pack("<H", len(encoded))
         blob += encoded
         blob += struct.pack("<B", arr.ndim)
         for d in arr.shape:
             blob += struct.pack("<Q", d)
-        blob += payload.tobytes()
+        blob += payload.data
     with open(path, "wb") as fh:
         fh.write(blob)
 
@@ -86,8 +83,7 @@ def load(path) -> "OrderedDict[str, np.ndarray]":
             raise CheckpointError(f"tensor {name!r} appears more than once")
         (ndim,) = struct.unpack("<B", take(1))
         dims = struct.unpack(f"<{ndim}Q", take(8 * ndim))
-        byte_tensor = name.endswith("/mode")
-        dtype = np.dtype(np.uint8 if byte_tensor else "<f4")
+        dtype = np.dtype(np.uint8 if name.endswith("/mode") else "<f8")
         # Python ints, so a product of u64 dims cannot wrap around to a
         # size that fits; `take` refuses any size beyond the bytes left.
         raw = np.frombuffer(take(math.prod(dims) * dtype.itemsize), dtype=dtype)
@@ -95,11 +91,7 @@ def load(path) -> "OrderedDict[str, np.ndarray]":
             arr = raw.reshape(dims)
         except ValueError as exc:  # ndim above numpy's limit, or a too-large empty shape
             raise CheckpointError(f"tensor {name!r}: dims {dims}: {exc}") from None
-        if byte_tensor:
-            tensors[name] = arr.copy()
-        else:
-            with np.errstate(invalid="ignore"):  # a signaling NaN loads as a NaN
-                tensors[name] = arr.astype(np.float64)
+        tensors[name] = arr.copy()
     if pos != len(view):
         raise CheckpointError(f"{len(view) - pos} trailing bytes after last tensor")
     return tensors

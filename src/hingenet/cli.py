@@ -70,8 +70,7 @@ def _read_network(arch, path) -> net.Network:
 def _final_metrics(model, dataset, history):
     """Test accuracy and loss of the trained model. The last epoch's record
     already evaluated this model on the test split; a run of zero epochs
-    evaluates it here. They describe the float64 model in memory; the checkpoint
-    stores its float32 rounding, so `hingenet evaluate` can differ in the last digits."""
+    evaluates it here."""
     if history:
         return history[-1]["test_accuracy"], history[-1]["test_loss"]
     return training.evaluate(model, dataset.x_test, dataset.y_test)

@@ -122,7 +122,14 @@ def _samples_per_block(width: int, sample_patch_bytes: int) -> int:
     """Samples a conv product unfolds and multiplies at once: as many as
     keep a block's patch matrix within `PATCH_BLOCK_BYTES` (at least one).
     BLAS rounds a row of a product whose width mod 8 is 1 to 4 by the
-    product's row count, so such a product takes its batch whole."""
+    product's row count, so such a product takes its batch whole. On
+    OpenBLAS 0.3.31 this rule keeps the bits of every toy layer, not of
+    every layer of perfbench's wide net, whose small products can go to
+    OpenBLAS's small-matrix kernel. There a blocked forward 5 to 27 wide
+    on `block0.conv2`, `block1.conv1` or `block1.conv2`, and a blocked
+    input gradient into 5 or 6 channels on `block0.conv1` or
+    `block0.conv2` or into 5 to 8 or 13 on `block1.conv2`, can differ in
+    the last bit from the whole-batch product."""
     if width % 8 in (1, 2, 3, 4):
         return sys.maxsize
     return max(1, PATCH_BLOCK_BYTES // sample_patch_bytes)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import GroupScheme, NumericError, as_matrix, group_norms
+from .linalg import GroupScheme, NumericError, as_matrix, group_norms, scale_groups
 
 L1 = "l1"
 L_HALF = "l_half"
@@ -141,8 +141,8 @@ def _apply_norm_factors(a, scheme, old_norms, new_norms):
     """`a`, a matrix of `scheme`, with each group scaled by new / old norm.
     The factors are Python floats, the same IEEE quotients as numpy's; a
     zero group stays zero: its factor is 0, not 0/0."""
-    f = np.array([new / old if old > 0 else 0.0 for old, new in zip(old_norms, new_norms)])
-    return a * (f[None, :] if scheme.axis == 0 else f[:, None])
+    return scale_groups(a, scheme, [new / old if old > 0 else 0.0
+                                     for old, new in zip(old_norms, new_norms)])
 
 
 def prox(a: np.ndarray, scheme: GroupScheme, kind: str, step: float) -> np.ndarray:

@@ -251,12 +251,6 @@ def equivalence_suite(cases: int = 100, seed: int = 11, tol: float = 1e-10,
                         gamma_tol, cases, gamma_failures)]
 
 
-def run_suites(which: str = "all") -> list:
-    results = []
-    if which in ("all", "prox"):
-        results += prox_suite()
-    if which in ("all", "grad"):
-        results += grad_suite()
-    if which in ("all", "equiv"):
-        results += equivalence_suite()
-    return results
+def run_suites(which: str) -> list:
+    """The results of suite `which`: "prox", "grad" or "equiv"."""
+    return {"prox": prox_suite, "grad": grad_suite, "equiv": equivalence_suite}[which]()

@@ -595,8 +595,7 @@ class TestCliCompress:
 
     def test_phase_free_compress_builds_no_dataset(self, tmp_path, monkeypatch):
         """With `compress.max_epochs: 0` nothing reads the data, so none is
-        synthesized. The report and checkpoint are pinned bit for bit; the
-        digest was recorded while the dataset was still built."""
+        synthesized. The report and checkpoint are pinned bit for bit."""
         doc = dict(TINY_CONFIG, compress=dict(TINY_CONFIG["compress"], max_epochs=0))
         cfg = write_config(tmp_path, doc)
         base, out, rep = tmp_path / "base.hngw", tmp_path / "c.hngw", tmp_path / "r.json"
@@ -609,7 +608,7 @@ class TestCliCompress:
                        "--out", str(out), "--report", str(rep)])
         assert rc == 0
         digest = hashlib.sha256(out.read_bytes() + rep.read_bytes()).hexdigest()
-        assert digest == "19741592f3db619601de989006b9251668951df40f1919da21b8d77c4c4b8624"
+        assert digest == "0d4901db364f53e63faefff6de4ce3d06f9f324b308eacfd2bb789938db719ff"
 
     def test_report_content(self, pipeline):
         report = json.loads(Path(pipeline["report"]).read_text())
@@ -747,14 +746,41 @@ class TestCliFinetune:
                              ids=["product-wraps-to-0", "product-overflows-int64"])
     def test_evaluate_overflowing_dims_is_usage_error(self, pipeline, capsys, dims):
         path = pipeline["tmp"] / "overflow.hngw"
-        path.write_bytes(b"HNGW" + struct.pack("<IIH", 1, 1, 6) + b"stem/W"
+        path.write_bytes(b"HNGW" + struct.pack("<IIH", checkpoint.VERSION, 1, 6) + b"stem/W"
                          + struct.pack(f"<B{len(dims)}Q", len(dims), *dims))
         capsys.readouterr()
         rc = cli.main(["evaluate", "--config", pipeline["cfg"], "--ckpt", str(path)])
         assert rc == cli.EXIT_USAGE
-        err = capsys.readouterr().err
-        assert len(err.splitlines()) == 1 and err.startswith("error:")
-        assert "Traceback" not in err
+        assert capsys.readouterr().err == f"error: {path}: truncated checkpoint\n"
+
+    def test_evaluate_version_1_is_usage_error(self, pipeline, capsys):
+        # the baseline under a version-1 header: the reader stops at the version
+        blob = pipeline["base"].read_bytes()
+        path = pipeline["tmp"] / "v1.hngw"
+        path.write_bytes(blob[:4] + struct.pack("<I", 1) + blob[8:])
+        capsys.readouterr()
+        rc = cli.main(["evaluate", "--config", pipeline["cfg"], "--ckpt", str(path)])
+        assert rc == cli.EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {path}: unsupported checkpoint version 1\n"
+
+    @pytest.mark.parametrize("stage", ["train", "finetune"])
+    def test_evaluate_reads_the_metrics_file(self, pipeline, capsys, stage):
+        """A saved network is the network: `evaluate` on the checkpoint a
+        run wrote prints the test metrics in the file beside it, bit for bit."""
+        ckpt = pipeline["base"]
+        if stage == "finetune":
+            ckpt = pipeline["tmp"] / "evaluated_ft.hngw"
+            assert cli.main(["finetune", "--config", pipeline["cfg"],
+                             "--ckpt", str(pipeline["compact"]),
+                             "--teacher", str(pipeline["base"]), "--distill",
+                             "--out", str(ckpt)]) == 0
+        metrics = json.loads(ckpt.with_suffix(".metrics.json").read_text())
+        assert metrics["history"]
+        capsys.readouterr()
+        assert cli.main(["evaluate", "--config", pipeline["cfg"], "--ckpt", str(ckpt)]) == 0
+        evaluated = json.loads(capsys.readouterr().out)
+        assert evaluated == {"test_accuracy": metrics["test_accuracy"],
+                             "test_loss": metrics["test_loss"]}
 
     @pytest.mark.parametrize("byte", [7, 1, None], ids=["unknown", "pruned", "missing"])
     def test_evaluate_head_mode_not_untouched_is_usage_error(self, pipeline, capsys, byte):
@@ -871,8 +897,8 @@ class TestCliFinetune:
         @settings(max_examples=300, deadline=None, database=None)
         @given(edits=st.lists(st.tuples(st.integers(0, len(blob) - 1), st.integers(0, 255)),
                               min_size=1, max_size=4))
-        @example(edits=list(enumerate(np.float32(np.nan).tobytes(), start=entry)))
-        @example(edits=list(enumerate(np.float32(-np.inf).tobytes(), start=entry)))
+        @example(edits=list(enumerate(np.float64(np.nan).tobytes(), start=entry)))
+        @example(edits=list(enumerate(np.float64(-np.inf).tobytes(), start=entry)))
         def check(edits):
             data = bytearray(blob)
             for pos, value in edits:
