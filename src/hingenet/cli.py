@@ -10,7 +10,9 @@ line instead of a traceback).
 """
 
 import argparse
+import ctypes
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
@@ -29,6 +31,8 @@ EXIT_INFEASIBLE = 4
 EXIT_INTERNAL = 5
 
 SEARCH_CRITERION = 0.005  # |gamma - target| considered an exact hit
+
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3  # mallopt parameters, glibc's <malloc.h>
 
 
 def _log(record):
@@ -183,7 +187,10 @@ def cmd_evaluate(args) -> int:
     cfg = load_config(args.config)
     dataset = cfg.make_dataset()
     model = _read_network(cfg.arch, args.ckpt)
-    acc, loss = training.evaluate(model, dataset.x_test, dataset.y_test)
+    try:
+        acc, loss = training.evaluate(model, dataset.x_test, dataset.y_test)
+    except NumericError as exc:  # every weight came from the file: finite, yet overflowing
+        raise checkpoint.CheckpointError(f"{args.ckpt}: {exc}") from exc
     print(json.dumps({"test_accuracy": acc, "test_loss": loss}, sort_keys=True))
     return EXIT_OK
 
@@ -244,7 +251,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _fix_heap() -> None:
+    """Fix glibc's heap policy once per process: arrays below 32 MiB come
+    from the heap, and the heap is trimmed only when 64 MiB at its top are
+    free. By default both thresholds follow the largest block freed so
+    far, so unless some step once frees a large enough array, the heap is
+    trimmed and faulted back in step after step, thousands of minor faults
+    per toy epoch. Without `mallopt` (not glibc), this does nothing."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt(M_MMAP_THRESHOLD, 32 * 2 ** 20)
+    mallopt(M_TRIM_THRESHOLD, 64 * 2 ** 20)
+
+
 def main(argv=None) -> int:
+    _fix_heap()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -6,13 +6,14 @@ and one backward; `HingedConv2d` adds only the compression state (group
 scheme and mask). Blocks are either a plain conv+relu or a residual pair
 of 3x3 convs with an optional projection on the skip path. The classifier
 head is a 1x1 conv on the global average of the last block's output. All
-parameters are float64 numpy arrays. Either conv forward, and the input
-gradient of a stride-1 conv, unfolds its batch in blocks of samples, as
-many as keep a block's patch matrix within `PATCH_BLOCK_BYTES` (at least
-one); a batch of several blocks has each block's product written into
-one preallocated result while its patches are still in cache. A product
-whose width mod 8 is 1 to 4 takes its batch whole, since BLAS rounds a
-row of such a product by its row count. Only the caching forward
+parameters are float64 numpy arrays. Either conv forward, and the
+backward of a stride-1 conv that returns an input gradient, unfolds its
+batch in blocks of samples, as many as keep a block's patch matrix
+within `PATCH_BLOCK_BYTES` (at least one); a batch of several blocks has
+each block's product written into one preallocated result while its
+patches are still in cache. A product whose width mod 8 is 1 to 4 takes
+its batch whole, since BLAS rounds a row of such a product by its row
+count. Only the caching forward
 (`cache=True`, the default) keeps what backward needs: a conv keeps its
 input, not its patch matrix, and `Network` keeps each relu row's mask in
 one dict. Backward takes each conv's cache and pops each mask, so a
@@ -48,23 +49,28 @@ Memory layout: activations are logically (B, C, H, W) but physically
 channels-last, because a conv output is the (B*H*W, C) product reshaped
 and viewed as NCHW. `im2col` reads its input through the free
 `transpose(0, 2, 3, 1)` view and emits patch features in (kh, kw, c)
-order; `col2im` returns an NCHW view of channels-last memory, so neither
-direction makes a layout copy. `col2im` is the whole conv input gradient.
-At stride 1 it is a conv itself (Dumoulin and Visin 2016,
-arXiv:1603.07285): the output gradient, seen as a channels-last image,
-unfolded at padding `kh - 1 - pad`, times the filters flipped in space
-with input channels and outputs swapped, in blocks as the forward runs.
-A strided conv multiplies the output gradient by one kernel tap's filter
-rows at a time into one (B*out_h*out_w, C) buffer and adds it into that
-tap's window. Neither builds the (B*out_h*out_w, kh*kw*C) patch-gradient
-matrix. Weight gradients are the products `(dz.T @ col).T`: the same dot
-products as `col.T @ dz`, bit for bit, in the orientation BLAS runs
-faster. Backward unfolds `col` again from the cached input, a pure copy
-with the forward's bits, and frees it before `col2im`. The skip sum and
-the relu keep their operands' channels-last layout. Stored `W` rows keep
-the (c, kh, kw) order that the checkpoints, the SVD in `hinge.attach` and
-compaction's row restriction use; `_patch_rows` is the one place that
-permutes them, so the checkpoint format and its meaning are unchanged.
+order; an input gradient comes back as an NCHW view of channels-last
+memory, so neither direction makes a layout copy. A stride-1 conv below
+the stem takes both gradients from one blocked walk over the patches of
+its output gradient (`_flipped_filter_grads`; Dumoulin and Visin 2016,
+arXiv:1603.07285; Chetlur et al. 2014, arXiv:1410.0759). `dz`, seen as a
+channels-last image and unfolded at padding `kh - 1 - pad`, times the
+filters flipped in space with input channels and outputs swapped is the
+input gradient; the input's rows times the same patches, summed over
+the blocks, is the weight gradient flipped in space. The stem, which
+returns no input gradient, and a strided conv unfold their cached input
+again, a pure copy with the forward's bits, for the weight gradient
+`(dz.T @ col).T`: the same dot products as `col.T @ dz`, bit for bit, in
+the orientation BLAS runs faster. `col2im` then gives a strided conv's
+input gradient, one kernel tap's filter rows at a time multiplied into
+one (B*out_h*out_w, C) buffer and added into that tap's window. No path
+builds the (B*out_h*out_w, kh*kw*C) patch-gradient matrix. The skip sum
+and the relu keep their operands' channels-last layout. Stored `W` rows
+keep the (c, kh, kw) order that the checkpoints, the SVD in
+`hinge.attach` and compaction's row restriction use. `_patch_rows` is
+the one place that permutes them; the dz-patch weight gradient comes out
+in that order once flipped, so the checkpoint format and its meaning are
+unchanged.
 """
 
 import sys
@@ -84,7 +90,7 @@ HINGE = "hinge"     # the sparsity-inducing matrices, updated by prox steps
 # inference slices are sized by the nominal patch matrix of a whole slice,
 # though a conv forward never unfolds more than one block of it at once
 INFERENCE_PATCH_BYTES = 8 * 2 ** 20
-# largest patch block a conv forward or a stride-1 input gradient unfolds,
+# largest patch block a conv forward or a stride-1 backward unfolds,
 # unless one sample's is larger; the best forward for the toy and wide nets
 # together in a sweep of 128 KiB to 2 MiB
 PATCH_BLOCK_BYTES = 2 ** 19
@@ -122,12 +128,15 @@ def _samples_per_block(width: int, sample_patch_bytes: int) -> int:
     """Samples a conv product unfolds and multiplies at once: as many as
     keep a block's patch matrix within `PATCH_BLOCK_BYTES` (at least one).
     BLAS rounds a row of a product whose width mod 8 is 1 to 4 by the
-    product's row count, so such a product takes its batch whole. On
-    OpenBLAS 0.3.31 this rule keeps the bits of every toy layer, not of
-    every layer of perfbench's wide net, whose small products can go to
-    OpenBLAS's small-matrix kernel. There a blocked forward 5 to 27 wide
-    on `block0.conv2`, `block1.conv1` or `block1.conv2`, and a blocked
-    input gradient into 5 or 6 channels on `block0.conv1` or
+    product's row count, so such a product takes its batch whole. For a
+    stride-1 backward the width is that of the input gradient, the input
+    channels; the weight gradient's products share its blocks, and their
+    sum over the blocks agrees with the whole-batch product to rounding
+    only. On OpenBLAS 0.3.31 this rule keeps the bits of every toy layer,
+    not of every layer of perfbench's wide net, whose small products can
+    go to OpenBLAS's small-matrix kernel. There a blocked forward 5 to 27
+    wide on `block0.conv2`, `block1.conv1` or `block1.conv2`, and a
+    blocked input gradient into 5 or 6 channels on `block0.conv1` or
     `block0.conv2` or into 5 to 8 or 13 on `block1.conv2`, can differ in
     the last bit from the whole-batch product."""
     if width % 8 in (1, 2, 3, 4):
@@ -136,48 +145,71 @@ def _samples_per_block(width: int, sample_patch_bytes: int) -> int:
 
 
 def _unfolded_product(x: np.ndarray, w: np.ndarray, kh: int, kw: int, stride: int,
-                      pad: int, block: int) -> np.ndarray:
+                      pad: int, block: int, left: np.ndarray | None = None):
     """`im2col(x, kh, kw, stride, pad) @ w`, `block` samples at a time: each
     block's product goes into its rows of one preallocated result while
-    its patches are still in cache, and the block is freed once multiplied."""
+    its patches are still in cache, and the block is freed once multiplied.
+    Returns the pair of that product and, given `left`, a matrix with one
+    row per patch row, `left.T @ im2col(x, ...)` summed over the same
+    blocks (else None)."""
     if len(x) <= block:  # no buffer or slices: they cost a tiny conv about 1 us a call
-        return matmul(im2col(x, kh, kw, stride, pad), w)
+        col = im2col(x, kh, kw, stride, pad)
+        return matmul(col, w), None if left is None else matmul(left.T, col)
     _, _, h, w_in = x.shape
     rows = ((h + 2 * pad - kh) // stride + 1) * ((w_in + 2 * pad - kw) // stride + 1)
-    out = np.empty((len(x) * rows, w.shape[1]))
+    out, acc = np.empty((len(x) * rows, w.shape[1])), None
     for s in range(0, len(x), block):
-        matmul(im2col(x[s:s + block], kh, kw, stride, pad), w,
-               out=out[s * rows:(s + block) * rows])
-    return out
+        col = im2col(x[s:s + block], kh, kw, stride, pad)
+        matmul(col, w, out=out[s * rows:(s + block) * rows])
+        if left is not None:
+            part = matmul(left[s * rows:(s + block) * rows].T, col)
+            acc = part if acc is None else np.add(acc, part, out=acc)
+        del col  # before the next block is unfolded
+    return out, acc
+
+
+def _flipped_filter_grads(dz: np.ndarray, w: np.ndarray, x: np.ndarray, k: int,
+                          pad: int):
+    """Input and weight gradients of the stride-1 conv `im2col(x, k, k, 1,
+    pad) @ w`, whose `w` has im2col's (kh, kw, c) row order, from one walk
+    over the `dz` patches. Returns `dx`, a (B, C, H, W) view of
+    channels-last memory, and `grad_w` in the stored (c, kh, kw) row order.
+
+    The input gradient is a conv itself: `dz`, seen as a channels-last
+    image padded by `k - 1 - pad`, unfolded and multiplied by the filters
+    flipped in space with channels and outputs swapped,
+    `w_flip[(i, j, o), c] = w[(k-1-i, k-1-j, c), o]`. The weight gradient
+    correlates `x` with the same patches: `x.T @ col_dz` is (C, k*k*K) with
+    columns (i, j, o), and flipped in space it is `grad_w` in stored order.
+    Both run in blocks of samples, as the forward does, the block size
+    following from `PATCH_BLOCK_BYTES` and the width `C` of the `dx`
+    product; `dx` has the bits of the whole-batch product wherever the
+    width rule holds, and `grad_w` sums its blocks' products in order."""
+    b, c, h, w_in = x.shape
+    o = dz.shape[1]
+    w_flip = np.ascontiguousarray(
+        w.reshape(k, k, c, o)[::-1, ::-1].transpose(0, 1, 3, 2).reshape(-1, c))
+    block = _samples_per_block(c, 8 * h * w_in * w_flip.shape[0])  # float64
+    out_h, out_w = h + 2 * pad - k + 1, w_in + 2 * pad - k + 1
+    dz_img = dz.reshape(b, out_h, out_w, o).transpose(0, 3, 1, 2)
+    x_rows = x.transpose(0, 2, 3, 1).reshape(-1, c)  # a view of channels-last memory
+    dx, acc = _unfolded_product(dz_img, w_flip, k, k, 1, k - 1 - pad, block, left=x_rows)
+    grad_w = acc.reshape(c, k, k, o)[:, ::-1, ::-1].reshape(-1, o)
+    return dx.reshape(b, h, w_in, c).transpose(0, 3, 1, 2), grad_w
 
 
 def col2im(dz: np.ndarray, w: np.ndarray, x_shape, kh: int, kw: int, stride: int,
            pad: int) -> np.ndarray:
     """Input gradient of the conv `im2col(x) @ w`, whose `w` has im2col's
-    (kh, kw, c) row order. The result is a (B, C, H, W) view of
-    channels-last memory.
-
-    A stride-1 conv with a square kernel has as input gradient a conv too:
-    `dz`, seen as a channels-last image padded by `kh - 1 - pad`, unfolded
-    and multiplied by the filters flipped in space with channels and
-    outputs swapped, `w_flip[(i, j, k), c] = w[(kh-1-i, kw-1-j, c), k]`.
-    It runs in blocks of samples, as the forward does, the block size
-    following from `PATCH_BLOCK_BYTES` and the width `c` of the product.
-    A strided conv applies the adjoint of im2col to `dz @ w.T` one kernel
-    tap at a time, multiplying each tap's filter rows into one
-    (B*out_h*out_w, C) buffer and adding it into that tap's window, so
-    the patch-gradient matrix is never built."""
+    (kh, kw, c) row order: the adjoint of im2col applied to `dz @ w.T`, one
+    kernel tap at a time. Each tap's filter rows are multiplied into one
+    (B*out_h*out_w, C) buffer that is added into that tap's window, so the
+    patch-gradient matrix is never built. The result is a (B, C, H, W)
+    view of channels-last memory. A network backward takes this path for
+    strided convs only; `_flipped_filter_grads` serves stride 1."""
     b, c, h, w_in = x_shape
     out_h = (h + 2 * pad - kh) // stride + 1
     out_w = (w_in + 2 * pad - kw) // stride + 1
-    if stride == 1 and kh == kw:
-        k = dz.shape[1]
-        w_flip = np.ascontiguousarray(
-            w.reshape(kh, kw, c, k)[::-1, ::-1].transpose(0, 1, 3, 2).reshape(-1, c))
-        block = _samples_per_block(c, 8 * h * w_in * w_flip.shape[0])  # float64
-        dz_img = dz.reshape(b, out_h, out_w, k).transpose(0, 3, 1, 2)
-        dx = _unfolded_product(dz_img, w_flip, kh, kw, 1, kh - 1 - pad, block)
-        return dx.reshape(b, h, w_in, c).transpose(0, 3, 1, 2)
     dxp = np.zeros((b, h + 2 * pad, w_in + 2 * pad, c), dtype=np.float64)
     dtap = np.empty((dz.shape[0], c))  # every tap's product, in turn
     for i in range(kh):
@@ -207,8 +239,11 @@ class Conv2d:
     The forward unfolds and multiplies its batch in blocks of samples whose
     patch matrix fits `PATCH_BLOCK_BYTES`; the block size follows from the
     geometry and the width of `w` alone. A caching forward keeps its input
-    array, which backward unfolds again as a whole, so a caller must not
-    write into a conv's input between its forward and its backward."""
+    array. A stride-1 backward that returns an input gradient unfolds `dz`
+    in blocks and takes both gradients from those patches; otherwise
+    backward unfolds the input again as a whole. Either way it reads the
+    cached input, so a caller must not write into a conv's input between
+    its forward and its backward."""
 
     def __init__(self, meta: ConvMeta, w: np.ndarray, a: np.ndarray | None = None,
                  b: np.ndarray | None = None):
@@ -238,8 +273,9 @@ class Conv2d:
         m = self.meta
         self._cache = None  # free the previous batch's state before unfolding
         w = _patch_rows(self.w, m)
-        # backward unfolds `x` again, so no patch block outlives its product
-        pre = _unfolded_product(x, w, m.kernel_h, m.kernel_w, m.stride, m.padding, self._block)
+        # backward unfolds `dz` or `x` again, so no patch block outlives its product
+        pre, _ = _unfolded_product(x, w, m.kernel_h, m.kernel_w, m.stride, m.padding,
+                                   self._block)
         z = (pre if self.a is None else matmul(pre, self.a)) + self.b
         if cache:  # backward needs `pre` only for grad_a
             self._cache = (x, w, None if self.a is None else pre)
@@ -258,6 +294,10 @@ class Conv2d:
         if self.a is not None:  # weight gradients as `(dz.T @ col).T`: module docstring
             self.grad_a += matmul(dz.T, pre).T
             dz = matmul(dz, self.a.T)  # the gradient of `pre`
+        if input_grad and m.stride == 1 and m.kernel_h == m.kernel_w:
+            dx, grad_w = _flipped_filter_grads(dz, w, x, m.kernel_h, m.padding)
+            self.grad_w += grad_w
+            return dx
         col = im2col(x, m.kernel_h, m.kernel_w, m.stride, m.padding)
         self.grad_w += _patch_rows(matmul(dz.T, col).T, m, inverse=True)
         del col
@@ -619,17 +659,13 @@ def attach_hinges(net: Network, init: str = hinge.SVD_INIT,
         raise ValueError("the network is already compacted; hinges attach to a baseline")
     kinds = {hinge.FIRST_IN_BASIC: first_kind or linalg.ROWS,
              hinge.STANDALONE: plain_kind or linalg.COLUMNS}
-    # the plain convs go together after the last SVD: freed between SVDs, they
-    # leave glibc a heap it trims and faults back in on every later compress
-    layers = dict(net.layers)
     for entry in net.arch.table:
         if entry.position is None:
             continue
         kind = linalg.ROWS if entry.protected else kinds[entry.position]
-        conv = layers[entry.name]
+        conv = net.layers[entry.name]
         w_new, a_new = hinge.attach(conv.w, init)
         n = conv.meta.out_channels
-        layers[entry.name] = HingedConv2d(conv.meta, w_new, a_new, b=conv.b.copy(),
-                                          scheme=linalg.GroupScheme(kind, (n, n)))
-    net.layers = layers
+        net.layers[entry.name] = HingedConv2d(conv.meta, w_new, a_new, b=conv.b.copy(),
+                                              scheme=linalg.GroupScheme(kind, (n, n)))
     return net

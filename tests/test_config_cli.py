@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import platform
 import re
 import struct
 import subprocess
@@ -135,6 +136,38 @@ class TestCliTrain:
         cfg = write_config(tmp_path, doc)
         rc = cli.main(["train", "--config", cfg, "--out", str(tmp_path / "d.hngw")])
         assert rc == cli.EXIT_NUMERIC
+
+
+# Three `train` calls in one process, each call's minor page faults
+HEAP_FAULTS_RUN = """
+import json, resource, sys
+from hingenet import cli
+config, out = sys.argv[1:]
+faults = []
+for _ in range(3):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    assert cli.main(["train", "--config", config, "--out", out]) == 0
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(json.dumps(faults))
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc's heap policy")
+def test_repeated_train_keeps_its_heap(tmp_path):
+    """`cli.main` fixes glibc's heap policy, so a process that runs the
+    same stage again reuses its heap instead of having it trimmed and
+    faulted back in: the third one-epoch toy `train` takes about 20,000
+    minor faults under glibc's moving thresholds and single digits with
+    the fixed ones. It runs in a child process, since the policy holds for
+    the whole process."""
+    doc = dict(TOY_DOC, train=dict(TOY_DOC["train"], epochs=1, lr_drops=[]))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", HEAP_FAULTS_RUN, write_config(tmp_path, doc),
+                           str(tmp_path / "base.hngw")], capture_output=True, text=True,
+                          timeout=300, env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
+    faults = json.loads(done.stdout.splitlines()[-1])
+    assert faults[2] <= 1000, faults
 
 
 def _assert_final_metrics_are_last_epoch(metrics):
@@ -887,7 +920,8 @@ class TestCliFinetune:
         """Byte-mutated copies of a real compacted checkpoint: `evaluate`
         scores each or refuses it with exit 2 and one line naming the file,
         never an internal error, a numeric error or a traceback. A NaN or
-        an infinity in a stored weight is refused as the file's fault."""
+        an infinity in a stored weight is refused as the file's fault, and
+        so is a finite weight whose evaluation overflows."""
         blob = pipeline["compact"].read_bytes()
         path = pipeline["tmp"] / "mutated.hngw"
         argv = ["evaluate", "--config", pipeline["cfg"], "--ckpt", str(path)]
@@ -899,6 +933,7 @@ class TestCliFinetune:
                               min_size=1, max_size=4))
         @example(edits=list(enumerate(np.float64(np.nan).tobytes(), start=entry)))
         @example(edits=list(enumerate(np.float64(-np.inf).tobytes(), start=entry)))
+        @example(edits=list(enumerate(np.float64(1e308).tobytes(), start=entry)))
         def check(edits):
             data = bytearray(blob)
             for pos, value in edits:

@@ -2,6 +2,7 @@ import hashlib
 import importlib.util
 import itertools
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -85,16 +86,18 @@ class TestConv:
         dx = col2im(dz, w, x.shape, 3, 3, stride, pad)
         assert abs(np.sum((col @ w) * dz) - np.sum(x * dx)) <= 1e-10
         want = scatter_patch_rows(dz @ w.T, x.shape, 3, 3, stride, pad)
-        if stride == 1:
-            # a conv of dz with the flipped filters: other sums than the scatter's
-            assert np.array_equal(dx, flipped_filter_product(dz, w, x.shape, 3, pad))
-            assert np.abs(dx - want).max() <= 1e-12
-        elif channels > 1:
+        if channels > 1:
             # tap by tap, the same sums in the same order as the oracle
             assert np.array_equal(dx, want)
         else:
             # numpy hands a one-column product to the BLAS matrix-vector
             # kernel, whose dot products round differently
+            assert np.abs(dx - want).max() <= 1e-12
+        if stride == 1:
+            # a backward's stride-1 input gradient: a conv of dz with the
+            # flipped filters, other sums than the scatter's
+            dx, _ = net._flipped_filter_grads(dz, w, x, 3, pad)
+            assert np.array_equal(dx, flipped_filter_product(dz, w, x.shape, 3, pad))
             assert np.abs(dx - want).max() <= 1e-12
 
     def test_im2col_feature_order_is_kernel_then_channel(self, rng):
@@ -196,14 +199,17 @@ def channels_last(rng, shape):
 
 
 class TestWeightGradOrientation:
-    """Weight gradients are products `(dz.T @ col).T`, which BLAS runs
-    faster than `col.T @ dz`. The change rests on the two giving the same
-    bits; this sweep pins that on every layer shape the toy and
-    wide-compress runs multiply, at the train, compress and inference
-    batch sizes, for a plain conv and kept pairs of rank 1 to 33. The
-    forward makes `pre` in the conv's blocks of samples, and a blocked
-    product can differ in the last bit from a whole one, so `grad_a`'s
-    reference `pre` is made from the same blocks."""
+    """A backward that unfolds its input again (the stem's, a strided
+    conv's, or any without an input gradient, as here) takes the weight
+    gradient as the product `(dz.T @ col).T`, which BLAS runs faster than
+    `col.T @ dz`. The change rests on the two giving the same bits; this
+    sweep pins that on every layer shape the toy and wide-compress runs
+    multiply, at the train, compress and inference batch sizes, for a
+    plain conv and kept pairs of rank 1 to 33. `grad_a` is the product
+    `(dz.T @ pre).T` in every backward. The forward makes `pre` in the
+    conv's blocks of samples, and a blocked product can differ in the last
+    bit from a whole one, so `grad_a`'s reference `pre` is made from the
+    same blocks."""
 
     @pytest.mark.parametrize("batch", [1, 7, 16, 32])
     @pytest.mark.parametrize("layer", list(SWEPT_CONVS))
@@ -298,6 +304,15 @@ STRIDE_1_CONVS = {f"{tag}-{e.name}": e.meta
                   for e in arch.table if e.meta.stride == 1 and e.source is not None}
 
 
+def stride_1_widths(meta):
+    """(input channels, kept-pair rank or None) per case of a stride-1 conv:
+    the nominal width, a pruned predecessor's widths 1 to 4 mod 8, and
+    kept-pair ranks 1 to 33 at the nominal width."""
+    c_in = meta.in_channels
+    pruned = [c_in - 8 + r for r in (1, 2, 3, 4) if c_in > 8]
+    return [(c, None) for c in (c_in, *pruned)] + [(c_in, rank) for rank in range(1, 34)]
+
+
 class TestBlockedInputGrad:
     """A stride-1 conv's input gradient unfolds dz in blocks of samples
     whose patch matrix fits `PATCH_BLOCK_BYTES`, unless one sample's alone
@@ -321,23 +336,55 @@ class TestBlockedInputGrad:
             blocks.append((len(x), col.nbytes))
             return col
         monkeypatch.setattr(net, "im2col", recorded)
-        c_in, k_out = meta.in_channels, meta.out_channels
-        pruned = [c_in - 8 + r for r in (1, 2, 3, 4) if c_in > 8]
-        for c, k in ([(c, k_out) for c in (c_in, *pruned)]
-                     + [(c_in, rank) for rank in range(1, 34)]):
-            x_shape = (batch, c, meta.out_h, meta.out_w)
+        for c, rank in stride_1_widths(meta):
+            k = meta.out_channels if rank is None else rank
+            x = channels_last(rng, (batch, c, meta.out_h, meta.out_w))
             dz = rng.normal(size=(batch * meta.out_h * meta.out_w, k))
             w = rng.normal(size=(meta.kernel_h * meta.kernel_w * c, k))
             blocks.clear()
-            got = col2im(dz, w, x_shape, meta.kernel_h, meta.kernel_w, 1, meta.padding)
+            got, _ = net._flipped_filter_grads(dz, w, x, meta.kernel_h, meta.padding)
             assert sum(samples for samples, _ in blocks) == batch
             if c % 8 in (1, 2, 3, 4):
                 assert len(blocks) == 1, (c, k)
             else:
                 over = [samples for samples, nbytes in blocks if nbytes > net.PATCH_BLOCK_BYTES]
                 assert set(over) <= {1}, (c, k)
-            want = flipped_filter_product(dz, w, x_shape, meta.kernel_h, meta.padding)
+            want = flipped_filter_product(dz, w, x.shape, meta.kernel_h, meta.padding)
             assert np.array_equal(got, want), (c, k)
+
+
+class TestBlockedWeightGrad:
+    """A stride-1 conv that computes its input gradient takes its weight
+    gradient from the same blocks of `dz` patches: `x_blk.T @ col_dz`,
+    summed over the blocks and flipped in space, is `grad_w` in the stored
+    (c, kh, kw) row order. The blocks sum in another order than the
+    whole-batch `(dz.T @ im2col(x)).T`, so the two agree to 1e-12
+    relative, not bit for bit; `dx` keeps the bits of
+    `TestBlockedInputGrad`'s oracle. Swept through `Conv2d.backward` on the
+    same layers, batches and widths, a kept pair's `A` included."""
+
+    @pytest.mark.parametrize("batch", [1, 7, 16, 28, 32])
+    @pytest.mark.parametrize("layer", list(STRIDE_1_CONVS))
+    def test_fused_grads_match_whole_batch_products(self, rng, layer, batch):
+        nominal = STRIDE_1_CONVS[layer]
+        for c, rank in stride_1_widths(nominal):
+            meta = replace(nominal, in_channels=c)
+            k = meta.out_channels if rank is None else rank
+            a = None if rank is None else rng.normal(size=(rank, meta.out_channels))
+            conv = Conv2d(meta, rng.normal(size=(meta.patch_size, k)), a)
+            x = channels_last(rng, (batch, c, meta.out_h, meta.out_w))
+            dy = channels_last(rng, (batch, meta.out_channels, meta.out_h, meta.out_w))
+            conv.forward(x)
+            dx = conv.backward(dy)
+            dz = dy.transpose(0, 2, 3, 1).reshape(-1, meta.out_channels)
+            dpre = dz if a is None else dz @ a.T
+            col = im2col(x, meta.kernel_h, meta.kernel_w, 1, meta.padding)
+            want = net._patch_rows((dpre.T @ col).T, meta, inverse=True)
+            err = np.abs(conv.grad_w - want).max()
+            assert err <= 1e-12 * np.abs(want).max(), (c, rank, err)
+            w_cols = net._patch_rows(conv.w, meta)
+            assert np.array_equal(dx, flipped_filter_product(dpre, w_cols, x.shape,
+                                                             meta.kernel_h, meta.padding))
 
 
 class TestNetworkForward:
@@ -594,15 +641,18 @@ class TestForwardMemory:
     """The forward drops every activation after its last reader, and an
     inference forward each relu mask once applied. A conv forward unfolds
     its batch in blocks within `PATCH_BLOCK_BYTES`; a caching conv keeps
-    its input, not its patch matrix (9x larger for a 3x3 kernel), and
-    every backward takes its layer's cache and unfolds the whole batch
-    again. Measured peaks (numpy 2.4): the wide inference forward 4.19 MiB,
-    the toy caching forward 5.65 MiB, a toy training step at batch 32
-    13.55 MiB and a hinged toy step at batch 16, the phase's batch,
-    8.30 MiB; the backward's unfolding sets the last two. Caching patch
-    matrices, they read 11.73, 31.23, 35.45 and 19.55 MiB. Keeping every
-    output to the end of the forward reads 6.16 MiB for the wide forward,
-    and keeping the last relu mask until the next one 4.30 MiB."""
+    its input, not its patch matrix (9x larger for a 3x3 kernel). Every
+    backward takes its layer's cache; a stride-1 conv below the stem
+    unfolds `dz` in blocks for both its gradients, and only the stem and
+    the strided convs unfold their whole input again. Measured peaks
+    (numpy 2.4): the wide inference forward 4.19 MiB, the toy caching
+    forward 5.65 MiB, a toy training step at batch 32 7.97 MiB and a
+    hinged toy step at batch 16, the phase's batch, 5.52 MiB. Unfolding
+    the whole input again in every backward, the last two read 13.55 and
+    8.30 MiB; caching each conv's whole patch matrix, the last three read
+    35.65, 35.65 and 19.15 MiB. Keeping every output to the end of the
+    forward reads 6.16 MiB for the wide forward, and keeping the last relu
+    mask until the next one 4.30 MiB."""
 
     def test_wide_inference_forward_peak(self, rng):
         # perfbench's wide-compress net: 16 samples run as slices of 7, 7, 2
@@ -619,12 +669,12 @@ class TestForwardMemory:
     def test_toy_training_step_peak(self, rng):
         model = build_network(TOY_ARCH, seed=0)
         peak = traced_peak(training_step(model), rng.normal(size=(32, 1, 16, 16)))
-        assert peak <= 13.8 * 2 ** 20
+        assert peak <= 8.2 * 2 ** 20
 
     def test_hinged_toy_training_step_peak(self, rng):
         model = attach_hinges(build_network(TOY_ARCH, seed=0), init="svd")
         peak = traced_peak(training_step(model), rng.normal(size=(16, 1, 16, 16)))
-        assert peak <= 8.5 * 2 ** 20
+        assert peak <= 5.75 * 2 ** 20
 
 
 # (name, source, hinge position, protected, skip, relu, pool) per conv, in
@@ -909,10 +959,12 @@ def test_every_product_goes_through_matmul(rng, monkeypatch):
     # perfbench books BLAS time to the `linalg.matmul` span through the
     # `net.matmul` binding; a product made around it would be booked to
     # its caller. One toy forward and backward makes per conv one forward
-    # product per block of samples, one weight gradient and, below the
-    # stem, the input gradient: one product per block of samples at stride
-    # 1 and one per kernel tap when strided; a hinge adds one forward and
-    # two backward products (grad_a and the gradient of `pre`).
+    # product per block of samples and its gradients: below the stem at
+    # stride 1, two products per block of `dz` samples (the input gradient
+    # and the weight gradient's share); for the stem one weight gradient;
+    # for a strided conv one weight gradient and one product per kernel
+    # tap. A hinge adds one forward and two backward products (grad_a and
+    # the gradient of `pre`).
     calls, counted = [], net.matmul
 
     def counting(*args, **kwargs):
@@ -925,16 +977,17 @@ def test_every_product_goes_through_matmul(rng, monkeypatch):
     blocks = sum(-(-len(x) // model.layers[e.name]._block) for e in table)
     assert blocks > len(table)  # some conv runs the batch in several blocks
 
-    def input_grad_products(m):
+    def backward_products(m, reads_input):
+        if not reads_input:
+            return 1
         if m.stride > 1:
-            return m.kernel_h * m.kernel_w
+            return 1 + m.kernel_h * m.kernel_w
         dz_patch_bytes = 8 * m.out_h * m.out_w * m.kernel_h * m.kernel_w * m.out_channels
-        return -(-len(x) // net._samples_per_block(m.in_channels, dz_patch_bytes))
-    below_stem = [e.meta for e in table if e.source is not None]
-    dx = [input_grad_products(m) for m in below_stem]
-    # some stride-1 input gradient runs in several blocks
-    assert any(n > 1 for m, n in zip(below_stem, dx) if m.stride == 1)
-    plain = blocks + len(table) + sum(dx)
+        return 2 * -(-len(x) // net._samples_per_block(m.in_channels, dz_patch_bytes))
+    backward = [backward_products(e.meta, e.source is not None) for e in table]
+    # some stride-1 gradient runs in several blocks
+    assert any(n > 2 for e, n in zip(table, backward) if e.meta.stride == 1)
+    plain = blocks + sum(backward)
     for hinged, want in ((False, plain), (True, plain + 4 * 3)):
         if hinged:
             attach_hinges(model, init="svd")

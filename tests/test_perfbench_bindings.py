@@ -92,18 +92,18 @@ def ancestors(i):
     while spans[i][3] >= 0:
         i = spans[i][3]
         yield spans[i][0]
-col2im_spans = [i for i, span in enumerate(spans) if span[0] == "net.col2im"]
-col2im_children = {i: set() for i in col2im_spans}
+backward_children = {i: set() for i, span in enumerate(spans)
+                     if span[0] == "net.conv.backward"}
 for name, _, _, parent, _ in spans:
-    if parent in col2im_children:
-        col2im_children[parent].add(name)
+    if parent in backward_children:
+        backward_children[parent].add(name)
 print(json.dumps({"missed": missed,
                   "violations": [m for _, m in tracing.child_rule_violations(recorder)],
                   "calls": calls,
                   "phase_steps": [list(ancestors(i)) for i in range(first, len(spans))
                                   if spans[i][0] == "train.sgd_step"],
-                  "col2im": [[stride, sorted(col2im_children[i])]
-                             for stride, i in zip(strides, col2im_spans, strict=True)]}))
+                  "col2im_strides": strides,
+                  "backward": [sorted(children) for children in backward_children.values()]}))
 """
 
 
@@ -111,9 +111,9 @@ def test_tracer_wraps_a_conv_forward_and_backward():
     """One toy training step, plain and hinged, one sliced inference
     forward and one compression-phase epoch under the tracer: every
     binding is wrapped, every conv span has the children `--trace 1`
-    checks, every stride-1 input gradient books its unfolds and products
-    under its `net.col2im` span, and the phase steps its filters by one
-    `SgdMomentum.step` per batch."""
+    checks, every conv backward books its unfolds and products under its
+    own span, `net.col2im` runs for the strided convs only, and the phase
+    steps its filters by one `SgdMomentum.step` per batch."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     done = subprocess.run([sys.executable, "-c", TRACED_RUN,
@@ -126,10 +126,13 @@ def test_tracer_wraps_a_conv_forward_and_backward():
     calls = result["calls"]  # 7 convs: two caching forwards, three inference slices
     assert (calls["net.conv.forward"], calls["net.conv.backward"]) == (5 * 7, 2 * 7)
     # two training steps and three phase batches, each backward running
-    # head, block1.conv2, .conv1, .down, block0.conv2 and .conv1
-    assert [stride for stride, _ in result["col2im"]] == [1, 1, 2, 2, 1, 1] * 5
+    # head, block1.conv2, .conv1, .down, block0.conv2, .conv1 and the stem;
+    # the stride-1 convs take both gradients from their dz patches
+    assert result["col2im_strides"] == [2, 2] * 5
+    assert len(result["backward"]) == 7 * 5
     assert all({"net.im2col", "linalg.matmul"} <= set(children)
-               for stride, children in result["col2im"] if stride == 1)
+               for children in result["backward"])
+    assert sum("net.col2im" in children for children in result["backward"]) == 2 * 5
     # 48 samples in batches of 16: three phase batches
     assert len(result["phase_steps"]) == 3
     assert all("solver.phase" in chain for chain in result["phase_steps"])

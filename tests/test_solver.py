@@ -561,7 +561,7 @@ def test_distilled_finetune_golden_sha256():
         h.update(name.encode())
         h.update(np.ascontiguousarray(arr).tobytes())
     h.update(json.dumps([history, result], sort_keys=True).encode())
-    assert h.hexdigest() == "dcd29722736e35ab6027006ac0ffe6f77ac5e0faba1c364f4d6fa0887382d70a"
+    assert h.hexdigest() == "a73b01f0866c44b16b09da4a4f2516295c926f5010670d4a1fdff3500b541249"
 
 
 def test_config_validation():
